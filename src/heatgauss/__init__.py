@@ -88,4 +88,4 @@ from .twist import (
     twisted_semigroup_norm_fit,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

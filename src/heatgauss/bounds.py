@@ -114,7 +114,7 @@ def envelope_sup_ratio(
         t = float(t)
         if t < SHORT_TIME_EXCLUSION * ev.t_floor:
             continue
-        K = ev.matrix(t)[np.ix_(idx, idx)]
+        K = ev.block(t, idx)
         xi = x[idx]
         di = d[idx]
         decay = np.outer(di**gamma, di**gamma) if gamma > 0 else 1.0
@@ -213,7 +213,7 @@ def smalltime_prefactor(
     decay = np.outer(d[idx] ** gamma, d[idx] ** gamma) if gamma > 0 else 1.0
     worst = 0.0
     for t in ts:
-        K = np.abs(ev.matrix(t)[np.ix_(idx, idx)])
+        K = np.abs(ev.block(t, idx))
         worst = max(worst, float(np.max(t**power * K / decay)))
     return worst
 

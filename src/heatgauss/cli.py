@@ -179,7 +179,7 @@ def run_verify_twist(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
             norm_fit = twist_mod.twisted_semigroup_norm_fit(d, tw, cfg.t_grid)
             rows.append(ReportRow("twisted-norm-fit", params, norm_fit["c"], True))
             evolved = twist_mod.evolved_twisted_form_check(
-                d, form, tw, 0.5, cfg.t_grid, f_train, f_holdout
+                d, form, tw, 0.5, cfg.t_grid, f_train, f_holdout, c2=2.0 * norm_fit["c"]
             )
             rows.append(ReportRow("evolved-twisted-form", dict(params, c2=evolved["c2"]),
                                   evolved["c1"], True))
@@ -311,7 +311,12 @@ def run_report(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
             ratios[a, b] = abs(K[i, j]) / e if e > 0 else 0.0
     ratio_table_svg(os.path.join(out, "envelope_ratio.svg"), ratios,
                     "kernel / envelope ratio")
-    return [ReportRow("report", {"t": t_mid}, float(np.max(ratios)), True)]
+    rows = [ReportRow("report", {"t": t_mid}, float(np.max(ratios)), True)]
+    if not np.any(keep):  # the boundary plot has no point to draw
+        rows.append(ReportRow("report-boundary", {"t": t_mid}, 0.0, False,
+                              {"t": t_mid, "column": half, "window": left.stop,
+                               "error": "kernel underflows in the boundary window"}))
+    return rows
 
 
 RUNNERS = {

@@ -102,11 +102,17 @@ def _scale(vals, lo_px, hi_px):
 
 def line_plot_svg(path, series, title: str, xlabel: str, ylabel: str,
                   width: int = 640, height: int = 480) -> None:
-    """Polyline plot; `series` is a list of (label, x array, y array)."""
+    """Polyline plot; `series` is a list of (label, x array, y array).
+
+    An empty series keeps its legend entry and draws no polyline; when every
+    series is empty the axes span [0, 1].
+    """
     margin = 60
     parts = _svg_header(width, height)
     all_x = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
     all_y = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
+    if all_x.size == 0:
+        all_x = all_y = np.array([0.0, 1.0])
     _, xmin, xmax = _scale(all_x, margin, width - margin)
     _, ymin, ymax = _scale(all_y, height - margin, margin)
     colors = ["#1f4e9c", "#b03a2e", "#1e8449", "#8e44ad", "#b7950b", "#117a8b"]
@@ -124,7 +130,8 @@ def line_plot_svg(path, series, title: str, xlabel: str, ylabel: str,
         py = (height - margin) - (ys - ymin) / (ymax - ymin) * (height - 2 * margin)
         pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
         color = colors[k % len(colors)]
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        if pts:
+            parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(
             f'<text x="{width - margin + 4}" y="{margin + 16 * k + 12}" font-size="11" '
             f'fill="{color}">{label}</text>'

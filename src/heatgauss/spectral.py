@@ -206,6 +206,12 @@ class HeatKernelEvaluator:
         phi = self.decomposition.eigenvectors
         return (phi * self._weights(t)) @ phi.T
 
+    def block(self, t: float, idx: np.ndarray) -> np.ndarray:
+        """Kernel table restricted to the sampled nodes: ev.matrix(t)[np.ix_(idx, idx)]."""
+        self._check_floor(t)
+        phi = self.decomposition.eigenvectors[idx]
+        return (phi * self._weights(t)) @ phi.T
+
     def _check_floor(self, t: float) -> None:
         if t <= 0:
             raise DomainError(f"kernel time must be positive, got {t}")

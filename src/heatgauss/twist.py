@@ -30,6 +30,7 @@ from .errors import (
 from .spectral import SpectralDecomposition, spectral_gap
 
 TWIST_CAP = 40.0  # |lambda| * L cap keeping diag(exp(lambda psi)) in double range
+RANGE_CHUNK = 64  # samples per matmul in numerical_range_values
 
 
 @dataclass(frozen=True)
@@ -147,13 +148,14 @@ def per_lambda(form: FormMatrix, tw: TwistSpec, f: np.ndarray, rel_tol: float = 
     plain_q = float(np.dot(f, form.matrix @ f))
     direct = twisted_q - plain_q
 
-    # Leibniz path, term by term over the coefficient table
-    ops: dict[tuple[int, int], np.ndarray] = {}
+    # Leibniz path, term by term over the coefficient table; each staggered
+    # image D^d M^m f is formed once per call and shared by every term using it
+    images: dict[tuple[int, int], np.ndarray] = {}
 
-    def op(d: int, m_: int) -> np.ndarray:
-        if (d, m_) not in ops:
-            ops[(d, m_)] = staggered_operator(grid, d, m_)
-        return ops[(d, m_)]
+    def image(d: int, m_: int) -> np.ndarray:
+        if (d, m_) not in images:
+            images[(d, m_)] = staggered_operator(grid, d, m_) @ f
+        return images[(d, m_)]
 
     leib = 0.0
     for (i, j) in sorted(form.spec.coefficients):
@@ -163,14 +165,14 @@ def per_lambda(form: FormMatrix, tw: TwistSpec, f: np.ndarray, rel_tol: float = 
         right = _twisted_factor_terms(j, level, tw.lam, tw.a, h)
         top_left, top_right = (i, level - i), (j, level - j)
         for (dl, ml), cl in left.items():
-            u1 = op(dl, ml) @ f
+            u1 = image(dl, ml)
             for (dr, mr), cr in right.items():
                 coeff = cl * cr
                 if (dl, ml) == top_left and (dr, mr) == top_right:
                     coeff -= 1.0  # the untwisted term belongs to Q(f)
                 if coeff == 0.0:
                     continue
-                u2 = op(dr, mr) @ f
+                u2 = image(dr, mr)
                 leib += h * coeff * float(np.dot(u1, a_samples * u2))
 
     # when per(lambda) cancels to round-off, the achievable agreement is set
@@ -241,6 +243,22 @@ def form_perturbation_bound_fit(
     return {"c1": c1, "witness": witness, "violations": violations}
 
 
+def numerical_range_values(Hhat: np.ndarray, samples: np.ndarray, h: float) -> np.ndarray:
+    """Numerical-range points <f, Hhat f>_h / <f, f>_h of each sample row.
+
+    One matmul per chunk of at most RANGE_CHUNK samples; the sector search and
+    the sector verdict both read these values, so they see the same points.
+    """
+    fs = np.atleast_2d(samples)
+    z = np.empty(len(fs), dtype=complex)
+    for k in range(0, len(fs), RANGE_CHUNK):
+        block = fs[k : k + RANGE_CHUNK]
+        num = h * np.einsum("ij,ij->i", block.conj(), block @ Hhat.T)
+        den = h * np.einsum("ij,ij->i", block.conj(), block).real
+        z[k : k + RANGE_CHUNK] = num / den
+    return z
+
+
 def numerical_range_sector(
     top: TwistedOperator, p: float, shift: float, samples: np.ndarray
 ) -> tuple[float, list[dict]]:
@@ -251,19 +269,13 @@ def numerical_range_sector(
     """
     if not (0.0 < p < 1.0):
         raise DomainError(f"sector parameter p must lie in (0,1), got {p}")
-    Hhat = top.matrix(shifted=True)
-    h = top.base.grid.h
-    max_angle = 0.0
-    violations = []
-    for si, f in enumerate(np.atleast_2d(samples)):
-        num = h * np.vdot(f, Hhat @ f)
-        den = h * np.vdot(f, f).real
-        z = num / den + shift
-        angle = abs(math.atan2(z.imag, z.real))
-        max_angle = max(max_angle, angle)
-        if z.real < -1e-12 * max(abs(z), 1.0) or angle > math.atan(1.0 / p) + 1e-12:
-            violations.append({"sample": si, "z": complex(z), "angle": angle})
-    return max_angle, violations
+    z = numerical_range_values(top.matrix(shifted=True), samples, top.base.grid.h) + shift
+    angles = np.abs(np.arctan2(z.imag, z.real))
+    bad = (z.real < -1e-12 * np.maximum(np.abs(z), 1.0)) | (angles > math.atan(1.0 / p) + 1e-12)
+    violations = [
+        {"sample": int(si), "z": complex(z[si]), "angle": float(angles[si])} for si in np.flatnonzero(bad)
+    ]
+    return float(np.max(angles, initial=0.0)), violations
 
 
 def sector_samples(d: SpectralDecomposition, seed: int = 42, count: int = 1000) -> np.ndarray:
@@ -299,11 +311,7 @@ def sector_shift_search(
     s = top.gap
     m = top.base.m
     unit = (1.0 + p) * (1.0 + s) ** (2 * m) * top.twist.lam ** (2 * m)
-    Hhat = top.matrix(shifted=True)
-    h = top.base.grid.h
-    z0 = np.array([
-        (h * np.vdot(f, Hhat @ f)) / (h * np.vdot(f, f).real) for f in np.atleast_2d(samples)
-    ])
+    z0 = numerical_range_values(top.matrix(shifted=True), samples, top.base.grid.h)
 
     def passes(c: float) -> bool:
         z = z0 + c * unit
@@ -434,22 +442,23 @@ def evolved_twisted_form_check(
     if c2 is None:
         c2 = 2.0 * twisted_semigroup_norm_fit(d, tw, t_grid)["c"]
 
-    def q_evolved(fs: np.ndarray) -> np.ndarray:
-        vals = np.empty((len(np.atleast_2d(fs)), len(t_arr)))
-        for fi, f in enumerate(np.atleast_2d(fs)):
-            for ti, t in enumerate(t_arr):
-                g = top.propagator(t) @ f
-                vals[fi, ti] = float(g @ (form.matrix @ g))
-        return vals
-
-    def c1_for(vals: np.ndarray, fs: np.ndarray) -> float:
-        norms2 = h * np.sum(np.atleast_2d(fs) ** 2, axis=1)
-        expo = np.clip(c2 * unit * t_arr - 2.0 * s * t_arr, -700.0, 700.0)
-        env_unit = np.exp(expo) / (alpha * t_arr)
-        return float(np.max(vals / (norms2[:, None] * env_unit[None, :])))
-
-    c1 = c1_for(q_evolved(f_train), f_train)
-    held_c1 = c1_for(q_evolved(f_holdout), f_holdout)
+    train, held = np.atleast_2d(f_train), np.atleast_2d(f_holdout)
+    fs = np.vstack([train, held])
+    # Q(e^{-H_lam t} f) with one propagator per t, applied one sample at a
+    # time: at large m rounding in g dominates Q(g), and a matmul would round
+    # differently from the matvec
+    vals = np.empty((len(fs), len(t_arr)))
+    for ti, t in enumerate(t_arr):
+        P = top.propagator(t)
+        for fi, f in enumerate(fs):
+            g = P @ f
+            vals[fi, ti] = float(g @ (form.matrix @ g))
+    norms2 = h * np.sum(fs**2, axis=1)
+    expo = np.clip(c2 * unit * t_arr - 2.0 * s * t_arr, -700.0, 700.0)
+    env_unit = np.exp(expo) / (alpha * t_arr)
+    ratios = vals / (norms2[:, None] * env_unit[None, :])
+    c1 = float(np.max(ratios[: len(train)]))
+    held_c1 = float(np.max(ratios[len(train) :]))
     if held_c1 > c1 * (1.0 + 1e-9):
         raise PropertyViolation(
             f"held-out evolved-form ratio {held_c1} exceeds fitted c1={c1}",
@@ -474,15 +483,12 @@ def appendix_b_identities(
     e = tw.weights()
     H_lam = (S * e[np.newaxis, :]) / e[:, np.newaxis]
     eye = np.eye(n)
-    rng = np.random.default_rng(seed)
-    worst_resolvent = 0.0
-    for _ in range(n_rhs):
-        g = rng.standard_normal(n)
-        x1 = np.linalg.solve(z * eye - H_lam, g.astype(complex))
-        x2 = np.linalg.solve(z * eye - S, (e * g).astype(complex)) / e
-        worst_resolvent = max(
-            worst_resolvent, float(np.linalg.norm(x1 - x2) / max(np.linalg.norm(x2), 1e-300))
-        )
+    # columns are the right-hand sides, drawn in the same order as one at a time
+    G = np.random.default_rng(seed).standard_normal((n_rhs, n)).T
+    X1 = np.linalg.solve(z * eye - H_lam, G.astype(complex))
+    X2 = np.linalg.solve(z * eye - S, (e[:, np.newaxis] * G).astype(complex)) / e[:, np.newaxis]
+    rel = np.linalg.norm(X1 - X2, axis=0) / np.maximum(np.linalg.norm(X2, axis=0), 1e-300)
+    worst_resolvent = float(np.max(rel, initial=0.0))
     spec_tw = np.sort(np.linalg.eigvals(H_lam).real)
     worst_spectrum = float(np.max(np.abs(spec_tw - mu)) / mu[-1])
     ok = worst_resolvent <= 1e-8 and worst_spectrum <= 1e-8

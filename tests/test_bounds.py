@@ -17,7 +17,8 @@ from heatgauss import (
     smalltime_prefactor,
     sobolev_pointwise_check,
 )
-from heatgauss.bounds import envelope_sup_ratio, evolved_samples
+from heatgauss.bounds import _sample_indices, envelope_sup_ratio, evolved_samples
+from heatgauss.errors import ResolutionWarning
 from heatgauss.core import schedule_from_gamma
 
 
@@ -105,6 +106,25 @@ class TestEnvelopeFit:
         ev = HeatKernelEvaluator(laplace200[1])
         with pytest.raises(ConfigurationError):
             envelope_sup_ratio(ev, lap_schedule(0.0), 0.1, [ev.t_floor / 100.0])
+
+
+class TestKernelBlock:
+    def test_block_matches_full_table(self, laplace200, beam200):
+        for _, d in (laplace200, beam200):
+            ev = HeatKernelEvaluator(d)
+            idx = _sample_indices(d.grid.n_interior, 4)
+            for t in (0.1 / d.gap, 1.0 / d.gap):
+                want = ev.matrix(t)[np.ix_(idx, idx)]
+                got = ev.block(t, idx)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_block_keeps_floor_warning(self, laplace200):
+        ev = HeatKernelEvaluator(laplace200[1])
+        with pytest.warns(ResolutionWarning):
+            ev.block(ev.t_floor / 2.0, np.array([0, 5]))
+        with pytest.raises(DomainError):
+            ev.block(0.0, np.array([0, 5]))
 
 
 class TestDecayExtractors:

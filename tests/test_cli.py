@@ -6,6 +6,7 @@ import pytest
 from heatgauss.cli import main
 from heatgauss.config import RunConfig, load_run_config, parse_config_text
 from heatgauss.errors import ConfigurationError
+from heatgauss.reporting import line_plot_svg
 
 LAPLACE_CFG = """
 # reference Laplacian run
@@ -22,6 +23,21 @@ lam_grid = 0.0 1.0
 c2_grid = 0.01 0.05 0.1 0.25
 samples = 8
 seed = 42
+"""
+
+
+POLY3_CFG = """
+[operator]
+source = polyharmonic
+m = 3
+L = 1.0
+n = 40
+
+[schedule]
+gamma = 0.0 0.4
+
+[sweep]
+seed = 3
 """
 
 
@@ -127,3 +143,31 @@ class TestCliRuns:
             body = (out / name).read_text()
             assert body.startswith("<?xml")
             assert "<svg" in body
+
+    def test_report_m3_underflow_is_a_failing_row(self, tmp_path, capsys):
+        # the m = 3 kernel underflows at the median t, leaving the boundary plot empty
+        cfg = tmp_path / "poly3.cfg"
+        cfg.write_text(POLY3_CFG, encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["report", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "FAIL report-boundary" in err and "witness:" in err
+        assert "Traceback" not in err
+        for name in ("kernel_boundary.svg", "longtime_norm.svg", "envelope_ratio.svg"):
+            assert (out / name).read_text().startswith("<?xml")
+        assert "<polyline" not in (out / "kernel_boundary.svg").read_text()
+
+
+class TestLinePlot:
+    def test_empty_series(self, tmp_path):
+        path = tmp_path / "empty.svg"
+        line_plot_svg(str(path), [("none", np.empty(0), np.empty(0))], "t", "x", "y")
+        body = path.read_text()
+        assert body.rstrip().endswith("</svg>")
+        assert "<polyline" not in body and ">none</text>" in body
+
+    def test_empty_series_beside_data(self, tmp_path):
+        path = tmp_path / "mixed.svg"
+        line_plot_svg(str(path), [("none", [], []), ("data", [0.0, 1.0], [2.0, 3.0])], "t", "x", "y")
+        assert path.read_text().count("<polyline") == 1

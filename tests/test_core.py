@@ -1,7 +1,11 @@
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
+
+import heatgauss
 
 from heatgauss import (
     DomainError,
@@ -141,3 +145,10 @@ class TestGTilde:
             GTildeFn(s=0.0)
         with pytest.raises(DomainError):
             gtilde(GTildeFn(s=1.0), 0.0)
+
+
+def test_version_matches_pyproject():
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = re.search(r'^version = "([^"]+)"', pyproject.read_text(encoding="utf-8"), re.M)
+    assert declared is not None
+    assert heatgauss.__version__ == declared.group(1)

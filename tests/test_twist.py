@@ -26,7 +26,7 @@ from heatgauss import (
     twisted_semigroup_norm_fit,
 )
 from heatgauss.core import Grid1D, MultiIndex
-from heatgauss.twist import leibniz_expand, mixed_norm_bound_fit
+from heatgauss.twist import leibniz_expand, mixed_norm_bound_fit, numerical_range_values
 
 
 def make_twist(grid, lam, a=1.0):
@@ -213,3 +213,102 @@ class TestSemigroupFits:
         )
         assert out["violations"] == 0
         assert out["c1"] > 0 and out["c2"] >= 0
+
+
+@pytest.fixture(scope="module")
+def poly3_40():
+    form = assemble_form(polyharmonic_spec(3), Grid1D(length=1.0, n_interior=40))
+    return form, SpectralDecomposition.from_form(form)
+
+
+class TestBatchedAgainstLoops:
+    """Each batched path against the one-sample-at-a-time loop it replaced."""
+
+    def test_numerical_range_values(self, laplace200):
+        _, d = laplace200
+        top = TwistedOperator(base=d, twist=make_twist(d.grid, 1.0))
+        Hhat = top.matrix(shifted=True)
+        h = d.grid.h
+        samples = sector_samples(d, seed=5, count=150)  # crosses several chunks
+        want = np.array([h * np.vdot(f, Hhat @ f) / (h * np.vdot(f, f).real) for f in samples])
+        got = numerical_range_values(Hhat, samples, h)
+        assert got.shape == want.shape
+        # the 150 random samples come first: relative to the value itself
+        assert np.all(np.abs(got - want)[:150] <= 1e-12 * np.abs(want[:150]))
+        # eigenvector sums cancel down to O(mu_k) against O(||Hhat||) terms, so
+        # relative to the size of the terms summed
+        terms = np.array([np.abs(f) @ np.abs(Hhat) @ np.abs(f) / np.vdot(f, f).real for f in samples])
+        assert np.all(np.abs(got - want) <= 1e-12 * terms)
+
+    def test_numerical_range_real_samples(self, laplace200):
+        _, d = laplace200
+        Hhat = TwistedOperator(base=d, twist=make_twist(d.grid, 0.5)).matrix(shifted=True)
+        f = np.random.default_rng(2).standard_normal((3, d.grid.n_interior))
+        want = [float(g @ Hhat @ g) / float(g @ g) for g in f]
+        assert np.allclose(numerical_range_values(Hhat, f, d.grid.h), want, rtol=1e-12, atol=0.0)
+
+    def test_evolved_form_c1(self, laplace200, rng):
+        form, d = laplace200
+        tw = make_twist(d.grid, 1.0)
+        top = TwistedOperator(base=d, twist=tw)
+        ts = np.geomspace(0.05, 2.0, 5)
+        f_train = np.vstack([d.eigenvectors[:, [0, 199]].T, rng.standard_normal((4, 200))])
+        f_holdout = rng.standard_normal((4, 200))
+        c2 = 2.0 * twisted_semigroup_norm_fit(d, tw, ts)["c"]
+        out = evolved_twisted_form_check(d, form, tw, 0.5, ts, f_train, f_holdout, c2=c2)
+        unit = (1.0 + d.gap) ** 2 * tw.lam**2
+        c1 = 0.0
+        for f in f_train:
+            for t in ts:
+                g = top.propagator(t) @ f
+                env = math.exp(c2 * unit * t - 2.0 * d.gap * t) / (0.5 * t)
+                c1 = max(c1, float(g @ (form.matrix @ g)) / (d.grid.h * float(f @ f) * env))
+        assert out["c1"] == pytest.approx(c1, rel=1e-10)
+        assert out["c2"] == c2
+
+    def test_evolved_form_default_c2(self, laplace200, rng):
+        form, d = laplace200
+        tw = make_twist(d.grid, 0.5)
+        ts = np.geomspace(0.05, 2.0, 4)
+        f_train, f_holdout = rng.standard_normal((3, 200)), rng.standard_normal((3, 200))
+        c2 = 2.0 * twisted_semigroup_norm_fit(d, tw, ts)["c"]
+        default = evolved_twisted_form_check(d, form, tw, 0.5, ts, f_train, f_holdout)
+        explicit = evolved_twisted_form_check(d, form, tw, 0.5, ts, f_train, f_holdout, c2=c2)
+        assert default == explicit
+
+    def test_appendix_b_errors(self, laplace200):
+        _, d = laplace200
+        tw = make_twist(d.grid, 1.5)
+        z = complex(-2.0, 3.0)
+        S = d.operator_matrix()
+        n = S.shape[0]
+        e = tw.weights()
+        H_lam = (S * e[np.newaxis, :]) / e[:, np.newaxis]
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for _ in range(6):
+            g = rng.standard_normal(n)
+            x1 = np.linalg.solve(z * np.eye(n) - H_lam, g.astype(complex))
+            x2 = np.linalg.solve(z * np.eye(n) - S, (e * g).astype(complex)) / e
+            worst = max(worst, float(np.linalg.norm(x1 - x2) / np.linalg.norm(x2)))
+        out = appendix_b_identities(d, tw, z, n_rhs=6, seed=11)
+        assert abs(out["resolvent_rel_err"] - worst) <= 1e-10
+        assert out["ok"]
+
+    def test_right_hand_sides_drawn_in_loop_order(self):
+        one_by_one = np.random.default_rng(4)
+        rows = [one_by_one.standard_normal(30) for _ in range(5)]
+        assert np.array_equal(np.random.default_rng(4).standard_normal((5, 30)), np.array(rows))
+
+    @pytest.mark.parametrize("case", ["laplace200", "beam200", "poly3_40"])
+    def test_searched_shift_passes_sector_check(self, case, request):
+        _, d = request.getfixturevalue(case)
+        tw = make_twist(d.grid, 1.0)
+        top = TwistedOperator(base=d, twist=tw)
+        samples = sector_samples(d, seed=9, count=150)
+        for p in (0.25, 0.5, 0.75):
+            c = sector_shift_search(top, p, samples)
+            unit = (1.0 + p) * (1.0 + d.gap) ** (2 * d.m) * tw.lam ** (2 * d.m)
+            angle, violations = numerical_range_sector(top, p, c * unit, samples)
+            assert violations == []
+            assert angle <= math.atan(1.0 / p) + 1e-12
