@@ -11,7 +11,6 @@ from .assembly import (
     assemble_form,
     constant_coefficient,
     difference_matrix,
-    frac_power,
     load_coefficients_csv,
     measure_ellipticity,
     polyharmonic_spec,
@@ -31,7 +30,6 @@ from .core import (
     GammaSchedule,
     Grid1D,
     GTildeFn,
-    MultiIndex,
     boundary_distance,
     epsilon_from_gamma,
     gamma_from_epsilon,

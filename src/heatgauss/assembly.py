@@ -98,13 +98,6 @@ def staggered_operator(grid: Grid1D, n_diff: int, n_avg: int) -> np.ndarray:
     return _staggered_cache[key]
 
 
-def lifted_difference(grid: Grid1D, k: int, level: int) -> np.ndarray:
-    """D_k lifted to sample level `level` >= k by averaging."""
-    if level < k:
-        raise DomainError(f"cannot lift order-{k} difference to lower level {level}")
-    return staggered_operator(grid, k, level - k)
-
-
 def constant_coefficient(value: float) -> CoeffFn:
     return lambda x: np.full_like(np.asarray(x, dtype=float), float(value))
 
@@ -187,8 +180,8 @@ def assemble_form(spec: OperatorSpec, grid: Grid1D) -> FormMatrix:
         level = max(i, j)
         x = level_positions(grid, level)
         A = spec.sample(i, j, x)
-        Bi = lifted_difference(grid, i, level)
-        Bj = lifted_difference(grid, j, level)
+        Bi = staggered_operator(grid, i, level - i)  # D_i lifted to the level by averaging
+        Bj = staggered_operator(grid, j, level - j)
         Q += grid.h * (Bi.T * A) @ Bj
     scale = np.linalg.norm(Q)
     if scale > 0 and np.linalg.norm(Q - Q.T) > 1e-12 * scale:
@@ -219,19 +212,6 @@ def measure_ellipticity(form: FormMatrix, grid: Grid1D, m: int) -> float:
     return max(hi, 1.0 / lo, 1.0)
 
 
-def frac_power(laplacian_decomp, p: float) -> np.ndarray:
-    """Spectral power of the discrete Dirichlet Laplacian, V diag(mu^p) V^T."""
-    if p < 0:
-        raise DomainError(f"fractional power requires p >= 0, got {p}")
-    if laplacian_decomp.m != 1:
-        raise ContractError("frac_power expects a decomposition of the m=1 Laplacian")
-    w = laplacian_decomp.eigenvalues
-    phi = laplacian_decomp.eigenvectors
-    h = laplacian_decomp.grid.h
-    # phi columns are h-orthonormal; the operator matrix is h * phi diag phi^T
-    return h * (phi * w**p) @ phi.T
-
-
 def load_coefficients_csv(path: str) -> dict[tuple[int, int], CoeffFn]:
     """Read a coefficient table from CSV with columns i,j,x,value.
 
@@ -247,8 +227,11 @@ def load_coefficients_csv(path: str) -> dict[tuple[int, int], CoeffFn]:
                 f"coefficient CSV must have header columns i,j,x,value, got {reader.fieldnames}"
             )
         for row in reader:
-            key = (int(row["i"]), int(row["j"]))
-            raw.setdefault(key, []).append((float(row["x"]), float(row["value"])))
+            try:
+                key = (int(row["i"]), int(row["j"]))
+                raw.setdefault(key, []).append((float(row["x"]), float(row["value"])))
+            except (TypeError, ValueError):  # TypeError: a short row leaves fields None
+                raise ConfigurationError(f"coefficient CSV line {reader.line_num}: bad row {row}") from None
     if not raw:
         raise ConfigurationError(f"coefficient CSV {path!r} contains no data rows")
 

@@ -86,9 +86,31 @@ def _schedules(cfg: RunConfig):
     return [schedule_from_gamma(cfg.m, 1, g) for g in cfg.gamma_list]
 
 
-def run_spectrum(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
+def _decompose(cfg: RunConfig) -> tuple[FormMatrix, SpectralDecomposition, HeatKernelEvaluator]:
+    """Form, decomposition and kernel evaluator of the configured operator at n = cfg.n."""
     form = _build_form(cfg, cfg.n)
     d = SpectralDecomposition.from_form(form)
+    return form, d, HeatKernelEvaluator(d)
+
+
+def _train_holdout(d: SpectralDecomposition, seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded training samples (structured modes first) and then held-out random vectors."""
+    rng = np.random.default_rng(seed)
+    f_train = sample_functions(d, rng, count)
+    return f_train, rng.standard_normal((count, d.grid.n_interior))
+
+
+def _fitted_envelope(cfg: RunConfig, ev: HeatKernelEvaluator):
+    """Envelope fit at the first configured gamma and the envelope with its constants."""
+    schedule = _schedules(cfg)[0]
+    fit = bounds_mod.fit_envelope_constants(ev, schedule, cfg.c2_grid, cfg.t_grid)
+    env = bounds_mod.BoundEnvelope(schedule=schedule, s=ev.decomposition.gap,
+                                   c1=fit.constants["c1"], c2=fit.constants["c2"])
+    return fit, env
+
+
+def run_spectrum(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
+    _, d, _ = _decompose(cfg)
     write_csv(
         os.path.join(out, "spectrum.csv"),
         ["index", "eigenvalue"],
@@ -100,13 +122,8 @@ def run_spectrum(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
 
 
 def run_kernel(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
-    form = _build_form(cfg, cfg.n)
-    d = SpectralDecomposition.from_form(form)
-    ev = HeatKernelEvaluator(d)
-    schedule = _schedules(cfg)[0]
-    fit = bounds_mod.fit_envelope_constants(ev, schedule, cfg.c2_grid, cfg.t_grid)
-    env = bounds_mod.BoundEnvelope(schedule=schedule, s=d.gap,
-                                   c1=fit.constants["c1"], c2=fit.constants["c2"])
+    _, _, ev = _decompose(cfg)
+    fit, env = _fitted_envelope(cfg, ev)
 
     def env_fn(t, x, y, dx, dy):
         return bounds_mod.envelope_eval(env, t, x, y, dx, dy)
@@ -114,21 +131,17 @@ def run_kernel(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
     indices = bounds_mod._sample_indices(cfg.n, max(cfg.n // 24, 1))
     ts = [t for t in cfg.t_grid if t >= bounds_mod.SHORT_TIME_EXCLUSION * ev.t_floor]
     write_csv(os.path.join(out, "kernel.csv"), KERNEL_HEADER, kernel_rows(ev, env_fn, ts, indices))
-    return [ReportRow("kernel-dump", {"n": cfg.n, "gamma": schedule.gamma},
+    return [ReportRow("kernel-dump", {"n": cfg.n, "gamma": env.schedule.gamma},
                       fit.constants["c1"], fit.passed,
                       None if fit.passed else {"flags": ";".join(fit.flags)})]
 
 
 def run_verify_bounds(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
-    form = _build_form(cfg, cfg.n)
-    d = SpectralDecomposition.from_form(form)
-    ev = HeatKernelEvaluator(d)
+    form, d, ev = _decompose(cfg)
     refined_ev = None
     if refine:
         refined_ev = HeatKernelEvaluator(SpectralDecomposition.from_form(_build_form(cfg, 2 * cfg.n)))
-    rng = np.random.default_rng(cfg.seed)
-    f_train = sample_functions(d, rng, cfg.sample_count)
-    f_holdout = rng.standard_normal((cfg.sample_count, cfg.n))
+    f_train, f_holdout = _train_holdout(d, cfg.seed, cfg.sample_count)
     x_indices = list(range(2, cfg.n - 2, max(cfg.n // 16, 1)))
     rows = []
     for schedule in _schedules(cfg):
@@ -163,12 +176,8 @@ def run_verify_bounds(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]
 
 
 def run_verify_twist(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
-    form = _build_form(cfg, cfg.n)
-    d = SpectralDecomposition.from_form(form)
-    ev = HeatKernelEvaluator(d)
-    rng = np.random.default_rng(cfg.seed)
-    f_train = sample_functions(d, rng, min(cfg.sample_count, 12))
-    f_holdout = rng.standard_normal((min(cfg.sample_count, 12), cfg.n))
+    form, d, ev = _decompose(cfg)
+    f_train, f_holdout = _train_holdout(d, cfg.seed, min(cfg.sample_count, 12))
     x0 = cfg.length / 2.0
     rows = []
     t_mid = float(np.median(cfg.t_grid))
@@ -198,8 +207,8 @@ def run_verify_twist(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
                 top = twist_mod.TwistedOperator(base=d, twist=tw)
                 samples = twist_mod.sector_samples(d, seed=cfg.seed, count=200)
                 shift = twist_mod.sector_shift_search(top, 0.5, samples)
-                unit = (1.0 + 0.5) * (1.0 + d.gap) ** (2 * d.m) * lam ** (2 * d.m)
-                angle, violations = twist_mod.numerical_range_sector(top, 0.5, shift * unit, samples)
+                shift_applied = shift * ((1.0 + 0.5) * top.unit)
+                angle, violations = twist_mod.numerical_range_sector(top, 0.5, shift_applied, samples)
                 ok = not violations and angle <= math.atan(2.0) + 1e-12
                 rows.append(ReportRow("sector", dict(params, p=0.5, shift=shift), angle, ok,
                                       None if ok else {"violations": len(violations)}))
@@ -210,13 +219,10 @@ def run_verify_twist(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
 
 
 def run_verify_inequalities(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
-    form = _build_form(cfg, cfg.n)
-    d_form = SpectralDecomposition.from_form(form)
+    form, d_form, _ = _decompose(cfg)
     lap = assemble_form(polyharmonic_spec(1), Grid1D(length=cfg.length, n_interior=cfg.n))
     d_lap = SpectralDecomposition.from_form(lap)
-    rng = np.random.default_rng(cfg.seed)
-    f_train = sample_functions(d_form, rng, cfg.sample_count)
-    f_holdout = rng.standard_normal((cfg.sample_count, cfg.n))
+    f_train, f_holdout = _train_holdout(d_form, cfg.seed, cfg.sample_count)
     rows = []
 
     def guarded(name, params, fn):
@@ -275,9 +281,7 @@ def run_verify_inequalities(cfg: RunConfig, out: str, refine: bool) -> list[Repo
 
 
 def run_report(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
-    form = _build_form(cfg, cfg.n)
-    d = SpectralDecomposition.from_form(form)
-    ev = HeatKernelEvaluator(d)
+    _, d, ev = _decompose(cfg)
     x = d.grid.points
     dist = np.minimum(x, cfg.length - x)
     half = cfg.n // 2
@@ -298,10 +302,7 @@ def run_report(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
         [("log sup|k|", ts, np.log(np.maximum(sups, 1e-300)))],
         "long-time kernel decay", "t", "log sup |k|",
     )
-    schedule = _schedules(cfg)[0]
-    fit = bounds_mod.fit_envelope_constants(ev, schedule, cfg.c2_grid, cfg.t_grid)
-    env = bounds_mod.BoundEnvelope(schedule=schedule, s=d.gap,
-                                   c1=fit.constants["c1"], c2=fit.constants["c2"])
+    _, env = _fitted_envelope(cfg, ev)
     idx = bounds_mod._sample_indices(cfg.n, max(cfg.n // 40, 1))
     ratios = np.empty((len(idx), len(idx)))
     for a, i in enumerate(idx):
@@ -340,11 +341,6 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_run_config(args.config, seed_override=args.seed)
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    os.makedirs(args.out, exist_ok=True)
-    try:
         rows = RUNNERS[args.subcommand](cfg, args.out, args.refine)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)

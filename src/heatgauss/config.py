@@ -6,11 +6,14 @@ ignored. Parse failures raise ConfigurationError with line and column.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import gamma_from_epsilon
 from .errors import ConfigurationError
+from .profiles import BUILTIN_PROFILES, get_profile
 
 
 def _strip_comment(line: str) -> str:
@@ -65,6 +68,13 @@ def _parse_floats(raw: str, where: str) -> list[float]:
         raise ConfigurationError(f"{where}: expected a list of numbers, got {raw!r}") from None
 
 
+def _parse_number(raw: str, where: str, kind: type[int] | type[float]) -> int | float:
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigurationError(f"{where}: expected one {kind.__name__} value, got {raw!r}") from None
+
+
 @dataclass
 class RunConfig:
     """Validated run parameters for the experiment runner."""
@@ -85,19 +95,19 @@ class RunConfig:
             raise ConfigurationError(f"m must be 1..3, got {self.m}")
         if not (2 <= self.n <= 800):
             raise ConfigurationError(f"n must be 2..800, got {self.n}")
-        if self.length <= 0:
-            raise ConfigurationError(f"L must be positive, got {self.length}")
+        if not (0 < self.length < math.inf):
+            raise ConfigurationError(f"L must be positive and finite, got {self.length}")
         for name in ("t_grid", "lam_grid", "c2_grid"):
             if not getattr(self, name):
                 raise ConfigurationError(f"{name} must be non-empty")
         if self.seed < 0:
             raise ConfigurationError("seed must be a non-negative integer")
+        if self.sample_count < 1:
+            raise ConfigurationError(f"samples must be at least 1, got {self.sample_count}")
 
 
 def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     """Build a RunConfig from a parsed file, applying profile defaults."""
-    from .profiles import BUILTIN_PROFILES, get_profile
-
     sections = parse_config_file(path)
     op = sections.get("operator", {})
     sched = sections.get("schedule", {})
@@ -106,22 +116,22 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     source = op.get("source", "polyharmonic")
     if source in BUILTIN_PROFILES:
         profile = get_profile(source)
-        m = int(op.get("m", profile.m))
-        length = float(op.get("L", profile.length))
+        m = _parse_number(op["m"], "[operator] m", int) if "m" in op else profile.m
+        if m != profile.m:
+            raise ConfigurationError(f"[operator] m = {m} differs from the order m = {profile.m} of {source}")
+        length = _parse_number(op["L"], "[operator] L", float) if "L" in op else profile.length
     else:
         if "m" not in op:
             raise ConfigurationError("[operator] section is missing the required key `m`")
-        m = int(op["m"])
+        m = _parse_number(op["m"], "[operator] m", int)
         if "L" not in op:
             raise ConfigurationError("[operator] section is missing the required key `L`")
-        length = float(op["L"])
-    n = int(op.get("n", 200))
+        length = _parse_number(op["L"], "[operator] L", float)
+    n = _parse_number(op.get("n", "200"), "[operator] n", int)
 
     if "gamma" in sched:
         gamma_list = _parse_floats(sched["gamma"], "[schedule] gamma")
     elif "eps" in sched:
-        from .core import gamma_from_epsilon
-
         gamma_list = [
             gamma_from_epsilon(m, 1, e).gamma
             for e in _parse_floats(sched["eps"], "[schedule] eps")
@@ -137,8 +147,8 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     if "c2_grid" in sweep:
         kwargs["c2_grid"] = _parse_floats(sweep["c2_grid"], "[sweep] c2_grid")
     if "samples" in sweep:
-        kwargs["sample_count"] = int(sweep["samples"])
-    seed = int(sweep.get("seed", 42))
+        kwargs["sample_count"] = _parse_number(sweep["samples"], "[sweep] samples", int)
+    seed = _parse_number(sweep.get("seed", "42"), "[sweep] seed", int)
     if seed_override is not None:
         seed = seed_override
 

@@ -1,14 +1,15 @@
-"""Domain, grid, multi-index combinatorics and the spectral-gap reference function."""
+"""Domain, grid, decay schedules, the held-out rule and the spectral-gap reference function."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
+
+HOLDOUT_SLACK = 1e-9  # relative round-off allowed between a held-out sup and its fitted constant
 
 
 @dataclass(frozen=True)
@@ -57,43 +58,9 @@ def boundary_distance(grid: Grid1D, x: float) -> float:
     return min(x, grid.length - x)
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Non-negative integer multi-index."""
-
-    components: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(c < 0 for c in self.components):
-            raise DomainError(f"multi-index components must be non-negative: {self.components}")
-
-    @property
-    def order(self) -> int:
-        return sum(self.components)
-
-    def dominates(self, other: "MultiIndex") -> bool:
-        return len(self.components) == len(other.components) and all(
-            a >= b for a, b in zip(self.components, other.components)
-        )
-
-    def __sub__(self, other: "MultiIndex") -> "MultiIndex":
-        return MultiIndex(tuple(a - b for a, b in zip(self.components, other.components)))
-
-
-def lower_set(alpha: MultiIndex) -> list[MultiIndex]:
-    """All multi-indices r with r_i <= alpha_i, in lexicographic order."""
-    ranges = [range(a + 1) for a in alpha.components]
-    return [MultiIndex(t) for t in itertools.product(*ranges)]
-
-
-def vector_binomial(alpha: MultiIndex, r: MultiIndex) -> int:
-    """Product of componentwise binomial coefficients C(alpha_i, r_i)."""
-    if not alpha.dominates(r):
-        raise DomainError(f"{r.components} is not dominated by {alpha.components}")
-    out = 1
-    for a, b in zip(alpha.components, r.components):
-        out *= math.comb(a, b)
-    return out
+def holdout_within(held: float, fitted: float) -> bool:
+    """Held-out rule of the fit-and-validate checks: held-out sup <= fitted constant * (1 + HOLDOUT_SLACK)."""
+    return held <= fitted * (1.0 + HOLDOUT_SLACK)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import GTildeFn, gtilde, holdout_within
 from .errors import DomainError, PropertyViolation
 from .spectral import SpectralDecomposition
 
@@ -53,7 +54,7 @@ class SearchGrid:
 
 def young_constant(p: float, q: float) -> float:
     """c_{p,q} = (p/(p+q))^{p/q} - (p/(p+q))^{1+p/q}, always in (0, 1)."""
-    if p <= 0 or q <= 0:
+    if np.any(p <= 0) or np.any(q <= 0):
         raise DomainError(f"young_constant requires p, q > 0, got p={p}, q={q}")
     base = p / (p + q)
     return base ** (p / q) - base ** (1.0 + p / q)
@@ -61,8 +62,7 @@ def young_constant(p: float, q: float) -> float:
 
 def _basic_margin(a, b, p, q, eps):
     lhs = a**p * b**q
-    c = (p / (p + q)) ** (p / q) - (p / (p + q)) ** (1.0 + p / q)
-    rhs = eps * a ** (p + q) + c * eps ** (-p / q) * b ** (p + q)
+    rhs = eps * a ** (p + q) + young_constant(p, q) * eps ** (-p / q) * b ** (p + q)
     return rhs - lhs
 
 
@@ -73,36 +73,23 @@ def check_basic(grid: SearchGrid) -> dict:
     grid, then verifies equality at a* = (p b^q / (eps (p+q)))^{1/q} to 1e-8
     relative for every (b, p, q, eps).
     """
-    a = grid.axes["a"][:, None, None, None, None]
-    b = grid.axes["b"][None, :, None, None, None]
-    p = grid.axes["p"][None, None, :, None, None]
-    q = grid.axes["q"][None, None, None, :, None]
-    eps = grid.axes["eps"][None, None, None, None, :]
-    margin = _basic_margin(a, b, p, q, eps)
+    names = ["a", "b", "p", "q", "eps"]
+    margin = _basic_margin(*np.ix_(*(grid.axes[k] for k in names)))  # open mesh over the five axes
     worst = float(np.min(margin))
     pos = np.unravel_index(int(np.argmin(margin)), margin.shape)
-    worst_point = {
-        "a": float(grid.axes["a"][pos[0]]),
-        "b": float(grid.axes["b"][pos[1]]),
-        "p": float(grid.axes["p"][pos[2]]),
-        "q": float(grid.axes["q"][pos[3]]),
-        "eps": float(grid.axes["eps"][pos[4]]),
-    }
+    worst_point = {k: float(grid.axes[k][i]) for k, i in zip(names, pos)}
     n_points = margin.size
     if worst < -1e-12:
         raise PropertyViolation(f"Young inequality violated, margin {worst}", witness=worst_point)
 
     # randomized refinement near the worst point
-    pert = grid.perturbations(worst_point, ["a", "b", "p", "q", "eps"])
+    pert = grid.perturbations(worst_point, names)
     ref = _basic_margin(pert["a"], pert["b"], pert["p"], np.maximum(pert["q"], 1e-6), pert["eps"])
     if float(np.min(ref)) < -1e-12:
         raise PropertyViolation("Young inequality violated in refinement cloud", witness=worst_point)
 
     # tightness: maximizer attains equality
-    b4 = grid.axes["b"][:, None, None, None]
-    p4 = grid.axes["p"][None, :, None, None]
-    q4 = grid.axes["q"][None, None, :, None]
-    e4 = grid.axes["eps"][None, None, None, :]
+    b4, p4, q4, e4 = np.ix_(*(grid.axes[k] for k in names[1:]))
     a_star = (p4 * b4**q4 / (e4 * (p4 + q4))) ** (1.0 / q4)
     gap = _basic_margin(a_star, b4, p4, q4, e4)
     scale = a_star**p4 * b4**q4
@@ -216,6 +203,17 @@ def check_main(d: SpectralDecomposition, grid: SearchGrid, f_samples: np.ndarray
     return {"worst_margin": worst, "worst_point": worst_point, "n_points": int(n_points), "violations": 0}
 
 
+def _product_sides(d: SpectralDecomposition, c2: np.ndarray, p: int, r: int, s_idx: int, lam, eps):
+    """Left and right sides of the product estimate for modal weights c2 = <f, phi_k>^2."""
+    norm_r = math.sqrt(_spectral_norm2(d, c2, r))
+    norm_s = math.sqrt(_spectral_norm2(d, c2, s_idx))
+    lhs = np.abs(lam) ** (p - r) * norm_r * np.abs(lam) ** (p - s_idx) * norm_s
+    norm_p2 = _spectral_norm2(d, c2, p)
+    norm_02 = float(np.sum(c2))
+    rhs = eps * norm_p2 + 2.0 ** (2 * p - 1) * eps ** (1 - 2 * p) * lam ** (2 * p) * norm_02
+    return lhs, rhs
+
+
 def check_epsilon(d: SpectralDecomposition, grid: SearchGrid, f_samples: np.ndarray) -> dict:
     """Product estimate with the 2^{2p-1} eps^{1-2p} constant, for eps < 2.
 
@@ -236,14 +234,7 @@ def check_epsilon(d: SpectralDecomposition, grid: SearchGrid, f_samples: np.ndar
         for r in range(0, p + 1):
             for s_idx in range(0, p):
                 for fi, c2 in enumerate(modal):
-                    norm_r = math.sqrt(_spectral_norm2(d, c2, r))
-                    norm_s = math.sqrt(_spectral_norm2(d, c2, s_idx))
-                    norm_p2 = _spectral_norm2(d, c2, p)
-                    norm_02 = float(np.sum(c2))
-                    lam = lam_axis[:, None]
-                    eps = eps_axis[None, :]
-                    lhs = np.abs(lam) ** (p - r) * norm_r * np.abs(lam) ** (p - s_idx) * norm_s
-                    rhs = eps * norm_p2 + 2.0 ** (2 * p - 1) * eps ** (1 - 2 * p) * lam ** (2 * p) * norm_02
+                    lhs, rhs = _product_sides(d, c2, p, r, s_idx, lam_axis[:, None], eps_axis[None, :])
                     rel = (rhs - lhs) / np.maximum(rhs, 1e-300)
                     n_points += rel.size
                     mn = float(np.min(rel))
@@ -258,13 +249,7 @@ def check_epsilon(d: SpectralDecomposition, grid: SearchGrid, f_samples: np.ndar
                         )
     pert = grid.perturbations(worst_point, ["lam", "eps"])
     p, r, s_idx = worst_point["p"], worst_point["r"], worst_point["s"]
-    c2 = modal[worst_point["sample"]]
-    norm_r = math.sqrt(_spectral_norm2(d, c2, r))
-    norm_s = math.sqrt(_spectral_norm2(d, c2, s_idx))
-    norm_p2 = _spectral_norm2(d, c2, p)
-    norm_02 = float(np.sum(c2))
-    lhs = np.abs(pert["lam"]) ** (2 * p - r - s_idx) * norm_r * norm_s
-    rhs = pert["eps"] * norm_p2 + 2.0 ** (2 * p - 1) * pert["eps"] ** (1 - 2 * p) * pert["lam"] ** (2 * p) * norm_02
+    lhs, rhs = _product_sides(d, modal[worst_point["sample"]], p, r, s_idx, pert["lam"], pert["eps"])
     if float(np.min(rhs - lhs)) < -1e-10 * float(np.max(rhs)):
         raise PropertyViolation("product estimate violated in refinement cloud", witness=worst_point)
     return {"worst_margin": worst, "worst_point": worst_point, "n_points": int(n_points), "violations": 0}
@@ -314,7 +299,7 @@ def check_stephen(
 
     c1, where, n_points = sup_ratio(f_train)
     held, held_where, _ = sup_ratio(f_holdout)
-    if held > c1 * (1.0 + 1e-9):
+    if not holdout_within(held, c1):
         raise PropertyViolation(
             f"held-out absorption ratio {held} exceeds fitted c1={c1}", witness=held_where
         )
@@ -323,8 +308,6 @@ def check_stephen(
 
 def gtilde_majorant(s: float, grid: SearchGrid) -> dict:
     """mu e^{-2 mu t} <= g~(t) over the (mu, t) grid; reports the minimal gap."""
-    from .core import GTildeFn, gtilde as gtilde_eval
-
     if s <= 0:
         raise DomainError(f"spectral gap must be positive, got {s}")
     mu = grid.axes["mu"][:, None]
@@ -333,7 +316,7 @@ def gtilde_majorant(s: float, grid: SearchGrid) -> dict:
         raise DomainError("mu axis must start at or above the gap s")
     lhs = mu * np.exp(-2.0 * mu * t)
     g = GTildeFn(s)
-    rhs = gtilde_eval(g, grid.axes["t"])[None, :]
+    rhs = gtilde(g, grid.axes["t"])[None, :]
     rel_gap = (rhs - lhs) / rhs
     mn = float(np.min(rel_gap))
     pos = np.unravel_index(int(np.argmin(rel_gap)), rel_gap.shape)
@@ -344,7 +327,7 @@ def gtilde_majorant(s: float, grid: SearchGrid) -> dict:
     mu_p = np.maximum(pert["mu"], s)
     t_p = np.maximum(pert["t"], float(np.min(grid.axes["t"])))
     lhs_p = mu_p * np.exp(-2.0 * mu_p * t_p)
-    rhs_p = gtilde_eval(g, t_p)
+    rhs_p = gtilde(g, t_p)
     if float(np.min(rhs_p - lhs_p)) < -1e-12 * float(np.max(rhs_p)):
         raise PropertyViolation("g~ majorant violated in refinement cloud", witness=worst_point)
     return {"worst_rel_gap": mn, "worst_point": worst_point,

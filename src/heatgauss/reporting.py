@@ -8,6 +8,7 @@ SVG output is a convenience layer built from polyline and text primitives.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,13 +42,19 @@ def format_value(v) -> str:
     return str(v)
 
 
+def _write_lines(path, lines: list[str]) -> None:
+    """Write lines with LF endings, making the directory on first write: a run failing earlier leaves none."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_csv(path, header: list[str], rows) -> None:
     """Write rows with LF endings and fixed float formatting."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(format_value(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_report_rows(path, rows: list[ReportRow]) -> None:
@@ -149,8 +156,7 @@ def line_plot_svg(path, series, title: str, xlabel: str, ylabel: str,
     parts.append(f'<text x="{width - margin}" y="{height - margin + 16}" font-size="10" '
                  f'text-anchor="end">{FLOAT_FMT % xmax}</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_lines(path, parts)
 
 
 def ratio_table_svg(path, ratios: np.ndarray, title: str,
@@ -172,5 +178,4 @@ def ratio_table_svg(path, ratios: np.ndarray, title: str,
             )
     parts.append(f'<text x="{width // 2}" y="24" font-size="13" text-anchor="middle">{title}</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_lines(path, parts)

@@ -22,8 +22,8 @@ JACOBI_MAX_SWEEPS = 100
 EXP_UNDERFLOW_CAP = 700.0  # exp(-x) underflows to exact zero well before x = 745
 
 
-def _jacobi_sweeps_python(A: np.ndarray, V: np.ndarray, tol: float, max_sweeps: int) -> int:
-    """Cyclic Jacobi sweeps with row-vectorized rotations; numpy fallback."""
+def _jacobi_sweeps(A: np.ndarray, V: np.ndarray, tol: float, max_sweeps: int) -> int:
+    """Cyclic Jacobi sweeps with row-vectorized rotations, in place on A and V."""
     n = A.shape[0]
     skip = tol / (2.0 * n)
     for sweep in range(max_sweeps):
@@ -56,51 +56,9 @@ def _jacobi_sweeps_python(A: np.ndarray, V: np.ndarray, tol: float, max_sweeps: 
     return -1
 
 
-try:  # pragma: no cover - exercised implicitly
-    from numba import njit
-
-    @njit(cache=True)
-    def _jacobi_sweeps_numba(A, V, tol, max_sweeps):  # pragma: no cover
-        n = A.shape[0]
-        skip = tol / (2.0 * n)
-        for sweep in range(max_sweeps):
-            off = 0.0
-            for i in range(n - 1):
-                for j in range(i + 1, n):
-                    off += A[i, j] * A[i, j]
-            if math.sqrt(2.0 * off) <= tol:
-                return sweep
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = A[p, q]
-                    if abs(apq) <= skip:
-                        continue
-                    theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                    c = 1.0 / math.sqrt(t * t + 1.0)
-                    s = t * c
-                    for k in range(n):
-                        akp = A[k, p]
-                        akq = A[k, q]
-                        A[k, p] = c * akp - s * akq
-                        A[k, q] = s * akp + c * akq
-                    for k in range(n):
-                        apk = A[p, k]
-                        aqk = A[q, k]
-                        A[p, k] = c * apk - s * aqk
-                        A[q, k] = s * apk + c * aqk
-                    for k in range(n):
-                        vkp = V[k, p]
-                        vkq = V[k, q]
-                        V[k, p] = c * vkp - s * vkq
-                        V[k, q] = s * vkp + c * vkq
-        return -1
-
-    _jacobi_sweeps = _jacobi_sweeps_numba
-except ImportError:  # pragma: no cover
-    _jacobi_sweeps = _jacobi_sweeps_python
+def decay_weights(ex: np.ndarray) -> np.ndarray:
+    """Modal decay factors exp(-ex), exactly zero where ex exceeds EXP_UNDERFLOW_CAP."""
+    return np.where(ex > EXP_UNDERFLOW_CAP, 0.0, np.exp(-np.clip(ex, None, EXP_UNDERFLOW_CAP)))
 
 
 def jacobi_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,9 +115,7 @@ class SpectralDecomposition:
 
     def propagator(self, t: float, shift: float = 0.0) -> np.ndarray:
         """Matrix of exp(-(H - shift) t) with underflowing modes dropped."""
-        ex = t * (self.eigenvalues - shift)
-        weights = np.where(ex > EXP_UNDERFLOW_CAP, 0.0, np.exp(-np.clip(ex, None, EXP_UNDERFLOW_CAP)))
-        return self.operator_matrix(weights)
+        return self.operator_matrix(decay_weights(t * (self.eigenvalues - shift)))
 
 
 def spectral_gap(d: SpectralDecomposition) -> float:
@@ -175,9 +131,7 @@ def semigroup_apply(d: SpectralDecomposition, t: float, f: np.ndarray) -> np.nda
     if t < 0:
         raise DomainError(f"semigroup time must be non-negative, got {t}")
     c = d.coefficients(f)
-    ex = t * d.eigenvalues
-    weights = np.where(ex > EXP_UNDERFLOW_CAP, 0.0, np.exp(-np.clip(ex, None, EXP_UNDERFLOW_CAP)))
-    return d.eigenvectors @ (weights * c)
+    return d.eigenvectors @ (decay_weights(t * d.eigenvalues) * c)
 
 
 @dataclass(frozen=True)
@@ -197,8 +151,7 @@ class HeatKernelEvaluator:
         return self.grid.h ** (2 * self.decomposition.m)
 
     def _weights(self, t: float) -> np.ndarray:
-        ex = t * self.decomposition.eigenvalues
-        return np.where(ex > EXP_UNDERFLOW_CAP, 0.0, np.exp(-np.clip(ex, None, EXP_UNDERFLOW_CAP)))
+        return decay_weights(t * self.decomposition.eigenvalues)
 
     def matrix(self, t: float) -> np.ndarray:
         """Full kernel table k(t, x_i, x_j) over the grid."""
@@ -298,8 +251,7 @@ def evolved_form_bound_check(
         c2 = d.coefficients(f) ** 2
         norm2 = float(np.sum(c2))  # Parseval in the h geometry
         for t in np.atleast_1d(t_grid):
-            ex = 2.0 * t * d.eigenvalues
-            weights = np.where(ex > EXP_UNDERFLOW_CAP, 0.0, np.exp(-np.clip(ex, None, EXP_UNDERFLOW_CAP)))
+            weights = decay_weights(2.0 * t * d.eigenvalues)
             q_ft = float(np.sum(d.eigenvalues * weights * c2))
             bound = gtilde(g, float(t)) * norm2
             ratio = q_ft / bound if bound > 0 else math.inf

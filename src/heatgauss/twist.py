@@ -14,12 +14,12 @@ second evaluation path rather than an O(h) approximation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import FormMatrix, level_positions, staggered_operator
-from .core import Grid1D, MultiIndex, lower_set, vector_binomial
+from .core import Grid1D, holdout_within
 from .errors import (
     ConditioningError,
     ConsistencyError,
@@ -27,7 +27,7 @@ from .errors import (
     PropertyViolation,
     SearchBoundError,
 )
-from .spectral import SpectralDecomposition, spectral_gap
+from .spectral import SpectralDecomposition, kernel_eval, spectral_gap
 
 TWIST_CAP = 40.0  # |lambda| * L cap keeping diag(exp(lambda psi)) in double range
 RANGE_CHUNK = 64  # samples per matmul in numerical_range_values
@@ -53,10 +53,9 @@ class TwistSpec:
     def psi(self, x) -> np.ndarray:
         return self.a * (np.asarray(x, dtype=float) - self.x0)
 
-    def weights(self, level: int = 0, inverse: bool = False) -> np.ndarray:
-        """Diagonal of exp(lambda psi) at the staggered sample level."""
-        sign = -1.0 if inverse else 1.0
-        return np.exp(sign * self.lam * self.psi(level_positions(self.grid, level)))
+    def weights(self) -> np.ndarray:
+        """Diagonal of E = exp(lambda psi) at the interior nodes."""
+        return np.exp(self.lam * self.psi(self.grid.points))
 
 
 @dataclass(frozen=True)
@@ -65,14 +64,16 @@ class TwistedOperator:
 
     base: SpectralDecomposition
     twist: TwistSpec
-    e_diag: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "e_diag", self.twist.weights())
 
     @property
     def gap(self) -> float:
         return spectral_gap(self.base)
+
+    @property
+    def unit(self) -> float:
+        """Twist growth unit u = (1+s)^{2m} lambda^{2m} of the semigroup estimates."""
+        s, m = self.gap, self.base.m
+        return (1.0 + s) ** (2 * m) * self.twist.lam ** (2 * m)
 
     def matrix(self, shifted: bool = False) -> np.ndarray:
         """Dense H_lambda, optionally shifted by the spectral gap."""
@@ -83,30 +84,13 @@ class TwistedOperator:
 
     def propagator(self, t: float, shifted: bool = False) -> np.ndarray:
         """exp(-(H_lambda - s*shifted) t) through the exact similarity path."""
-        P = self.base.propagator(t, shift=self.gap if shifted else 0.0)
-        return (P * self.e_diag[np.newaxis, :]) / self.e_diag[:, np.newaxis]
+        return conjugate(self.base.propagator(t, shift=self.gap if shifted else 0.0), self.twist)
 
 
 def conjugate(M: np.ndarray, tw: TwistSpec) -> np.ndarray:
     """E^{-1} M E for the interior-node twist diagonal E."""
     e = tw.weights()
     return (M * e[np.newaxis, :]) / e[:, np.newaxis]
-
-
-def leibniz_expand(alpha: MultiIndex, lam: float, a) -> list[tuple[MultiIndex, float]]:
-    """Continuum Leibniz terms of e^{-lam psi} D^alpha e^{lam psi}.
-
-    Returns (r, C(alpha,r) * lam^{|alpha-r|} * a^{alpha-r}) over the lower set
-    of alpha, in lexicographic order.
-    """
-    a_vec = np.atleast_1d(np.asarray(a, dtype=float))
-    out = []
-    for r in lower_set(alpha):
-        diff = alpha - r
-        coeff = float(vector_binomial(alpha, r)) * lam ** diff.order
-        coeff *= float(np.prod(a_vec ** np.array(diff.components)))
-        out.append((r, coeff))
-    return out
 
 
 def _twisted_factor_terms(i: int, level: int, lam: float, a: float, h: float) -> dict[tuple[int, int], float]:
@@ -235,12 +219,11 @@ def form_perturbation_bound_fit(
 
     c1, witness = ratios(f_train)
     held, held_witness = ratios(f_holdout)
-    violations = 0 if held <= c1 * (1.0 + 1e-9) else 1
-    if violations:
+    if not holdout_within(held, c1):
         raise PropertyViolation(
             f"held-out perturbation ratio {held} exceeds fitted c1={c1}", witness=held_witness
         )
-    return {"c1": c1, "witness": witness, "violations": violations}
+    return {"c1": c1, "witness": witness, "violations": 0}
 
 
 def numerical_range_values(Hhat: np.ndarray, samples: np.ndarray, h: float) -> np.ndarray:
@@ -308,9 +291,7 @@ def sector_shift_search(
     """
     if not (0.0 < p < 1.0):
         raise DomainError(f"sector parameter p must lie in (0,1), got {p}")
-    s = top.gap
-    m = top.base.m
-    unit = (1.0 + p) * (1.0 + s) ** (2 * m) * top.twist.lam ** (2 * m)
+    unit = (1.0 + p) * top.unit
     z0 = numerical_range_values(top.matrix(shifted=True), samples, top.base.grid.h)
 
     def passes(c: float) -> bool:
@@ -344,8 +325,6 @@ def twisted_kernel(
     Cross-checked against the matrix-similarity propagator applied to
     coordinate vectors; the two routes must agree to 1e-10 relative.
     """
-    from .spectral import kernel_eval
-
     x = ev.grid.points
     base = kernel_eval(ev, t, i, j)
     value = math.exp(-tw.lam * float(tw.psi(x[i]))) * base * math.exp(tw.lam * float(tw.psi(x[j])))
@@ -370,18 +349,15 @@ def twisted_semigroup_norm_fit(d: SpectralDecomposition, tw: TwistSpec, t_grid) 
     Operator norms are taken through the exact similarity path; at lambda = 0
     the shifted semigroup is a contraction with norm 1 and c = 0.
     """
-    s = spectral_gap(d)
-    m = d.m
     top = TwistedOperator(base=d, twist=tw)
-    unit = (1.0 + s) ** (2 * m) * tw.lam ** (2 * m)
     c = 0.0
     norms = []
     for t in np.atleast_1d(t_grid):
         A = top.propagator(float(t), shifted=True)
         nrm = float(np.linalg.norm(A, 2))
         norms.append((float(t), nrm))
-        if unit > 0 and nrm > 1.0:
-            c = max(c, math.log(nrm) / (unit * float(t)))
+        if top.unit > 0 and nrm > 1.0:
+            c = max(c, math.log(nrm) / (top.unit * float(t)))
     return {"c": c, "norms": norms}
 
 
@@ -400,10 +376,8 @@ def mixed_norm_bound_fit(
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0,1), got {alpha}")
-    s = spectral_gap(d)
-    m = d.m
     top = TwistedOperator(base=d, twist=tw)
-    unit = (1.0 + s) ** (2 * m) * tw.lam ** (2 * m)
+    unit = top.unit
     Hhat_tw = top.matrix(shifted=True)
     c2 = 0.0
     for t in np.atleast_1d(t_grid):
@@ -433,10 +407,8 @@ def evolved_twisted_form_check(
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0,1), got {alpha}")
-    s = spectral_gap(d)
-    m = d.m
     top = TwistedOperator(base=d, twist=tw)
-    unit = (1.0 + s) ** (2 * m) * tw.lam ** (2 * m)
+    s, unit = top.gap, top.unit
     h = d.grid.h
     t_arr = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if c2 is None:
@@ -459,7 +431,7 @@ def evolved_twisted_form_check(
     ratios = vals / (norms2[:, None] * env_unit[None, :])
     c1 = float(np.max(ratios[: len(train)]))
     held_c1 = float(np.max(ratios[len(train) :]))
-    if held_c1 > c1 * (1.0 + 1e-9):
+    if not holdout_within(held_c1, c1):
         raise PropertyViolation(
             f"held-out evolved-form ratio {held_c1} exceeds fitted c1={c1}",
             witness={"c2": c2, "alpha": alpha, "lam": tw.lam},
@@ -481,7 +453,7 @@ def appendix_b_identities(
     S = d.operator_matrix()
     n = S.shape[0]
     e = tw.weights()
-    H_lam = (S * e[np.newaxis, :]) / e[:, np.newaxis]
+    H_lam = conjugate(S, tw)
     eye = np.eye(n)
     # columns are the right-hand sides, drawn in the same order as one at a time
     G = np.random.default_rng(seed).standard_normal((n_rhs, n)).T

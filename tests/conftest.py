@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from heatgauss import SpectralDecomposition, assemble_form
+from heatgauss import SpectralDecomposition, assemble_form, polyharmonic_spec
+from heatgauss.core import Grid1D
 from heatgauss.profiles import get_profile
 
 
@@ -29,6 +30,12 @@ def beam200():
 @pytest.fixture(scope="session")
 def beam400():
     return _decomp("beam-1", 400)
+
+
+@pytest.fixture(scope="session")
+def poly3_40():
+    form = assemble_form(polyharmonic_spec(3), Grid1D(length=1.0, n_interior=40))
+    return form, SpectralDecomposition.from_form(form)
 
 
 @pytest.fixture()

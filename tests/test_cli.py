@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heatgauss.cli import main
 from heatgauss.config import RunConfig, load_run_config, parse_config_text
@@ -85,6 +86,31 @@ class TestConfigParser:
     def test_seed_override(self, laplace_cfg):
         assert load_run_config(laplace_cfg, seed_override=7).seed == 7
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        key=st.sampled_from([("operator", "n"), ("operator", "m"), ("sweep", "samples"), ("sweep", "seed")]),
+        value=st.one_of(
+            st.integers().map(str),
+            st.floats().map(repr),
+            # no line breaks (str.splitlines splits on all of these) and no comment marker
+            st.text(st.characters(exclude_characters="\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029#",
+                                  exclude_categories=("Cs",)), max_size=12),
+        ),
+    )
+    def test_integer_keys_load_or_raise_configuration_error(self, tmp_path_factory, key, value):
+        sections = {"operator": {"source": "polyharmonic", "m": "1", "L": "1.0", "n": "20"}, "sweep": {}}
+        sections[key[0]][key[1]] = value
+        text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+                       for name, body in sections.items())
+        path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+        path.write_text(text, encoding="utf-8")
+        try:
+            cfg = load_run_config(str(path))
+        except ConfigurationError:
+            return
+        field = {"samples": "sample_count"}.get(key[1], key[1])
+        assert type(getattr(cfg, field)) is int
+
 
 class TestCliRuns:
     def test_spectrum_gap_oracle(self, laplace_cfg, tmp_path, capsys):
@@ -109,13 +135,33 @@ class TestCliRuns:
         ratios = [float(ln.split(",")[-1]) for ln in lines[1:]]
         assert max(ratios) <= 1.0 + 1e-9
 
-    def test_malformed_config_exits_2_without_artifacts(self, tmp_path):
+    @pytest.mark.parametrize("config, coefficients", [
+        pytest.param("[operator]\nsource = polyharmonic\n", None, id="missing-m"),
+        pytest.param("[operator]\nsource = laplace-pi\nn = 1e2\n", None, id="n-not-integer"),
+        pytest.param("[operator]\nsource = polyharmonic\nm = two\nL = 1\n", None, id="m-not-numeric"),
+        pytest.param("[operator]\nsource = polyharmonic\nm = 1\nL = one\n", None, id="L-not-numeric"),
+        pytest.param("[operator]\nsource = polyharmonic\nm = 1\nL = inf\n", None, id="L-not-finite"),
+        pytest.param("[operator]\nsource = laplace-pi\n[sweep]\nsamples = 8.5\n", None, id="samples-not-integer"),
+        pytest.param("[operator]\nsource = laplace-pi\n[sweep]\nseed = x\n", None, id="seed-not-numeric"),
+        pytest.param("[operator]\nsource = laplace-pi\nm = 2\n", None, id="profile-m-mismatch"),
+        pytest.param("[operator]\nsource = csv:{csv}\nm = 1\nL = 1\nn = 20\n",
+                     "i,j,x,value\n1.5,1,0.0,1.0\n", id="csv-i-not-integer"),
+        pytest.param("[operator]\nsource = csv:{csv}\nm = 1\nL = 1\nn = 20\n",
+                     "i,j,x,value\n1,1,zero,1.0\n", id="csv-x-not-numeric"),
+        pytest.param("[operator]\nsource = csv:{csv}\nm = 1\nL = 1\nn = 20\n",
+                     "i,j,x,value\n1,1,0.0,high\n", id="csv-value-not-numeric"),
+    ])
+    def test_malformed_config_exits_2_without_artifacts(self, tmp_path, capsys, config, coefficients):
+        csv_path = tmp_path / "coeffs.csv"
+        if coefficients is not None:
+            csv_path.write_text(coefficients, encoding="utf-8")
         bad = tmp_path / "bad.cfg"
-        bad.write_text("[operator]\nsource = polyharmonic\n", encoding="utf-8")
+        bad.write_text(config.format(csv=csv_path), encoding="utf-8")
         out = tmp_path / "out"
         code = main(["spectrum", "--config", str(bad), "--out", str(out)])
         assert code == 2
         assert not out.exists()
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_verify_inequalities_passes(self, laplace_cfg, tmp_path):
         out = tmp_path / "out"

@@ -12,7 +12,6 @@ from heatgauss import (
     GammaSchedule,
     Grid1D,
     GTildeFn,
-    MultiIndex,
     ParameterError,
     boundary_distance,
     epsilon_from_gamma,
@@ -20,7 +19,7 @@ from heatgauss import (
     gtilde,
     schedule_from_gamma,
 )
-from heatgauss.core import lower_set, vector_binomial
+from heatgauss.core import HOLDOUT_SLACK, holdout_within
 
 
 class TestGrid:
@@ -63,27 +62,13 @@ class TestBoundaryDistance:
             boundary_distance(g, 4.1)
 
 
-class TestMultiIndex:
-    def test_order_and_domination(self):
-        a = MultiIndex((2, 1))
-        b = MultiIndex((1, 1))
-        assert a.order == 3
-        assert a.dominates(b)
-        assert not b.dominates(a)
-        assert (a - b).components == (1, 0)
-
-    def test_lower_set_lexicographic(self):
-        ls = lower_set(MultiIndex((1, 1)))
-        assert [m.components for m in ls] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-    def test_vector_binomial(self):
-        assert vector_binomial(MultiIndex((3, 2)), MultiIndex((1, 1))) == 6
-        with pytest.raises(DomainError):
-            vector_binomial(MultiIndex((1,)), MultiIndex((2,)))
-
-    def test_negative_component_rejected(self):
-        with pytest.raises(DomainError):
-            MultiIndex((-1, 0))
+class TestHoldoutRule:
+    def test_both_sides_of_the_slack(self):
+        assert HOLDOUT_SLACK == 1e-9
+        assert holdout_within(2.0, 2.0)
+        assert holdout_within(2.0 * (1.0 + 0.5 * HOLDOUT_SLACK), 2.0)
+        assert not holdout_within(2.0 * (1.0 + 2.0 * HOLDOUT_SLACK), 2.0)
+        assert holdout_within(1.0, 2.0)
 
 
 class TestGammaSchedule:

@@ -21,7 +21,7 @@ from heatgauss import (
     spectral_gap,
 )
 from heatgauss.core import Grid1D
-from heatgauss.spectral import grid_derivative
+from heatgauss.spectral import EXP_UNDERFLOW_CAP, decay_weights, grid_derivative
 
 
 class TestJacobi:
@@ -105,6 +105,16 @@ class TestSemigroup:
         _, d = laplace200
         f = rng.standard_normal(d.grid.n_interior)
         assert d.grid.norm(semigroup_apply(d, 1.0, f)) <= d.grid.norm(f)
+
+
+class TestDecayWeights:
+    def test_cap_is_inclusive_and_exact_zero_past_it(self):
+        ex = np.array([0.0, EXP_UNDERFLOW_CAP, np.nextafter(EXP_UNDERFLOW_CAP, np.inf), 1e4])
+        w = decay_weights(ex)
+        assert EXP_UNDERFLOW_CAP == 700.0
+        assert w[0] == 1.0
+        assert w[1] == math.exp(-700.0)
+        assert w[2] == 0.0 and w[3] == 0.0
 
 
 class TestHeatKernel:

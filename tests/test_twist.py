@@ -25,8 +25,8 @@ from heatgauss import (
     twisted_kernel,
     twisted_semigroup_norm_fit,
 )
-from heatgauss.core import Grid1D, MultiIndex
-from heatgauss.twist import leibniz_expand, mixed_norm_bound_fit, numerical_range_values
+from heatgauss.core import Grid1D
+from heatgauss.twist import mixed_norm_bound_fit, numerical_range_values
 
 
 def make_twist(grid, lam, a=1.0):
@@ -49,11 +49,6 @@ class TestTwistSpec:
         g = Grid1D(length=4.0, n_interior=4)
         with pytest.raises(ConditioningError):
             make_twist(g, 11.0)  # |lam| L = 44 > 40
-
-    def test_inverse_weights(self):
-        g = Grid1D(length=1.0, n_interior=5)
-        tw = make_twist(g, 0.7)
-        assert np.allclose(tw.weights() * tw.weights(inverse=True), 1.0)
 
 
 class TestSimilarity:
@@ -96,10 +91,6 @@ class TestSimilarity:
 
 
 class TestLeibniz:
-    def test_continuum_expansion_first_order(self):
-        terms = leibniz_expand(MultiIndex((1,)), 2.0, 1.0)
-        assert [(t[0].components, t[1]) for t in terms] == [((0,), 2.0), ((1,), 1.0)]
-
     def test_dual_path_constant_coefficients(self, laplace200):
         form, d = laplace200
         rng = np.random.default_rng(7)
@@ -213,12 +204,6 @@ class TestSemigroupFits:
         )
         assert out["violations"] == 0
         assert out["c1"] > 0 and out["c2"] >= 0
-
-
-@pytest.fixture(scope="module")
-def poly3_40():
-    form = assemble_form(polyharmonic_spec(3), Grid1D(length=1.0, n_interior=40))
-    return form, SpectralDecomposition.from_form(form)
 
 
 class TestBatchedAgainstLoops:
