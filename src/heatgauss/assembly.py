@@ -219,7 +219,11 @@ def load_coefficients_csv(path: str) -> dict[tuple[int, int], CoeffFn]:
     values and extended by their end values outside the listed range.
     """
     raw: dict[tuple[int, int], list[tuple[float, float]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read coefficient CSV {path!r}: {exc}") from None
+    with fh:
         reader = csv.DictReader(fh)
         required = {"i", "j", "x", "value"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):

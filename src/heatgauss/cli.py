@@ -25,7 +25,7 @@ from .assembly import (
     polyharmonic_spec,
 )
 from .config import RunConfig, load_run_config
-from .core import Grid1D, schedule_from_gamma
+from .core import Grid1D
 from .errors import ConfigurationError, HeatGaussError, PropertyViolation
 from .profiles import BUILTIN_PROFILES, get_profile
 from .reporting import (
@@ -82,10 +82,6 @@ def sample_functions(d: SpectralDecomposition, rng: np.random.Generator, count: 
     return np.vstack([structured, randoms])
 
 
-def _schedules(cfg: RunConfig):
-    return [schedule_from_gamma(cfg.m, 1, g) for g in cfg.gamma_list]
-
-
 def _decompose(cfg: RunConfig) -> tuple[FormMatrix, SpectralDecomposition, HeatKernelEvaluator]:
     """Form, decomposition and kernel evaluator of the configured operator at n = cfg.n."""
     form = _build_form(cfg, cfg.n)
@@ -102,7 +98,7 @@ def _train_holdout(d: SpectralDecomposition, seed: int, count: int) -> tuple[np.
 
 def _fitted_envelope(cfg: RunConfig, ev: HeatKernelEvaluator):
     """Envelope fit at the first configured gamma and the envelope with its constants."""
-    schedule = _schedules(cfg)[0]
+    schedule = cfg.schedules[0]
     fit = bounds_mod.fit_envelope_constants(ev, schedule, cfg.c2_grid, cfg.t_grid)
     env = bounds_mod.BoundEnvelope(schedule=schedule, s=ev.decomposition.gap,
                                    c1=fit.constants["c1"], c2=fit.constants["c2"])
@@ -144,7 +140,7 @@ def run_verify_bounds(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]
     f_train, f_holdout = _train_holdout(d, cfg.seed, cfg.sample_count)
     x_indices = list(range(2, cfg.n - 2, max(cfg.n // 16, 1)))
     rows = []
-    for schedule in _schedules(cfg):
+    for schedule in cfg.schedules:
         params = {"gamma": schedule.gamma, "n": cfg.n}
         try:
             fit = bounds_mod.fit_envelope_constants(

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import gamma_from_epsilon
-from .errors import ConfigurationError
+from .core import GammaSchedule, gamma_from_epsilon, schedule_from_gamma
+from .errors import ConfigurationError, ParameterError
 from .profiles import BUILTIN_PROFILES, get_profile
 
 
@@ -89,6 +89,7 @@ class RunConfig:
     c2_grid: list[float] = field(default_factory=lambda: list(np.geomspace(1e-3, 1.0, 7)))
     sample_count: int = 24
     seed: int = 42
+    schedules: list[GammaSchedule] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (1 <= self.m <= 3):
@@ -97,13 +98,21 @@ class RunConfig:
             raise ConfigurationError(f"n must be 2..800, got {self.n}")
         if not (0 < self.length < math.inf):
             raise ConfigurationError(f"L must be positive and finite, got {self.length}")
-        for name in ("t_grid", "lam_grid", "c2_grid"):
+        for name in ("gamma_list", "t_grid", "lam_grid", "c2_grid"):
             if not getattr(self, name):
                 raise ConfigurationError(f"{name} must be non-empty")
         if self.seed < 0:
             raise ConfigurationError("seed must be a non-negative integer")
         if self.sample_count < 1:
             raise ConfigurationError(f"samples must be at least 1, got {self.sample_count}")
+        self.schedules = []
+        for g in self.gamma_list:
+            try:
+                self.schedules.append(schedule_from_gamma(self.m, 1, g))
+            except ParameterError:
+                raise ConfigurationError(
+                    f"[schedule] gamma = {g} outside the admissible interval [0, {self.m - 0.5}) for m = {self.m}"
+                ) from None
 
 
 def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
@@ -132,10 +141,11 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     if "gamma" in sched:
         gamma_list = _parse_floats(sched["gamma"], "[schedule] gamma")
     elif "eps" in sched:
-        gamma_list = [
-            gamma_from_epsilon(m, 1, e).gamma
-            for e in _parse_floats(sched["eps"], "[schedule] eps")
-        ]
+        eps_list = _parse_floats(sched["eps"], "[schedule] eps")
+        try:
+            gamma_list = [gamma_from_epsilon(m, 1, e).gamma for e in eps_list]
+        except ParameterError as exc:
+            raise ConfigurationError(f"[schedule] eps: {exc}") from None
     else:
         gamma_list = [0.0]
 

@@ -83,7 +83,9 @@ def kernel_rows(ev, env_fn, t_values, indices):
             for j in indices:
                 k = float(K[i, j])
                 env = env_fn(float(t), float(x[i]), float(x[j]), float(d[i]), float(d[j]))
-                ratio = abs(k) / env if env > 0 else math.inf
+                # as in bounds.envelope_sup_ratio: a zero kernel reads 0 even where
+                # the envelope underflows, and only k > 0 over env = 0 is infinite
+                ratio = abs(k) / env if env > 0 else (math.inf if k else 0.0)
                 yield [t, x[i], x[j], d[i], d[j], k, env, ratio]
 
 

@@ -113,9 +113,9 @@ class SpectralDecomposition:
         w = self.eigenvalues if weights is None else weights
         return self.grid.h * (self.eigenvectors * w) @ self.eigenvectors.T
 
-    def propagator(self, t: float, shift: float = 0.0) -> np.ndarray:
-        """Matrix of exp(-(H - shift) t) with underflowing modes dropped."""
-        return self.operator_matrix(decay_weights(t * (self.eigenvalues - shift)))
+    def propagator(self, t: float) -> np.ndarray:
+        """Matrix of exp(-H t) with underflowing modes dropped."""
+        return self.operator_matrix(decay_weights(t * self.eigenvalues))
 
 
 def spectral_gap(d: SpectralDecomposition) -> float:

@@ -27,7 +27,7 @@ from .errors import (
     PropertyViolation,
     SearchBoundError,
 )
-from .spectral import SpectralDecomposition, kernel_eval, spectral_gap
+from .spectral import SpectralDecomposition, decay_weights, kernel_eval, spectral_gap
 
 TWIST_CAP = 40.0  # |lambda| * L cap keeping diag(exp(lambda psi)) in double range
 RANGE_CHUNK = 64  # samples per matmul in numerical_range_values
@@ -82,9 +82,9 @@ class TwistedOperator:
             S = S - self.gap * np.eye(S.shape[0])
         return conjugate(S, self.twist)
 
-    def propagator(self, t: float, shifted: bool = False) -> np.ndarray:
-        """exp(-(H_lambda - s*shifted) t) through the exact similarity path."""
-        return conjugate(self.base.propagator(t, shift=self.gap if shifted else 0.0), self.twist)
+    def propagator(self, t: float) -> np.ndarray:
+        """exp(-H_lambda t) through the exact similarity path."""
+        return conjugate(self.base.propagator(t), self.twist)
 
 
 def conjugate(M: np.ndarray, tw: TwistSpec) -> np.ndarray:
@@ -343,21 +343,45 @@ def twisted_kernel(
     return value
 
 
+def _twisted_norms(d: SpectralDecomposition, tw: TwistSpec, weights) -> list[float]:
+    """2-norms of E^{-1} (sum_k w_k phi_k phi_k^T h) E, one per row w of weights.
+
+    With O = sqrt(h) Phi orthogonal, the matrix is (E^{-1} O) diag(w) (E O)^T;
+    QR of both factors leaves sigma_max(R_- diag(w) R_+^T). The weights of a
+    decay profile vanish past a prefix k (mu ascends), and the R factor of the
+    first k columns is the leading k x k block of the full R, so each norm is
+    an exact SVD of a k x k matrix. Never forming the n x n product keeps
+    ||Hhat_lambda P|| free of the eps ||Hhat|| ||P|| round-off floor.
+    """
+    O = math.sqrt(d.grid.h) * d.eigenvectors
+    e = tw.weights()[:, np.newaxis]
+    r_minus = np.linalg.qr(O / e, mode="r")
+    r_plus = np.linalg.qr(O * e, mode="r")
+    norms = []
+    for w in weights:
+        support = np.flatnonzero(w)
+        if support.size == 0:
+            norms.append(0.0)
+            continue
+        k = int(support[-1]) + 1
+        norms.append(float(np.linalg.norm((r_minus[:k, :k] * w[:k]) @ r_plus[:k, :k].T, 2)))
+    return norms
+
+
 def twisted_semigroup_norm_fit(d: SpectralDecomposition, tw: TwistSpec, t_grid) -> dict:
     """Fit the smallest c with log ||exp(-Hhat_lambda t)|| <= c (1+s)^{2m} lam^{2m} t.
 
-    Operator norms are taken through the exact similarity path; at lambda = 0
-    the shifted semigroup is a contraction with norm 1 and c = 0.
+    Operator norms come from the factored similarity path (_twisted_norms); at
+    lambda = 0 the shifted semigroup is a contraction with norm 1 and c = 0.
     """
     top = TwistedOperator(base=d, twist=tw)
+    ts = [float(t) for t in np.atleast_1d(t_grid)]
+    shifted = d.eigenvalues - top.gap
+    norms = list(zip(ts, _twisted_norms(d, tw, [decay_weights(t * shifted) for t in ts])))
     c = 0.0
-    norms = []
-    for t in np.atleast_1d(t_grid):
-        A = top.propagator(float(t), shifted=True)
-        nrm = float(np.linalg.norm(A, 2))
-        norms.append((float(t), nrm))
+    for t, nrm in norms:
         if top.unit > 0 and nrm > 1.0:
-            c = max(c, math.log(nrm) / (top.unit * float(t)))
+            c = max(c, math.log(nrm) / (top.unit * t))
     return {"c": c, "norms": norms}
 
 
@@ -378,12 +402,14 @@ def mixed_norm_bound_fit(
         raise DomainError(f"alpha must lie in (0,1), got {alpha}")
     top = TwistedOperator(base=d, twist=tw)
     unit = top.unit
-    Hhat_tw = top.matrix(shifted=True)
+    ts = [float(t) for t in np.atleast_1d(t_grid)]
+    shifted = d.eigenvalues - top.gap
+    w = [decay_weights(t * shifted) for t in ts]
+    norms = _twisted_norms(d, tw, w + [shifted * wt for wt in w])
     c2 = 0.0
-    for t in np.atleast_1d(t_grid):
-        P = top.propagator(float(t), shifted=True)
-        lhs = float(np.linalg.norm(Hhat_tw @ P, 2)) + beta * unit * float(np.linalg.norm(P, 2))
-        envelope_unit = math.exp(c_growth * (1.0 + alpha) * unit * float(t)) / (alpha * float(t))
+    for t, p_norm, hp_norm in zip(ts, norms[: len(ts)], norms[len(ts) :]):
+        lhs = hp_norm + beta * unit * p_norm
+        envelope_unit = math.exp(c_growth * (1.0 + alpha) * unit * t) / (alpha * t)
         c2 = max(c2, lhs / envelope_unit)
     return {"c2": c2}
 

@@ -150,6 +150,10 @@ class TestCliRuns:
                      "i,j,x,value\n1,1,zero,1.0\n", id="csv-x-not-numeric"),
         pytest.param("[operator]\nsource = csv:{csv}\nm = 1\nL = 1\nn = 20\n",
                      "i,j,x,value\n1,1,0.0,high\n", id="csv-value-not-numeric"),
+        pytest.param("[operator]\nsource = csv:{csv}\nm = 1\nL = 1\nn = 20\n", None, id="csv-missing-file"),
+        pytest.param("[operator]\nsource = laplace-pi\n[schedule]\ngamma = 5\n", None, id="gamma-inadmissible"),
+        pytest.param("[operator]\nsource = laplace-pi\n[schedule]\neps = 0.75\n", None, id="eps-inadmissible"),
+        pytest.param("[operator]\nsource = laplace-pi\n[schedule]\ngamma =\n", None, id="gamma-empty"),
     ])
     def test_malformed_config_exits_2_without_artifacts(self, tmp_path, capsys, config, coefficients):
         csv_path = tmp_path / "coeffs.csv"
@@ -162,6 +166,21 @@ class TestCliRuns:
         assert code == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_kernel_dump_reads_zero_over_zero_as_zero(self, tmp_path):
+        # the m = 3 kernel and envelope both underflow at the larger t
+        cfg = tmp_path / "poly3.cfg"
+        cfg.write_text(POLY3_CFG, encoding="utf-8")
+        out = tmp_path / "out"
+        main(["kernel", "--config", str(cfg), "--out", str(out)])
+        rows = [[float(v) for v in ln.split(",")] for ln in (out / "kernel.csv").read_text().splitlines()[1:]]
+        both_zero = [r for r in rows if r[5] == 0.0 and r[6] == 0.0]
+        assert both_zero and all(r[7] == 0.0 for r in both_zero)
+        for *_, k, env, ratio in rows:
+            if env > 0:
+                assert ratio == abs(k) / env
+            elif k != 0:
+                assert ratio == math.inf
 
     def test_verify_inequalities_passes(self, laplace_cfg, tmp_path):
         out = tmp_path / "out"

@@ -26,7 +26,8 @@ from heatgauss import (
     twisted_semigroup_norm_fit,
 )
 from heatgauss.core import Grid1D
-from heatgauss.twist import mixed_norm_bound_fit, numerical_range_values
+from heatgauss.spectral import decay_weights
+from heatgauss.twist import conjugate, mixed_norm_bound_fit, numerical_range_values
 
 
 def make_twist(grid, lam, a=1.0):
@@ -193,6 +194,36 @@ class TestSemigroupFits:
         c = twisted_semigroup_norm_fit(d, tw, ts)["c"]
         out = mixed_norm_bound_fit(d, tw, ts, 0.5, 1.0, c)
         assert out["c2"] > 0.0
+
+    @pytest.mark.parametrize("case", ["laplace200", "beam200", "poly3_40"])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    def test_factored_norms_match_explicit_matrices(self, case, lam, request):
+        _, d = request.getfixturevalue(case)
+        tw = make_twist(d.grid, lam)
+        s = d.gap
+        shifted = d.eigenvalues - s
+        ts = np.geomspace(0.05, 5.0, 6) / s
+        norms = twisted_semigroup_norm_fit(d, tw, ts)["norms"]
+        for (t_out, got), t in zip(norms, ts):
+            w = decay_weights(t * shifted)
+            want = np.linalg.norm(conjugate(d.operator_matrix(w), tw), 2)
+            assert t_out == t
+            assert abs(got - want) <= 1e-12 * want
+            # one t, beta = 0 and no growth: c2 = alpha t ||Hhat_lambda P_t||
+            got_hp = mixed_norm_bound_fit(d, tw, [t], 0.5, 0.0, 0.0)["c2"] / (0.5 * t)
+            want_hp = np.linalg.norm(conjugate(d.operator_matrix(shifted * w), tw), 2)
+            assert abs(got_hp - want_hp) <= 1e-12 * want_hp
+
+    def test_mixed_norm_at_zero_twist_is_closed_form(self, poly3_40):
+        # at lambda = 0, ||Hhat P_t|| = max_k (mu_k - s) exp(-t (mu_k - s)); an
+        # explicitly formed product Hhat @ P_t would read eps ||Hhat|| ||P_t|| instead
+        _, d = poly3_40
+        s = d.gap
+        t = 5.0 / s
+        shifted = d.eigenvalues - s
+        want = 0.5 * t * np.max(shifted * np.exp(-t * shifted))
+        got = mixed_norm_bound_fit(d, make_twist(d.grid, 0.0), [t], 0.5, 1.0, 0.0)["c2"]
+        assert abs(got - want) <= 1e-12 * want
 
     def test_evolved_twisted_form(self, laplace200, rng):
         form, d = laplace200
