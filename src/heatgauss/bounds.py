@@ -198,10 +198,19 @@ def boundary_slope(ev: HeatKernelEvaluator, t: float, j: int, fraction: float = 
 
 
 def longtime_rate(ev: HeatKernelEvaluator, t_grid) -> float:
-    """Slope of -log sup_{x,y} |k(t,x,y)| over the asymptotic window."""
+    """Slope of -log sup_{x,y} |k(t,x,y)| over the asymptotic window.
+
+    Raises ConfigurationError when fewer than two distinct t keep the sup
+    above KERNEL_REGRESSION_FLOOR, since no line is determined.
+    """
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
     sups = np.array([np.max(np.abs(ev.matrix(float(t)))) for t in ts])
     keep = sups > KERNEL_REGRESSION_FLOOR
+    if np.unique(ts[keep]).size < 2:
+        raise ConfigurationError(
+            f"sup|k| > {KERNEL_REGRESSION_FLOOR} at {np.count_nonzero(keep)} of {ts.size} t values"
+            " where the rate needs two distinct t"
+        )
     slope, _ = np.polyfit(ts[keep], -np.log(sups[keep]), 1)
     return float(slope)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,6 +61,21 @@ def decay_weights(ex: np.ndarray) -> np.ndarray:
     return np.where(ex > EXP_UNDERFLOW_CAP, 0.0, np.exp(-np.clip(ex, None, EXP_UNDERFLOW_CAP)))
 
 
+def freeze(a: np.ndarray) -> np.ndarray:
+    """Mark a read-only in place and return it."""
+    a.flags.writeable = False
+    return a
+
+
+def is_frozen(a: np.ndarray) -> bool:
+    """True when numpy writes neither to a nor to any array it is a view of."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return True
+
+
 def jacobi_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
@@ -87,18 +102,30 @@ def jacobi_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues and h-orthonormal eigenvectors of a form matrix."""
+    """Ascending eigenvalues and h-orthonormal eigenvectors of a form matrix.
+
+    from_form returns read-only arrays, so quantities derived from them can be
+    kept on the decomposition (twisted_spectra).
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns phi_k with <phi_k, phi_l>_h = delta_kl
     grid: Grid1D
     m: int
+    # sorted real spectra of twisted conjugates E^{-1} H E, keyed by TwistSpec:
+    # O(n) per twist, filled by twist.appendix_b_identities only while frozen
+    twisted_spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_form(cls, form: FormMatrix) -> "SpectralDecomposition":
         w, v = jacobi_eigh(form.operator)
         phi = v / math.sqrt(form.grid.h)
-        return cls(eigenvalues=w, eigenvectors=phi, grid=form.grid, m=form.m)
+        return cls(eigenvalues=freeze(w), eigenvectors=freeze(phi), grid=form.grid, m=form.m)
+
+    @property
+    def frozen(self) -> bool:
+        """True when the eigenvalue and eigenvector arrays are read-only."""
+        return is_frozen(self.eigenvalues) and is_frozen(self.eigenvectors)
 
     @property
     def gap(self) -> float:

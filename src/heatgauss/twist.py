@@ -14,7 +14,8 @@ second evaluation path rather than an O(h) approximation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .errors import (
     PropertyViolation,
     SearchBoundError,
 )
-from .spectral import SpectralDecomposition, decay_weights, kernel_eval, spectral_gap
+from .spectral import SpectralDecomposition, decay_weights, freeze, is_frozen, kernel_eval, spectral_gap
 
 TWIST_CAP = 40.0  # |lambda| * L cap keeping diag(exp(lambda psi)) in double range
 RANGE_CHUNK = 64  # samples per matmul in numerical_range_values
@@ -60,10 +61,17 @@ class TwistSpec:
 
 @dataclass(frozen=True)
 class TwistedOperator:
-    """Similarity conjugation H_lambda = E^{-1} H E of a decomposed operator."""
+    """Similarity conjugation H_lambda = E^{-1} H E of a decomposed operator.
+
+    Owns what depends only on (base, twist): the shifted matrix Hhat_lambda and
+    the numerical-range points of read-only sample sets, each computed on first
+    use and kept as long as the operator. The base is taken as unchanging.
+    """
 
     base: SpectralDecomposition
     twist: TwistSpec
+    # id(samples) -> (samples, points); holding samples keeps its id from reuse
+    _ranges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def gap(self) -> float:
@@ -75,12 +83,30 @@ class TwistedOperator:
         s, m = self.gap, self.base.m
         return (1.0 + s) ** (2 * m) * self.twist.lam ** (2 * m)
 
-    def matrix(self, shifted: bool = False) -> np.ndarray:
-        """Dense H_lambda, optionally shifted by the spectral gap."""
+    @cached_property
+    def hhat(self) -> np.ndarray:
+        """Dense Hhat_lambda = E^{-1} (H - s) E, computed once and read-only."""
         S = self.base.operator_matrix()
-        if shifted:
-            S = S - self.gap * np.eye(S.shape[0])
-        return conjugate(S, self.twist)
+        return freeze(conjugate(S - self.gap * np.eye(S.shape[0]), self.twist))
+
+    def matrix(self) -> np.ndarray:
+        """Dense H_lambda."""
+        return conjugate(self.base.operator_matrix(), self.twist)
+
+    def numerical_range(self, samples: np.ndarray) -> np.ndarray:
+        """numerical_range_values of Hhat_lambda over the sample rows.
+
+        A read-only sample array is evaluated once; later calls with the same
+        array object return the stored read-only values. A writable array can
+        change between calls, so it is evaluated on every call.
+        """
+        if not is_frozen(samples):
+            return numerical_range_values(self.hhat, samples, self.base.grid.h)
+        hit = self._ranges.get(id(samples))
+        if hit is None:
+            z = freeze(numerical_range_values(self.hhat, samples, self.base.grid.h))
+            hit = self._ranges[id(samples)] = (samples, z)
+        return hit[1]
 
     def propagator(self, t: float) -> np.ndarray:
         """exp(-H_lambda t) through the exact similarity path."""
@@ -252,7 +278,7 @@ def numerical_range_sector(
     """
     if not (0.0 < p < 1.0):
         raise DomainError(f"sector parameter p must lie in (0,1), got {p}")
-    z = numerical_range_values(top.matrix(shifted=True), samples, top.base.grid.h) + shift
+    z = top.numerical_range(samples) + shift
     angles = np.abs(np.arctan2(z.imag, z.real))
     bad = (z.real < -1e-12 * np.maximum(np.abs(z), 1.0)) | (angles > math.atan(1.0 / p) + 1e-12)
     violations = [
@@ -262,18 +288,28 @@ def numerical_range_sector(
 
 
 def sector_samples(d: SpectralDecomposition, seed: int = 42, count: int = 1000) -> np.ndarray:
-    """Deterministic sample set: seeded complex vectors plus pairwise eigenvector sums."""
+    """Deterministic sample set: seeded complex vectors plus pairwise eigenvector sums.
+
+    Returned read-only, so TwistedOperator.numerical_range evaluates it once
+    per operator.
+    """
     rng = np.random.default_rng(seed)
     n = d.grid.n_interior
-    randoms = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
     k = min(10, n)
-    structured = []
+    phi = d.eigenvectors
+    # filled in place: no full-size temporaries left behind in the heap
+    out = np.empty((count + k * k, n), dtype=complex)
+    out.real[:count] = rng.standard_normal((count, n))
+    out.imag[:count] = rng.standard_normal((count, n))
+    row = count
     for i in range(k):
         for j in range(i, k):
-            structured.append(d.eigenvectors[:, i] + d.eigenvectors[:, j])
+            out[row] = phi[:, i] + phi[:, j]
+            row += 1
             if i != j:
-                structured.append(d.eigenvectors[:, i] + 1j * d.eigenvectors[:, j])
-    return np.vstack([randoms, np.array(structured, dtype=complex)])
+                out[row] = phi[:, i] + 1j * phi[:, j]
+                row += 1
+    return freeze(out)
 
 
 def sector_shift_search(
@@ -292,7 +328,7 @@ def sector_shift_search(
     if not (0.0 < p < 1.0):
         raise DomainError(f"sector parameter p must lie in (0,1), got {p}")
     unit = (1.0 + p) * top.unit
-    z0 = numerical_range_values(top.matrix(shifted=True), samples, top.base.grid.h)
+    z0 = top.numerical_range(samples)
 
     def passes(c: float) -> bool:
         z = z0 + c * unit
@@ -471,7 +507,9 @@ def appendix_b_identities(
     """Exact conjugation identities: resolvent similarity and spectrum equality.
 
     Verifies (z - H_lam)^{-1} = E^{-1} (z - H)^{-1} E on random right-hand
-    sides and that the sorted spectra of H and H_lam agree.
+    sides and that the sorted spectra of H and H_lam agree. The spectrum of
+    H_lam does not depend on z: a frozen decomposition keeps it per twist in
+    d.twisted_spectra, so the eigensolve runs once per (d, tw).
     """
     mu = d.eigenvalues
     if np.min(np.abs(z - mu)) < 1e-6 * mu[-1]:
@@ -487,7 +525,10 @@ def appendix_b_identities(
     X2 = np.linalg.solve(z * eye - S, (e[:, np.newaxis] * G).astype(complex)) / e[:, np.newaxis]
     rel = np.linalg.norm(X1 - X2, axis=0) / np.maximum(np.linalg.norm(X2, axis=0), 1e-300)
     worst_resolvent = float(np.max(rel, initial=0.0))
-    spec_tw = np.sort(np.linalg.eigvals(H_lam).real)
+    spectra = d.twisted_spectra if d.frozen else {}
+    spec_tw = spectra.get(tw)
+    if spec_tw is None:
+        spec_tw = spectra[tw] = freeze(np.sort(np.linalg.eigvals(H_lam).real))
     worst_spectrum = float(np.max(np.abs(spec_tw - mu)) / mu[-1])
     ok = worst_resolvent <= 1e-8 and worst_spectrum <= 1e-8
     return {

@@ -199,6 +199,18 @@ class TestDecayExtractors:
         rate = longtime_rate(ev, np.linspace(2.0, 8.0, 7))
         assert rate == pytest.approx(laplace200[1].gap, rel=1e-2)
 
+    def test_longtime_rate_needs_two_resolved_times(self, poly3_40):
+        # m = 3, n = 40: t * mu_1 passes the 700 cap between the second and the
+        # third point of the default grid, and sup|k| underflows from there on
+        ev = HeatKernelEvaluator(poly3_40[1])
+        default = np.geomspace(0.01, 5.0, 25)
+        assert longtime_rate(ev, default) == pytest.approx(poly3_40[1].gap, rel=1e-6)
+        for ts in (default[1:], default[[1, 1, 2]]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no RankWarning from a one-point fit
+                with pytest.raises(ConfigurationError, match="two distinct t"):
+                    longtime_rate(ev, ts)
+
     def test_boundary_slope_nonnegative(self, laplace200):
         ev = HeatKernelEvaluator(laplace200[1])
         slope = boundary_slope(ev, 0.5, laplace200[1].grid.n_interior // 2)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,22 @@ class TestCliRuns:
         for name in ("kernel_boundary.svg", "longtime_norm.svg", "envelope_ratio.svg"):
             assert (out / name).read_text().startswith("<?xml")
         assert "<polyline" not in (out / "kernel_boundary.svg").read_text()
+
+    def test_verify_bounds_m3_unresolved_longtime_rate_is_a_failing_row(self, tmp_path, capsys):
+        # at m = 3, n = 40, only t = 0.0129 keeps sup|k| above the regression floor
+        cfg = tmp_path / "poly3.cfg"
+        cfg.write_text(POLY3_CFG.replace("[sweep]\n", "[sweep]\nt_grid = 0.0129 0.02 0.05\n"), encoding="utf-8")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.RankWarning)
+            code = main(["verify-bounds", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "FAIL longtime-rate" in err and "two distinct t" in err
+        assert "Traceback" not in err
+        rows = [ln.split(",") for ln in (out / "verify_bounds.csv").read_text().splitlines()]
+        (row,) = [r for r in rows if r[0] == "longtime-rate"]
+        assert row[2:4] == ["nan", "false"] and row[4].startswith("error=")
 
 
 class TestLinePlot:

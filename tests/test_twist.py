@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from heatgauss import (
     twisted_kernel,
     twisted_semigroup_norm_fit,
 )
+from heatgauss import twist as twist_mod
 from heatgauss.core import Grid1D
 from heatgauss.spectral import decay_weights
 from heatgauss.twist import conjugate, mixed_norm_bound_fit, numerical_range_values
@@ -243,7 +245,7 @@ class TestBatchedAgainstLoops:
     def test_numerical_range_values(self, laplace200):
         _, d = laplace200
         top = TwistedOperator(base=d, twist=make_twist(d.grid, 1.0))
-        Hhat = top.matrix(shifted=True)
+        Hhat = top.hhat
         h = d.grid.h
         samples = sector_samples(d, seed=5, count=150)  # crosses several chunks
         want = np.array([h * np.vdot(f, Hhat @ f) / (h * np.vdot(f, f).real) for f in samples])
@@ -258,7 +260,7 @@ class TestBatchedAgainstLoops:
 
     def test_numerical_range_real_samples(self, laplace200):
         _, d = laplace200
-        Hhat = TwistedOperator(base=d, twist=make_twist(d.grid, 0.5)).matrix(shifted=True)
+        Hhat = TwistedOperator(base=d, twist=make_twist(d.grid, 0.5)).hhat
         f = np.random.default_rng(2).standard_normal((3, d.grid.n_interior))
         want = [float(g @ Hhat @ g) / float(g @ g) for g in f]
         assert np.allclose(numerical_range_values(Hhat, f, d.grid.h), want, rtol=1e-12, atol=0.0)
@@ -328,3 +330,105 @@ class TestBatchedAgainstLoops:
             angle, violations = numerical_range_sector(top, p, c * unit, samples)
             assert violations == []
             assert angle <= math.atan(1.0 / p) + 1e-12
+
+
+class TestPerTwistMemo:
+    """What depends only on (decomposition, twist) is computed once per owner."""
+
+    @staticmethod
+    def counting(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+        return calls
+
+    @staticmethod
+    def search_and_verdict(top, samples):
+        out = []
+        for p in (0.25, 0.5, 0.75):
+            c = sector_shift_search(top, p, samples)
+            angle, violations = numerical_range_sector(top, p, c * (1.0 + p) * top.unit, samples)
+            out.append((c, angle, len(violations)))
+        return out
+
+    @pytest.mark.parametrize("case", ["laplace200", "poly3_40"])
+    def test_sector_reads_one_numerical_range_per_sample_set(self, case, request, monkeypatch):
+        _, d = request.getfixturevalue(case)
+        tw = make_twist(d.grid, 1.0)
+        samples = sector_samples(d, seed=9, count=150)
+        calls = self.counting(monkeypatch, twist_mod, "numerical_range_values")
+        frozen = self.search_and_verdict(TwistedOperator(base=d, twist=tw), samples)
+        assert len(calls) == 1
+        calls.clear()
+        writable = self.search_and_verdict(TwistedOperator(base=d, twist=tw), samples.copy())
+        assert len(calls) == 6
+        assert writable == frozen  # bitwise: same shifts, angles and verdicts
+
+    def test_writable_samples_are_reevaluated(self, laplace200):
+        _, d = laplace200
+        top = TwistedOperator(base=d, twist=make_twist(d.grid, 1.0))
+        samples = sector_samples(d, seed=3, count=20).copy()
+        view = samples.view()
+        view.flags.writeable = False  # read-only, but written through its base
+        before = top.numerical_range(samples).copy()
+        before_view = top.numerical_range(view).copy()
+        samples[0] *= np.arange(1, d.grid.n_interior + 1)
+        after = top.numerical_range(samples)
+        assert after[0] != before[0] and np.array_equal(after[1:], before[1:])
+        assert np.array_equal(after, numerical_range_values(top.hhat, samples, d.grid.h))
+        assert np.array_equal(top.numerical_range(view), after)
+        assert np.array_equal(before_view, before)
+
+    def test_frozen_samples_return_the_stored_values(self, laplace200):
+        _, d = laplace200
+        top = TwistedOperator(base=d, twist=make_twist(d.grid, 0.5))
+        samples = sector_samples(d, seed=4, count=10)
+        z = top.numerical_range(samples)
+        assert top.numerical_range(samples) is z
+        assert top.numerical_range(samples.copy()) is not z
+        # an equal but distinct read-only array is its own sample set
+        assert top.numerical_range(sector_samples(d, seed=4, count=10)) is not z
+        with pytest.raises(ValueError):
+            z[0] = 0.0
+
+    def test_appendix_b_solves_the_spectrum_once_per_twist(self, laplace200, monkeypatch):
+        _, d = laplace200
+        cold = dataclasses.replace(d)  # same frozen arrays, nothing stored yet
+        zs = [complex(-1.0 - a, 1.0 + 2.0 * a) for a in np.linspace(0.0, 1.0, 5)]
+        calls = self.counting(monkeypatch, np.linalg, "eigvals")
+        for lam in (0.5, 1.0):
+            # equal twists built apart share one entry
+            results = [appendix_b_identities(cold, make_twist(d.grid, lam), z) for z in zs]
+            fresh = [appendix_b_identities(dataclasses.replace(d), make_twist(d.grid, lam), z) for z in zs]
+            assert results == fresh
+        assert len(calls) == 2 + 2 * len(zs)
+        assert set(cold.twisted_spectra) == {make_twist(d.grid, 0.5), make_twist(d.grid, 1.0)}
+
+    def test_appendix_b_recomputes_for_writable_arrays(self, laplace200, monkeypatch):
+        _, d = laplace200
+        loose = SpectralDecomposition(
+            eigenvalues=d.eigenvalues.copy(), eigenvectors=d.eigenvectors.copy(), grid=d.grid, m=d.m
+        )
+        assert not loose.frozen
+        calls = self.counting(monkeypatch, np.linalg, "eigvals")
+        tw = make_twist(d.grid, 1.0)
+        for z in (complex(-1.0, 1.0), complex(-2.0, 3.0)):
+            assert appendix_b_identities(loose, tw, z) == appendix_b_identities(dataclasses.replace(d), tw, z)
+        assert len(calls) == 4
+        assert loose.twisted_spectra == {}
+
+    def test_stored_arrays_are_read_only(self, poly3_40):
+        _, d = poly3_40
+        top = TwistedOperator(base=d, twist=make_twist(d.grid, 1.0))
+        assert d.frozen
+        for a in (d.eigenvalues, d.eigenvectors, sector_samples(d, count=5), top.hhat):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        with pytest.raises(ValueError):
+            d.eigenvectors[:, 0] *= 2.0
+        assert top.hhat is top.hhat
