@@ -10,7 +10,6 @@ from .assembly import (
     OperatorSpec,
     assemble_form,
     constant_coefficient,
-    difference_matrix,
     load_coefficients_csv,
     measure_ellipticity,
     polyharmonic_spec,
@@ -23,7 +22,6 @@ from .bounds import (
     fit_envelope_constants,
     longtime_rate,
     optimal_lambda,
-    smalltime_prefactor,
     sobolev_pointwise_check,
 )
 from .core import (
@@ -67,7 +65,6 @@ from .spectral import (
     SpectralDecomposition,
     evolved_form_bound_check,
     jacobi_eigh,
-    kernel_derivative,
     kernel_eval,
     semigroup_apply,
     spectral_gap,
@@ -77,7 +74,6 @@ from .twist import (
     TwistedOperator,
     appendix_b_identities,
     evolved_twisted_form_check,
-    form_perturbation_bound_fit,
     numerical_range_sector,
     per_lambda,
     sector_samples,

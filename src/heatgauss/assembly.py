@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -35,67 +36,29 @@ def level_positions(grid: Grid1D, level: int) -> np.ndarray:
     return (np.arange(grid.n_interior + level) + 1.0 - level / 2.0) * grid.h
 
 
-def _forward_difference(q: int, h: float) -> np.ndarray:
-    """Forward difference with zero extension, mapping R^q -> R^{q+1}."""
-    D = np.zeros((q + 1, q))
-    idx = np.arange(q)
-    D[idx, idx] = 1.0 / h
-    D[idx + 1, idx] = -1.0 / h
-    return D
-
-
-def _edge_average(q: int) -> np.ndarray:
-    """Adjacent-value average with zero extension, mapping R^q -> R^{q+1}."""
-    M = np.zeros((q + 1, q))
-    idx = np.arange(q)
-    M[idx, idx] = 0.5
-    M[idx + 1, idx] = 0.5
-    return M
-
-
-@dataclass(frozen=True)
-class DifferenceOperator:
-    """k-fold zero-extended forward difference on a grid, 1/h^k included."""
-
-    order: int
-    matrix: np.ndarray
-    grid: Grid1D
-
-    def __call__(self, f: np.ndarray) -> np.ndarray:
-        return self.matrix @ f
-
-
-def difference_matrix(grid: Grid1D, k: int) -> DifferenceOperator:
-    """Build D_k = (D_1)^k with zero extension at every stage."""
-    if k < 0:
-        raise DomainError(f"difference order must be non-negative, got {k}")
-    if k > MAX_ORDER:
-        raise UnsupportedError(f"difference order {k} exceeds the v1 cap m <= {MAX_ORDER}")
-    A = np.eye(grid.n_interior)
-    for level in range(k):
-        A = _forward_difference(grid.n_interior + level, grid.h) @ A
-    return DifferenceOperator(order=k, matrix=A, grid=grid)
-
-
-_staggered_cache: dict[tuple[Grid1D, int, int], np.ndarray] = {}
+def staggered_taps(h: float, n_diff: int, n_avg: int) -> np.ndarray:
+    """Taps of D^{n_diff} M^{n_avg}, column j of its matrix from row j on. With zero
+    extension D takes s to (s, 0)/h - (0, s)/h and M takes s to (s, 0)/2 + (0, s)/2."""
+    taps = np.array([1.0])
+    inv = 1.0 / h
+    for _ in range(n_diff):
+        taps = inv * np.append(taps, 0.0) - inv * np.insert(taps, 0, 0.0)
+    for _ in range(n_avg):
+        taps = 0.5 * np.append(taps, 0.0) + 0.5 * np.insert(taps, 0, 0.0)
+    return taps
 
 
 def staggered_operator(grid: Grid1D, n_diff: int, n_avg: int) -> np.ndarray:
-    """Matrix of D^{n_diff} followed by M^{n_avg}; the factors commute.
-
-    Cached per (grid, orders): the matrices are constant and reused heavily
-    by the dual-path perturbation checks.
-    """
-    key = (grid, n_diff, n_avg)
-    if key not in _staggered_cache:
-        A = difference_matrix(grid, n_diff).matrix
-        q = grid.n_interior + n_diff
-        for _ in range(n_avg):
-            A = _edge_average(q) @ A
-            q += 1
-        A.setflags(write=False)
-        _staggered_cache[key] = A
-    return _staggered_cache[key]
+    """Banded (n + n_diff + n_avg) x n matrix of D^{n_diff} M^{n_avg}; the factors commute."""
+    if n_diff < 0 or n_avg < 0:
+        raise DomainError(f"difference and averaging orders must be non-negative, got {n_diff}, {n_avg}")
+    if n_diff > MAX_ORDER:
+        raise UnsupportedError(f"difference order {n_diff} exceeds the v1 cap m <= {MAX_ORDER}")
+    n, taps = grid.n_interior, staggered_taps(grid.h, n_diff, n_avg)
+    A = np.zeros((n + len(taps) - 1, n))
+    for k, c in enumerate(taps):
+        A[np.arange(k, n + k), np.arange(n)] = c
+    return A
 
 
 def constant_coefficient(value: float) -> CoeffFn:
@@ -160,6 +123,12 @@ class FormMatrix:
 
     def __call__(self, f: np.ndarray) -> float:
         return float(np.dot(np.conj(f), self.matrix @ f).real)
+
+    @cached_property
+    def taps(self) -> dict[tuple[int, int], np.ndarray]:
+        """staggered_taps of D^d M^a for every d + a <= m, computed once per form."""
+        return {(d, a): staggered_taps(self.grid.h, d, a)
+                for d in range(self.m + 1) for a in range(self.m + 1 - d)}
 
     @property
     def operator(self) -> np.ndarray:

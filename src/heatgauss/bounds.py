@@ -9,7 +9,7 @@ import numpy as np
 
 from .core import GammaSchedule, boundary_distance, holdout_within
 from .errors import ConfigurationError, DomainError, ParameterError
-from .spectral import HeatKernelEvaluator, SpectralDecomposition, grid_derivative, semigroup_apply
+from .spectral import HeatKernelEvaluator, SpectralDecomposition, grid_derivative
 
 KERNEL_REGRESSION_FLOOR = 1e-300  # values below are excluded from log regressions
 SHORT_TIME_EXCLUSION = 10.0  # multiples of the resolvable floor excluded from fits
@@ -91,15 +91,27 @@ def _sample_indices(n: int, stride: int) -> np.ndarray:
     return idx
 
 
-def _sampled_nodes(grid, schedule: GammaSchedule, stride: int):
-    """Sampled node indices and positions, the boundary factor d_x^g d_y^g on
-    them and the short-time power (N + 2g)/(2m) of the envelope."""
-    idx = _sample_indices(grid.n_interior, stride)
+def envelope_ratios(env: BoundEnvelope, grid, idx: np.ndarray, t: float, K: np.ndarray) -> np.ndarray:
+    """|K| / envelope(t, x_i, x_j) over the nodes idx, K the kernel block on them: 0 where
+    K = 0, and in log space where only the envelope underflows (inf past the float range)."""
+    sch = env.schedule
+    m, gamma = sch.m, sch.gamma
     xi = grid.points[idx]
     di = np.minimum(xi, grid.length - xi)
-    gamma = schedule.gamma
     decay = np.outer(di**gamma, di**gamma) if gamma > 0 else 1.0
-    return idx, xi, decay, (schedule.N + 2.0 * gamma) / (2.0 * schedule.m)
+    power = (sch.N + 2.0 * gamma) / (2.0 * m)
+    expo = (-env.c2 * np.abs(xi[:, None] - xi[None, :]) ** (2 * m / (2 * m - 1)) / t ** (1.0 / (2 * m - 1))
+            - env.s * t)
+    prefactor = (env.c1 / sch.eps) * t ** (-power) * decay
+    envm = prefactor * np.exp(expo)
+    absk = np.abs(K)
+    ratios = np.divide(absk, envm, out=np.zeros_like(absk), where=envm > 0)
+    lost = (envm == 0) & (absk > 0)
+    if np.any(lost):
+        log_env = np.log(prefactor) + expo
+        with np.errstate(over="ignore"):
+            ratios[lost] = np.exp(np.log(absk[lost]) - log_env[lost])
+    return ratios
 
 
 def envelope_sup_ratio(
@@ -109,33 +121,17 @@ def envelope_sup_ratio(
     t_grid,
     stride: int = 4,
 ) -> tuple[float, tuple]:
-    """sup over sampled (t, x, y) of |k| / envelope(c1=1); short-time slices
-    within 10x of the resolvable floor are skipped. Entries where the envelope
-    underflows are compared in log space, so no slice rests on 0/0."""
-    idx, xi, decay, power = _sampled_nodes(ev.grid, schedule, stride)
-    s = float(ev.decomposition.eigenvalues[0])
-    env = BoundEnvelope(schedule=schedule, s=s, c1=1.0, c2=c2)
-    m = schedule.m
+    """sup over sampled (t, x, y) of envelope_ratios at c1 = 1; short-time
+    slices within 10x of the resolvable floor are skipped."""
+    idx = _sample_indices(ev.grid.n_interior, stride)
+    xi = ev.grid.points[idx]
+    env = BoundEnvelope(schedule=schedule, s=float(ev.decomposition.eigenvalues[0]), c1=1.0, c2=c2)
     worst, where = 0.0, None
     for t in np.atleast_1d(t_grid):
         t = float(t)
         if t < SHORT_TIME_EXCLUSION * ev.t_floor:
             continue
-        K = ev.block(t, idx)
-        expo = (
-            -c2 * np.abs(xi[:, None] - xi[None, :]) ** (2 * m / (2 * m - 1)) / t ** (1.0 / (2 * m - 1))
-            - s * t
-        )
-        prefactor = (1.0 / schedule.eps) * t ** (-power) * decay
-        envm = prefactor * np.exp(expo)
-        absk = np.abs(K)
-        # K = 0 reads 0; where only the envelope underflows, divide in log space
-        ratios = np.divide(absk, envm, out=np.zeros_like(absk), where=envm > 0)
-        lost = (envm == 0) & (absk > 0)
-        if np.any(lost):
-            log_env = np.log(prefactor) + expo
-            with np.errstate(over="ignore"):  # a ratio past the float range reads inf
-                ratios[lost] = np.exp(np.log(absk[lost]) - log_env[lost])
+        ratios = envelope_ratios(env, ev.grid, idx, t, ev.block(t, idx))
         pos = int(np.argmax(ratios))
         r = float(ratios.flat[pos])
         if r > worst:
@@ -215,24 +211,6 @@ def longtime_rate(ev: HeatKernelEvaluator, t_grid) -> float:
     return float(slope)
 
 
-def smalltime_prefactor(
-    ev: HeatKernelEvaluator, schedule: GammaSchedule, t_grid, stride: int = 4
-) -> float:
-    """sup over the short-time window of t^{(N+2g)/(2m)} |k| / (d_x^g d_y^g)."""
-    s = float(ev.decomposition.eigenvalues[0])
-    lo = SHORT_TIME_EXCLUSION * ev.t_floor
-    hi = 2.0 / s
-    ts = [float(t) for t in np.atleast_1d(t_grid) if lo <= t <= hi]
-    if not ts:
-        raise ConfigurationError(f"short-time window [{lo}, {hi}] contains no grid points")
-    idx, _, decay, power = _sampled_nodes(ev.grid, schedule, stride)
-    worst = 0.0
-    for t in ts:
-        K = np.abs(ev.block(t, idx))
-        worst = max(worst, float(np.max(t**power * K / decay)))
-    return worst
-
-
 def sobolev_pointwise_check(
     d: SpectralDecomposition,
     form,
@@ -272,21 +250,3 @@ def sobolev_pointwise_check(
     violations = 0 if holdout_within(held, c_fit) else 1
     flags = [] if not violations else [f"held-out ratio {held} at {held_where} exceeds C={c_fit}"]
     return FitResult(constants={"C": c_fit}, worst_location=where, violations=violations, flags=flags)
-
-
-def evolved_samples(
-    d: SpectralDecomposition, rng: np.random.Generator, count: int, t_range=(1e-3, 1.0)
-) -> np.ndarray:
-    """Sample functions e^{-Ht} g for random g and random t on a log scale.
-
-    Matches how the pointwise estimate is applied to the heat kernel: smooth
-    elements of the form domain rather than raw noise.
-    """
-    n = d.grid.n_interior
-    lo, hi = t_range
-    out = np.empty((count, n))
-    for i in range(count):
-        g = rng.standard_normal(n)
-        t = math.exp(rng.uniform(math.log(lo), math.log(hi)))
-        out[i] = semigroup_apply(d, t, g)
-    return out

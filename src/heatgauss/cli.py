@@ -86,6 +86,8 @@ def _decompose(cfg: RunConfig) -> tuple[FormMatrix, SpectralDecomposition, HeatK
     """Form, decomposition and kernel evaluator of the configured operator at n = cfg.n."""
     form = _build_form(cfg, cfg.n)
     d = SpectralDecomposition.from_form(form)
+    if d.eigenvalues[0] <= 0:
+        raise ConfigurationError(f"the configured operator is not positive: mu_1 = {d.eigenvalues[0]}")
     return form, d, HeatKernelEvaluator(d)
 
 
@@ -120,13 +122,10 @@ def run_spectrum(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
 def run_kernel(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
     _, _, ev = _decompose(cfg)
     fit, env = _fitted_envelope(cfg, ev)
-
-    def env_fn(t, x, y, dx, dy):
-        return bounds_mod.envelope_eval(env, t, x, y, dx, dy)
-
     indices = bounds_mod._sample_indices(cfg.n, max(cfg.n // 24, 1))
     ts = [t for t in cfg.t_grid if t >= bounds_mod.SHORT_TIME_EXCLUSION * ev.t_floor]
-    write_csv(os.path.join(out, "kernel.csv"), KERNEL_HEADER, kernel_rows(ev, env_fn, ts, indices))
+    rows = kernel_rows(ev, lambda *args: bounds_mod.envelope_eval(env, *args), ts, indices)
+    write_csv(os.path.join(out, "kernel.csv"), KERNEL_HEADER, rows)
     return [ReportRow("kernel-dump", {"n": cfg.n, "gamma": env.schedule.gamma},
                       fit.constants["c1"], fit.passed,
                       None if fit.passed else {"flags": ";".join(fit.flags)})]
@@ -305,12 +304,7 @@ def run_report(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
     )
     _, env = _fitted_envelope(cfg, ev)
     idx = bounds_mod._sample_indices(cfg.n, max(cfg.n // 40, 1))
-    ratios = np.empty((len(idx), len(idx)))
-    for a, i in enumerate(idx):
-        for b, j in enumerate(idx):
-            e = bounds_mod.envelope_eval(env, t_mid, float(x[i]), float(x[j]),
-                                         float(dist[i]), float(dist[j]))
-            ratios[a, b] = abs(K[i, j]) / e if e > 0 else 0.0
+    ratios = bounds_mod.envelope_ratios(env, d.grid, idx, t_mid, K[np.ix_(idx, idx)])
     ratio_table_svg(os.path.join(out, "envelope_ratio.svg"), ratios,
                     "kernel / envelope ratio")
     rows = [ReportRow("report", {"t": t_mid}, float(np.max(ratios)), True)]

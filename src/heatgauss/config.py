@@ -101,6 +101,8 @@ class RunConfig:
         for name in ("gamma_list", "t_grid", "lam_grid", "c2_grid"):
             if not getattr(self, name):
                 raise ConfigurationError(f"{name} must be non-empty")
+            if name in ("t_grid", "c2_grid") and not all(0 < v < math.inf for v in getattr(self, name)):
+                raise ConfigurationError(f"[sweep] {name} entries must be positive and finite")
         if self.seed < 0:
             raise ConfigurationError("seed must be a non-negative integer")
         if self.sample_count < 1:

@@ -134,3 +134,9 @@ def gtilde(fn: GTildeFn, t):
                    s * np.exp(-2.0 * s * t_arr),
                    np.exp(-s * t_arr - 1.0) / t_arr)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+
+
+def log_gtilde(fn: GTildeFn, t: float) -> float:
+    """log g~(t) for scalar t > 0, finite where g~(t) underflows to 0."""
+    s = fn.s
+    return math.log(s) - 2.0 * s * t if t > 1.0 / s else -s * t - 1.0 - math.log(t)

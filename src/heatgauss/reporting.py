@@ -49,12 +49,19 @@ def _write_lines(path, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _csv_line(values) -> str:
+    """format_value fields joined by commas; as in RFC 4180, a field holding a comma,
+    a double quote, CR or LF (or a record's lone empty field) is quoted, quotes doubled."""
+    fields = [format_value(v) for v in values]
+    if fields == [""]:
+        return '""'
+    return ",".join('"' + f.replace('"', '""') + '"' if any(c in f for c in ',"\r\n') else f
+                    for f in fields)
+
+
 def write_csv(path, header: list[str], rows) -> None:
     """Write rows with LF endings and fixed float formatting."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    _write_lines(path, lines)
+    _write_lines(path, [_csv_line(header)] + [_csv_line(row) for row in rows])
 
 
 def write_report_rows(path, rows: list[ReportRow]) -> None:
@@ -163,20 +170,22 @@ def line_plot_svg(path, series, title: str, xlabel: str, ylabel: str,
 
 def ratio_table_svg(path, ratios: np.ndarray, title: str,
                     cell: int = 6, margin: int = 40) -> None:
-    """Grayscale heat-table of a ratio matrix; darker means closer to 1."""
+    """Grayscale heat-table of a ratio matrix scaled by its largest finite entry;
+    darker means closer to it, and a non-finite entry is drawn red."""
     ratios = np.asarray(ratios, dtype=float)
     n_i, n_j = ratios.shape
     width = margin * 2 + n_j * cell
     height = margin * 2 + n_i * cell
     parts = _svg_header(width, height)
-    top = float(np.max(ratios)) or 1.0
+    finite = np.isfinite(ratios)
+    top = float(np.max(ratios, where=finite, initial=0.0)) or 1.0
+    shades = np.rint(255 * (1.0 - np.clip(ratios / top, 0.0, 1.0)))
     for i in range(n_i):
         for j in range(n_j):
-            level = min(max(ratios[i, j] / top, 0.0), 1.0)
-            shade = int(round(255 * (1.0 - level)))
+            fill = "rgb({0},{0},{0})".format(int(shades[i, j])) if finite[i, j] else "rgb(255,0,0)"
             parts.append(
                 f'<rect x="{margin + j * cell}" y="{margin + i * cell}" width="{cell}" '
-                f'height="{cell}" fill="rgb({shade},{shade},{shade})"/>'
+                f'height="{cell}" fill="{fill}"/>'
             )
     parts.append(f'<text x="{width // 2}" y="24" font-size="13" text-anchor="middle">{title}</text>')
     parts.append("</svg>")

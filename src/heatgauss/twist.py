@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .assembly import FormMatrix, level_positions, staggered_operator
+from .assembly import FormMatrix, level_positions
 from .core import Grid1D, holdout_within
 from .errors import (
     ConditioningError,
@@ -158,14 +158,10 @@ def per_lambda(form: FormMatrix, tw: TwistSpec, f: np.ndarray, rel_tol: float = 
     plain_q = float(np.dot(f, form.matrix @ f))
     direct = twisted_q - plain_q
 
-    # Leibniz path, term by term over the coefficient table; each staggered
-    # image D^d M^m f is formed once per call and shared by every term using it
-    images: dict[tuple[int, int], np.ndarray] = {}
-
-    def image(d: int, m_: int) -> np.ndarray:
-        if (d, m_) not in images:
-            images[(d, m_)] = staggered_operator(grid, d, m_) @ f
-        return images[(d, m_)]
+    # Leibniz path, term by term over the coefficient table; each staggered image
+    # D^d M^m f (d + m a level of the table) is one convolution with the form's taps
+    levels = {max(ij) for ij in form.spec.coefficients}
+    images = {dm: np.convolve(f, taps) for dm, taps in form.taps.items() if sum(dm) in levels}
 
     leib = 0.0
     for (i, j) in sorted(form.spec.coefficients):
@@ -175,14 +171,14 @@ def per_lambda(form: FormMatrix, tw: TwistSpec, f: np.ndarray, rel_tol: float = 
         right = _twisted_factor_terms(j, level, tw.lam, tw.a, h)
         top_left, top_right = (i, level - i), (j, level - j)
         for (dl, ml), cl in left.items():
-            u1 = image(dl, ml)
+            u1 = images[(dl, ml)]
             for (dr, mr), cr in right.items():
                 coeff = cl * cr
                 if (dl, ml) == top_left and (dr, mr) == top_right:
                     coeff -= 1.0  # the untwisted term belongs to Q(f)
                 if coeff == 0.0:
                     continue
-                u2 = image(dr, mr)
+                u2 = images[(dr, mr)]
                 leib += h * coeff * float(np.dot(u1, a_samples * u2))
 
     # when per(lambda) cancels to round-off, the achievable agreement is set
@@ -194,62 +190,6 @@ def per_lambda(form: FormMatrix, tw: TwistSpec, f: np.ndarray, rel_tol: float = 
             f"per(lambda) paths disagree: direct={direct}, leibniz={leib}"
         )
     return direct
-
-
-def perturbation_rhs(
-    q_f: float, norm2: float, m: int, s: float, lam: float, theta: float, eps: float
-) -> float:
-    """Unit-constant envelope eps(1+theta) Q(f) + eps^{1-2m} ([1+theta s] lam)^{2m} ||f||^2."""
-    return eps * (1.0 + theta) * q_f + eps ** (1 - 2 * m) * ((1.0 + theta * s) * abs(lam)) ** (2 * m) * norm2
-
-
-def form_perturbation_bound_fit(
-    form: FormMatrix,
-    d: SpectralDecomposition,
-    x0: float,
-    a: float,
-    lam_grid,
-    theta_grid,
-    eps_grid,
-    f_train: np.ndarray,
-    f_holdout: np.ndarray,
-) -> dict:
-    """Fit the smallest c1 bounding |per(lambda)| by the absorption envelope.
-
-    Trains on f_train, validates on f_holdout (0 violations required) and
-    returns the fitted constant with the worst training witness.
-    """
-    s = spectral_gap(d)
-    m = form.m
-    h = form.grid.h
-
-    def ratios(fs: np.ndarray):
-        worst = 0.0
-        witness = None
-        for fi, f in enumerate(np.atleast_2d(fs)):
-            q_f = float(f @ (form.matrix @ f))
-            norm2 = h * float(np.dot(f, f))
-            for lam in lam_grid:
-                if lam == 0.0:
-                    continue  # LHS is exactly zero
-                tw = TwistSpec(grid=form.grid, x0=x0, a=a, lam=float(lam))
-                p = abs(per_lambda(form, tw, f))
-                for theta in theta_grid:
-                    for eps in eps_grid:
-                        rhs = perturbation_rhs(q_f, norm2, m, s, lam, theta, eps)
-                        r = p / rhs
-                        if r > worst:
-                            worst = r
-                            witness = {"sample": fi, "lam": float(lam), "theta": float(theta), "eps": float(eps)}
-        return worst, witness
-
-    c1, witness = ratios(f_train)
-    held, held_witness = ratios(f_holdout)
-    if not holdout_within(held, c1):
-        raise PropertyViolation(
-            f"held-out perturbation ratio {held} exceeds fitted c1={c1}", witness=held_witness
-        )
-    return {"c1": c1, "witness": witness, "violations": 0}
 
 
 def numerical_range_values(Hhat: np.ndarray, samples: np.ndarray, h: float) -> np.ndarray:

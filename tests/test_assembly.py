@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from heatgauss import (
     UnsupportedError,
     assemble_form,
     constant_coefficient,
-    difference_matrix,
     load_coefficients_csv,
     measure_ellipticity,
     polyharmonic_spec,
@@ -22,32 +23,93 @@ def unit_grid(n):
     return Grid1D(length=float(n + 1), n_interior=n)  # h = 1
 
 
+def forward_difference(q, h):
+    """Dense zero-extended forward difference R^q -> R^{q+1}."""
+    D = np.zeros((q + 1, q))
+    idx = np.arange(q)
+    D[idx, idx] = 1.0 / h
+    D[idx + 1, idx] = -1.0 / h
+    return D
+
+
+def edge_average(q):
+    """Dense zero-extended adjacent-value average R^q -> R^{q+1}."""
+    M = np.zeros((q + 1, q))
+    idx = np.arange(q)
+    M[idx, idx] = 0.5
+    M[idx + 1, idx] = 0.5
+    return M
+
+
+def dense_chain(g, n_diff, n_avg):
+    """D^{n_diff} then M^{n_avg} as a product of dense factor matrices."""
+    A = np.eye(g.n_interior)
+    q = g.n_interior
+    for _ in range(n_diff):
+        A = forward_difference(q, g.h) @ A
+        q += 1
+    for _ in range(n_avg):
+        A = edge_average(q) @ A
+        q += 1
+    return A
+
+
 class TestDifferenceOperators:
     def test_first_difference_matrix(self):
-        D = difference_matrix(unit_grid(2), 1).matrix
+        D = staggered_operator(unit_grid(2), 1, 0)
         assert np.allclose(D, [[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]])
 
     def test_difference_scaling(self):
         g = Grid1D(length=1.0, n_interior=3)
-        D = difference_matrix(g, 1)
+        D = staggered_operator(g, 1, 0)
         f = g.points**0  # constant 1
         # interior slopes vanish, boundary jumps are +-1/h from zero extension
-        assert np.allclose(D(f), [1.0 / g.h, 0.0, 0.0, -1.0 / g.h])
+        assert np.allclose(D @ f, [1.0 / g.h, 0.0, 0.0, -1.0 / g.h])
 
     def test_order_cap(self):
         with pytest.raises(UnsupportedError):
-            difference_matrix(unit_grid(4), 4)
+            staggered_operator(unit_grid(4), 4, 0)
         with pytest.raises(DomainError):
-            difference_matrix(unit_grid(4), -1)
+            staggered_operator(unit_grid(4), -1, 0)
+        with pytest.raises(DomainError):
+            staggered_operator(unit_grid(4), 1, -1)
 
     def test_difference_and_average_commute(self):
         g = unit_grid(6)
         DM = staggered_operator(g, 1, 1)
         # apply in the other order: average first, then difference on level 1
-        from heatgauss.assembly import _edge_average, _forward_difference
-
-        MD = _forward_difference(7, g.h) @ _edge_average(6)
+        MD = forward_difference(7, g.h) @ edge_average(6)
         assert np.max(np.abs(DM - MD)) == 0.0
+
+    @pytest.mark.parametrize("length", [math.pi, 1.0, 3.0])
+    @pytest.mark.parametrize("n", [3, 4, 7, 18, 57, 120])
+    def test_banded_stencil_matches_dense_chain(self, length, n):
+        # the taps round like the dense chain; only D^3 off L = 1 may differ,
+        # by one ulp of the largest entry, where the chain's BLAS product
+        # fuses a multiply into an add that the taps round separately
+        g = Grid1D(length=length, n_interior=n)
+        for n_diff in range(4):
+            for n_avg in range(4 - n_diff):
+                want = dense_chain(g, n_diff, n_avg)
+                got = staggered_operator(g, n_diff, n_avg)
+                assert got.shape == want.shape
+                if n_diff <= 2 or length == 1.0:
+                    assert np.array_equal(got, want), (n_diff, n_avg)
+                else:
+                    assert np.max(np.abs(got - want)) <= np.spacing(np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_form_taps_give_the_staggered_images(self, m):
+        g = Grid1D(length=1.0, n_interior=30)
+        form = assemble_form(polyharmonic_spec(m), g)
+        f = np.random.default_rng(m).standard_normal(g.n_interior)
+        assert sorted(form.taps) == [(d, a) for d in range(m + 1) for a in range(m + 1 - d)]
+        assert form.taps is form.taps  # computed once per form
+        for (d, a), taps in form.taps.items():
+            B = staggered_operator(g, d, a)
+            assert np.array_equal(B[: len(taps), 0], taps)
+            want = B @ f
+            assert np.max(np.abs(np.convolve(f, taps) - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_level_positions_staggering(self):
         g = Grid1D(length=1.0, n_interior=3)
@@ -74,14 +136,14 @@ class TestAssembly:
         # of the zero-extended difference Laplacian
         g = unit_grid(8)
         S2 = assemble_form(polyharmonic_spec(2), g).operator
-        D2 = difference_matrix(g, 2).matrix
+        D2 = staggered_operator(g, 2, 0)
         assert np.allclose(S2, D2.T @ D2)
 
     def test_quadratic_form_value(self):
         g = Grid1D(length=1.0, n_interior=4)
         form = assemble_form(polyharmonic_spec(1), g)
         f = np.sin(np.pi * g.points)
-        direct = g.h * np.sum((difference_matrix(g, 1)(f)) ** 2)
+        direct = g.h * np.sum((staggered_operator(g, 1, 0) @ f) ** 2)
         assert form(f) == pytest.approx(direct)
 
     def test_mixed_orders_symmetric(self):

@@ -15,10 +15,10 @@ from heatgauss import (
     fit_envelope_constants,
     longtime_rate,
     optimal_lambda,
-    smalltime_prefactor,
+    semigroup_apply,
     sobolev_pointwise_check,
 )
-from heatgauss.bounds import _sample_indices, envelope_sup_ratio, evolved_samples
+from heatgauss.bounds import _sample_indices, envelope_ratios, envelope_sup_ratio
 from heatgauss.errors import ResolutionWarning
 from heatgauss.core import schedule_from_gamma
 
@@ -174,6 +174,42 @@ class TestSupRatioUnderflow:
             assert math.isfinite(ratio) and ratio > 1.0
 
 
+class TestEnvelopeRatios:
+    def test_rule_entry_by_entry(self, poly3_40):
+        # 0 where k = 0, |k| / envelope where the envelope is positive, and
+        # log space where only the envelope underflows (at t = 690/s only the
+        # ground mode survives and the steep envelope underflows off the diagonal)
+        _, d = poly3_40
+        ev = HeatKernelEvaluator(d)
+        s = d.gap
+        schedule = schedule_from_gamma(3, 1, 0.4)
+        env = BoundEnvelope(schedule=schedule, s=s, c1=2.5, c2=50.0)
+        idx = _sample_indices(d.grid.n_interior, 2)
+        x = d.grid.points
+        seen = set()
+        for t in (0.5 / s, 690.0 / s, 800.0 / s):
+            K = ev.matrix(t)[np.ix_(idx, idx)]
+            ratios = envelope_ratios(env, d.grid, idx, t, K)
+            for a, i in enumerate(idx):
+                for b, j in enumerate(idx):
+                    d_x, d_y = min(x[i], 1.0 - x[i]), min(x[j], 1.0 - x[j])
+                    k, e = abs(K[a, b]), envelope_eval(env, t, x[i], x[j], d_x, d_y)
+                    if k == 0.0:
+                        seen.add("zero")
+                        assert ratios[a, b] == 0.0
+                    elif e > 0.0:
+                        seen.add("plain")
+                        assert ratios[a, b] == pytest.approx(k / e, rel=1e-12)
+                    else:
+                        seen.add("log")
+                        log_env = (math.log(2.5 / schedule.eps)
+                                   - (1 + 2 * schedule.gamma) / 6.0 * math.log(t)
+                                   + schedule.gamma * (math.log(d_x) + math.log(d_y))
+                                   - 50.0 * abs(x[i] - x[j]) ** 1.2 / t**0.2 - s * t)
+                        assert ratios[a, b] == pytest.approx(math.exp(math.log(k) - log_env), rel=1e-9)
+        assert seen == {"zero", "plain", "log"}
+
+
 class TestKernelBlock:
     def test_block_matches_full_table(self, laplace200, beam200):
         for _, d in (laplace200, beam200):
@@ -223,15 +259,14 @@ class TestDecayExtractors:
         slope = boundary_slope(ev, 2e-4, beam200[1].grid.n_interior // 2)
         assert slope >= 1.5
 
-    def test_smalltime_prefactor_finite(self, laplace200):
-        ev = HeatKernelEvaluator(laplace200[1])
-        val = smalltime_prefactor(ev, lap_schedule(0.4), np.geomspace(0.02, 1.0, 8))
-        assert 0.0 < val < 10.0
 
-    def test_smalltime_window_can_be_empty(self, laplace200):
-        ev = HeatKernelEvaluator(laplace200[1])
-        with pytest.raises(ConfigurationError):
-            smalltime_prefactor(ev, lap_schedule(0.0), [100.0])
+def evolved_samples(d, rng, count):
+    """Smooth form-domain samples e^{-Ht} g: random g, t log-uniform on [1e-3, 1]."""
+    out = np.empty((count, d.grid.n_interior))
+    for i in range(count):
+        g = rng.standard_normal(d.grid.n_interior)
+        out[i] = semigroup_apply(d, math.exp(rng.uniform(math.log(1e-3), 0.0)), g)
+    return out
 
 
 class TestSobolevPointwise:

@@ -1,3 +1,4 @@
+import csv
 import math
 import warnings
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from heatgauss.cli import main
 from heatgauss.config import RunConfig, load_run_config, parse_config_text
 from heatgauss.errors import ConfigurationError
-from heatgauss.reporting import line_plot_svg
+from heatgauss.reporting import format_value, line_plot_svg, ratio_table_svg, write_csv
 
 LAPLACE_CFG = """
 # reference Laplacian run
@@ -155,6 +156,10 @@ class TestCliRuns:
         pytest.param("[operator]\nsource = laplace-pi\n[schedule]\ngamma = 5\n", None, id="gamma-inadmissible"),
         pytest.param("[operator]\nsource = laplace-pi\n[schedule]\neps = 0.75\n", None, id="eps-inadmissible"),
         pytest.param("[operator]\nsource = laplace-pi\n[schedule]\ngamma =\n", None, id="gamma-empty"),
+        pytest.param("[operator]\nsource = laplace-pi\n[sweep]\nt_grid = -0.1 0.5 1.0\n", None, id="t-grid-negative"),
+        pytest.param("[operator]\nsource = laplace-pi\n[sweep]\nc2_grid = -0.1 0.5\n", None, id="c2-grid-negative"),
+        pytest.param("[operator]\nsource = csv:{csv}\nm = 1\nL = 1\nn = 40\n",
+                     "i,j,x,value\n1,1,0.0,1.0\n0,0,0.0,-50\n", id="csv-not-positive"),
     ])
     def test_malformed_config_exits_2_without_artifacts(self, tmp_path, capsys, config, coefficients):
         csv_path = tmp_path / "coeffs.csv"
@@ -239,6 +244,38 @@ class TestCliRuns:
         rows = [ln.split(",") for ln in (out / "verify_bounds.csv").read_text().splitlines()]
         (row,) = [r for r in rows if r[0] == "longtime-rate"]
         assert row[2:4] == ["nan", "false"] and row[4].startswith("error=")
+
+
+class TestCsvWriter:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(rows=st.lists(
+        st.lists(st.one_of(st.text(), st.floats(), st.integers(), st.booleans()), min_size=1, max_size=5),
+        min_size=1, max_size=6,
+    ))
+    def test_rows_round_trip_through_csv_reader(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        write_csv(str(path), ["a"], rows)
+        with open(path, encoding="utf-8", newline="") as fh:
+            back = list(csv.reader(fh))
+        assert back == [["a"]] + [[format_value(v) for v in row] for row in rows]
+
+    def test_plain_fields_keep_their_bytes(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(str(path), ["check", "witness"],
+                  [["x", "a=1;b=2"], ["y", "error=direct=1, leibniz=2"], ["z", 'say "hi"']])
+        assert path.read_text(encoding="utf-8") == (
+            'check,witness\nx,a=1;b=2\ny,"error=direct=1, leibniz=2"\nz,"say ""hi"""\n'
+        )
+
+
+class TestRatioTable:
+    def test_non_finite_entries_are_drawn(self, tmp_path):
+        path = tmp_path / "ratio.svg"
+        ratio_table_svg(str(path), np.array([[0.0, 0.5], [math.inf, math.nan]]), "r")
+        body = path.read_text()
+        assert body.count("<rect") == 5  # background plus four cells
+        assert body.count('fill="rgb(255,0,0)"') == 2
+        assert 'fill="rgb(0,0,0)"' in body and 'fill="rgb(255,255,255)"/>' in body
 
 
 class TestLinePlot:

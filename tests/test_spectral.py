@@ -14,12 +14,12 @@ from heatgauss import (
     assemble_form,
     evolved_form_bound_check,
     jacobi_eigh,
-    kernel_derivative,
     kernel_eval,
     polyharmonic_spec,
     semigroup_apply,
     spectral_gap,
 )
+from heatgauss.cli import sample_functions
 from heatgauss.core import Grid1D
 from heatgauss.spectral import EXP_UNDERFLOW_CAP, decay_weights, grid_derivative
 
@@ -173,23 +173,6 @@ class TestGridDerivative:
             grid_derivative(g, g.points, 3, 5)
 
 
-class TestKernelDerivative:
-    def test_order_zero_is_kernel(self, beam200):
-        ev = HeatKernelEvaluator(beam200[1])
-        t = 1e-3
-        assert kernel_derivative(ev, 0, t, 50, 100) == pytest.approx(kernel_eval(ev, t, 50, 100))
-
-    def test_order_capped_by_m(self, laplace200):
-        ev = HeatKernelEvaluator(laplace200[1])
-        with pytest.raises(DomainError):
-            kernel_derivative(ev, 1, 0.1, 10, 10)
-
-    def test_beam_first_derivative_finite(self, beam200):
-        ev = HeatKernelEvaluator(beam200[1])
-        val = kernel_derivative(ev, 1, 1e-3, 100, 100)
-        assert math.isfinite(val)
-
-
 class TestEvolvedFormBound:
     def test_holds_on_samples(self, laplace200, rng):
         _, d = laplace200
@@ -204,6 +187,22 @@ class TestEvolvedFormBound:
         s = d.eigenvalues[0]
         rows = evolved_form_bound_check(d, np.array([2.0 / s]), d.eigenvectors[:, 0])
         assert rows[0]["ratio"] == pytest.approx(1.0, rel=1e-4)
+
+    @pytest.mark.parametrize("fixture", ["beam200", "poly3_40"])
+    def test_underflowed_bound_compared_in_log_space(self, fixture, request):
+        # the default t grid drives g~(t) ||f||^2 to 0 (2 s t > 745); the
+        # runner's samples must still pass, with no 0/0 read as inf
+        _, d = request.getfixturevalue(fixture)
+        s = d.eigenvalues[0]
+        t_grid = np.geomspace(0.01, 5.0, 25)
+        assert 2.0 * s * t_grid[-1] > 745.0
+        f = sample_functions(d, np.random.default_rng(42), 3)
+        rows = evolved_form_bound_check(d, t_grid, f)
+        assert len(rows) == 8 * 25 and all(r["ok"] for r in rows)
+        assert all(math.isfinite(r["ratio"]) for r in rows)
+        # the ground mode saturates the bound: ratio 1 in log space as well
+        rows = evolved_form_bound_check(d, t_grid[t_grid > 1.0 / s], d.eigenvectors[:, 0])
+        assert [r["ratio"] for r in rows] == pytest.approx([1.0] * len(rows), rel=1e-12)
 
     def test_nonpositive_gap_rejected(self, laplace200):
         _, d = laplace200

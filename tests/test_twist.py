@@ -17,7 +17,6 @@ from heatgauss import (
     assemble_form,
     constant_coefficient,
     evolved_twisted_form_check,
-    form_perturbation_bound_fit,
     numerical_range_sector,
     per_lambda,
     polyharmonic_spec,
@@ -132,23 +131,6 @@ class TestLeibniz:
         form, d = laplace200
         with pytest.raises(DomainError):
             per_lambda(form, make_twist(d.grid, 1.0), np.zeros(d.grid.n_interior))
-
-
-class TestPerturbationFit:
-    def test_fit_and_holdout(self, laplace200, rng):
-        form, d = laplace200
-        f_train = np.vstack([d.eigenvectors[:, [0, 50, 199]].T, rng.standard_normal((6, 200))])
-        f_holdout = rng.standard_normal((6, 200))
-        out = form_perturbation_bound_fit(
-            form, d, d.grid.length / 2.0, 1.0,
-            lam_grid=[0.5, 1.0, 2.0],
-            theta_grid=[0.1, 1.0],
-            eps_grid=[0.25, 0.5, 1.0],
-            f_train=f_train,
-            f_holdout=f_holdout,
-        )
-        assert out["violations"] == 0
-        assert out["c1"] > 0
 
 
 class TestSector:
