@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import Grid1D
+from .core import Grid1D, freeze, is_frozen
 from .errors import (
     ConfigurationError,
     ContractError,
@@ -114,12 +114,19 @@ def polyharmonic_spec(m: int) -> OperatorSpec:
 
 @dataclass(frozen=True)
 class FormMatrix:
-    """Assembled symmetric form matrix Q_h with Q(f) = f^T Q_h f."""
+    """Assembled symmetric form matrix Q_h with Q(f) = f^T Q_h f.
+
+    assemble_form returns a read-only matrix, so quantities derived from it can
+    be kept on the form (twist_tables).
+    """
 
     matrix: np.ndarray
     grid: Grid1D
     m: int
     spec: OperatorSpec | None = field(default=None, compare=False)
+    # per(lambda) tables keyed by TwistSpec: O(n m) per twist, filled by
+    # twist.per_lambda only while frozen
+    twist_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, f: np.ndarray) -> float:
         return float(np.dot(np.conj(f), self.matrix @ f).real)
@@ -129,6 +136,11 @@ class FormMatrix:
         """staggered_taps of D^d M^a for every d + a <= m, computed once per form."""
         return {(d, a): staggered_taps(self.grid.h, d, a)
                 for d in range(self.m + 1) for a in range(self.m + 1 - d)}
+
+    @property
+    def frozen(self) -> bool:
+        """True when the matrix is read-only."""
+        return is_frozen(self.matrix)
 
     @property
     def operator(self) -> np.ndarray:
@@ -155,7 +167,7 @@ def assemble_form(spec: OperatorSpec, grid: Grid1D) -> FormMatrix:
     scale = np.linalg.norm(Q)
     if scale > 0 and np.linalg.norm(Q - Q.T) > 1e-12 * scale:
         raise ContractError("assembled form is not symmetric to round-off")
-    Q = 0.5 * (Q + Q.T)
+    Q = freeze(0.5 * (Q + Q.T))
     return FormMatrix(matrix=Q, grid=grid, m=spec.m, spec=spec)
 
 

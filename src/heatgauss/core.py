@@ -1,4 +1,4 @@
-"""Domain, grid, decay schedules, the held-out rule and the spectral-gap reference function."""
+"""Domain, grid, read-only array helpers, decay schedules, the held-out rule and the spectral-gap reference function."""
 
 from __future__ import annotations
 
@@ -49,6 +49,21 @@ class Grid1D:
         """Index of the grid node nearest to x."""
         i = int(round(x / self.h)) - 1
         return min(max(i, 0), self.n_interior - 1)
+
+
+def freeze(a: np.ndarray) -> np.ndarray:
+    """Mark a read-only in place and return it."""
+    a.flags.writeable = False
+    return a
+
+
+def is_frozen(a: np.ndarray) -> bool:
+    """True when numpy writes neither to a nor to any array it is a view of."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return True
 
 
 def boundary_distance(grid: Grid1D, x: float) -> float:

@@ -9,6 +9,14 @@ cosh(c) D + (2 sinh(c)/h) M and conjugating one averaging factor gives
 cosh(c) M + (h sinh(c)/2) D, where c = lambda * a * h / 2 and M is the
 adjacent-value average. This makes the Leibniz route to per(lambda) an exact
 second evaluation path rather than an O(h) approximation.
+
+per_lambda reads a PerLambdaTable built once per (form, twist) and kept on a
+read-only form: the direct path sums the m band diagonals of the form matrix
+with weights 4 sinh^2(lambda a b h / 2), so it never subtracts Q(f) from
+Q_{lambda psi}(f), and the Leibniz path contracts one stack of staggered
+images per level with a precomputed matrix, O(n m) per sample. The evolved
+twisted form Q(e^{-H_lambda t} f) is summed over modes, sum_k mu_k
+<g, phi_k>_h^2, a sum of non-negative terms, with no n x n propagator.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .assembly import FormMatrix, level_positions
-from .core import Grid1D, holdout_within
+from .core import Grid1D, freeze, holdout_within, is_frozen
 from .errors import (
     ConditioningError,
     ConsistencyError,
@@ -28,7 +36,7 @@ from .errors import (
     PropertyViolation,
     SearchBoundError,
 )
-from .spectral import SpectralDecomposition, decay_weights, freeze, is_frozen, kernel_eval, spectral_gap
+from .spectral import SpectralDecomposition, decay_weights, kernel_eval, spectral_gap
 
 TWIST_CAP = 40.0  # |lambda| * L cap keeping diag(exp(lambda psi)) in double range
 RANGE_CHUNK = 64  # samples per matmul in numerical_range_values
@@ -139,51 +147,124 @@ def _twisted_factor_terms(i: int, level: int, lam: float, a: float, h: float) ->
     return terms
 
 
+def _log_top_factor(i: int, level: int, c: float) -> float:
+    """log of the D^i M^{level-i} coefficient of _twisted_factor_terms(i, level, ...).
+
+    The coefficient is cosh^level(c) * sum_k C(i,k) C(level-i,k) tanh^{2k}(c),
+    even in c; with cosh(c) = 1 + 2 sinh^2(c/2) both logs are free of cancellation.
+    """
+    th2 = math.tanh(c) ** 2
+    rest = sum(math.comb(i, k) * math.comb(level - i, k) * th2**k for k in range(1, min(i, level - i) + 1))
+    return level * math.log1p(2.0 * math.sinh(c / 2.0) ** 2) + math.log1p(rest)
+
+
+def _leibniz_matrix(i: int, j: int, level: int, lam: float, a: float, h: float) -> np.ndarray:
+    """Coefficients C[dl, dr] of <D^dl M^(level-dl) f, a D^dr M^(level-dr) f> in Q_{lam psi} - Q.
+
+    Entry (i, j) is the twisted top coefficient less the untwisted term of
+    Q(f), evaluated as expm1 of a log so that it keeps its digits as lambda h
+    -> 0. Only the symmetric part of C contributes, so C is returned
+    symmetrized: the odd-in-lambda pairs then cancel exactly.
+    """
+    left = _twisted_factor_terms(i, level, -lam, a, h)
+    right = _twisted_factor_terms(j, level, lam, a, h)
+    C = np.outer([left.get((d, level - d), 0.0) for d in range(level + 1)],
+                 [right.get((d, level - d), 0.0) for d in range(level + 1)])
+    c = lam * a * h / 2.0
+    C[i, j] = math.expm1(_log_top_factor(i, level, c) + _log_top_factor(j, level, c))
+    return 0.5 * (C + C.T)
+
+
+@dataclass(frozen=True)
+class PerLambdaTable:
+    """What per_lambda needs of one (form, twist), all of it O(n m).
+
+    Both paths read a sample f zero-padded by m on each side, fp, through
+    index tables. Direct path: E^{-1} Q E - Q has entries Q_kl expm1(lambda a
+    (l - k) h), and pairing (k, l) with (l, k) gives f^T (E^{-1} Q E - Q) f =
+    sum_b w_b f[:-b] . (Q_b f[b:]) with w_b = 4 sinh^2(lambda a b h / 2), free
+    of the cancellation of f^T (E^{-1} Q E) f - f^T Q f. bands[0, b] is w_b
+    Q_b and bands[1, b] is Q_b (2 Q_b for b > 0), the upper diagonals
+    zero-padded to n, so that with fp[band_index][b, i] = f[i + b] they give
+    per(lambda) and Q(f). Leibniz path: fp[window_index][j, k] = f[k - j], so
+    taps @ windows is the stack of images D^d M^{level-d} f, d = 0..level (one
+    convolution each); per level, terms holds each coefficient's staggered
+    samples and Leibniz matrix.
+    """
+
+    bands: np.ndarray
+    band_index: np.ndarray
+    window_index: np.ndarray
+    levels: tuple[tuple[int, np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]], ...]
+
+
+def per_lambda_table(form: FormMatrix, tw: TwistSpec) -> PerLambdaTable:
+    """Build the PerLambdaTable of (form, tw); per_lambda keeps it on a frozen form."""
+    grid, h, m = form.grid, form.grid.h, form.m
+    n = grid.n_interior
+    b = np.arange(m + 1)
+    bands = np.zeros((m + 1, n))
+    for k in b:
+        q_k = np.diagonal(form.matrix, k)
+        bands[k, : len(q_k)] = q_k
+    terms: dict[int, list] = {}
+    for (i, j) in sorted(form.spec.coefficients):
+        level = max(i, j)
+        samples = form.spec.sample(i, j, level_positions(grid, level))
+        leibniz = _leibniz_matrix(i, j, level, tw.lam, tw.a, h)
+        terms.setdefault(level, []).append((freeze(samples), freeze(leibniz)))
+    levels = tuple(
+        (level, freeze(np.array([form.taps[(d, level - d)] for d in range(level + 1)])), tuple(terms[level]))
+        for level in sorted(terms)
+    )
+    weights = np.array([4.0 * np.sinh(tw.lam * tw.a * b * h / 2.0) ** 2, np.minimum(b, 1) + 1.0])
+    return PerLambdaTable(
+        bands=freeze(weights[:, :, np.newaxis] * bands),
+        band_index=freeze(m + np.add.outer(b, np.arange(n))),
+        window_index=freeze(m - np.subtract.outer(b, np.arange(n + m))),
+        levels=levels,
+    )
+
+
 def per_lambda(form: FormMatrix, tw: TwistSpec, f: np.ndarray, rel_tol: float = 1e-8) -> float:
     """Twisted-form perturbation per(lambda) = Q_{lambda psi}(f) - Q(f).
 
-    Evaluated two ways: directly through the matrix conjugation, and by the
-    exact discrete Leibniz expansion keeping only terms that differ from the
-    untwisted top contribution. Disagreement beyond rel_tol raises.
+    Evaluated two ways from the form's PerLambdaTable for tw: directly over
+    the band diagonals of the form matrix, and by the exact discrete Leibniz
+    expansion keeping only terms that differ from the untwisted top
+    contribution. Disagreement beyond rel_tol raises. A frozen form keeps
+    its table per twist in form.twist_tables, so the table is built once per
+    (form, tw) and each call costs O(n m).
     """
-    if not np.any(f):
+    if not np.count_nonzero(f):
         raise DomainError("per_lambda requires a nonzero sample function")
     if form.spec is None:
         raise DomainError("per_lambda needs the coefficient table; assemble via assemble_form")
-    grid, h = form.grid, form.grid.h
-    e = tw.weights()
-    # direct path: f^T (E^{-1} Q E - Q) f
-    qef = form.matrix @ (e * f)
-    twisted_q = float(np.dot(f / e, qef))
-    plain_q = float(np.dot(f, form.matrix @ f))
-    direct = twisted_q - plain_q
+    if tw.grid != form.grid:
+        raise DomainError(f"twist grid {tw.grid} differs from the form grid {form.grid}")
+    tables = form.twist_tables if form.frozen else {}
+    table = tables.get(tw)
+    if table is None:
+        table = tables[tw] = per_lambda_table(form, tw)
+    n, m = len(f), form.m
+    fp = np.zeros(n + 2 * m)
+    fp[m : m + n] = f
 
-    # Leibniz path, term by term over the coefficient table; each staggered image
-    # D^d M^m f (d + m a level of the table) is one convolution with the form's taps
-    levels = {max(ij) for ij in form.spec.coefficients}
-    images = {dm: np.convolve(f, taps) for dm, taps in form.taps.items() if sum(dm) in levels}
+    # direct path: the band sums f[:-b] . (Q_b f[b:]), weighted for the twist
+    direct, plain_q = map(float, np.sum(table.bands * fp[table.band_index], axis=1) @ f)
 
+    # Leibniz path: h sum(U a (C U)) over the image stack U of each level
+    windows = fp[table.window_index]
     leib = 0.0
-    for (i, j) in sorted(form.spec.coefficients):
-        level = max(i, j)
-        a_samples = form.spec.sample(i, j, level_positions(grid, level))
-        left = _twisted_factor_terms(i, level, -tw.lam, tw.a, h)
-        right = _twisted_factor_terms(j, level, tw.lam, tw.a, h)
-        top_left, top_right = (i, level - i), (j, level - j)
-        for (dl, ml), cl in left.items():
-            u1 = images[(dl, ml)]
-            for (dr, mr), cr in right.items():
-                coeff = cl * cr
-                if (dl, ml) == top_left and (dr, mr) == top_right:
-                    coeff -= 1.0  # the untwisted term belongs to Q(f)
-                if coeff == 0.0:
-                    continue
-                u2 = images[(dr, mr)]
-                leib += h * coeff * float(np.dot(u1, a_samples * u2))
+    for level, taps, terms in table.levels:
+        U = taps @ windows[: level + 1, : n + level]
+        for a_samples, C in terms:
+            leib += float(np.vdot(U, a_samples * (C @ U)))
+    leib *= form.grid.h
 
     # when per(lambda) cancels to round-off, the achievable agreement is set
     # by the cancellation noise of the terms being subtracted, not by per itself
-    noise_floor = len(f) * np.finfo(float).eps * (abs(twisted_q) + abs(plain_q))
+    noise_floor = n * np.finfo(float).eps * (abs(plain_q + direct) + abs(plain_q))
     tolerance = max(rel_tol * max(abs(direct), abs(leib)), noise_floor)
     if abs(direct - leib) > tolerance:
         raise ConsistencyError(
@@ -406,9 +487,14 @@ def evolved_twisted_form_check(
     semigroup-norm fit, matching how the evolved-form bound inherits it; a
     joint fit over c2 is degenerate (c1 -> 0 as c2 grows). Fits on the
     training samples and requires zero violations on the held-out samples.
+    Q = form is read through the modes of d, its decomposition: the modal
+    coefficients of every e^{-H_lam t} f come from two products formed once
+    per call, so no n x n propagator is built.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0,1), got {alpha}")
+    if form.grid != d.grid:
+        raise DomainError(f"form grid {form.grid} differs from the decomposition grid {d.grid}")
     top = TwistedOperator(base=d, twist=tw)
     s, unit = top.gap, top.unit
     h = d.grid.h
@@ -418,15 +504,16 @@ def evolved_twisted_form_check(
 
     train, held = np.atleast_2d(f_train), np.atleast_2d(f_holdout)
     fs = np.vstack([train, held])
-    # Q(e^{-H_lam t} f) with one propagator per t, applied one sample at a
-    # time: at large m rounding in g dominates Q(g), and a matmul would round
-    # differently from the matvec
+    # Q(g) for g = e^{-H_lam t} f = E^{-1} sum_k w_k <E f, phi_k>_h phi_k, in
+    # modes: Q phi_k = h mu_k phi_k gives Q(g) = sum_k mu_k <g, phi_k>_h^2, a
+    # sum of non-negative terms, where g^T (Q g) cancels at large m
+    phi, mu, e = d.eigenvectors, d.eigenvalues, tw.weights()
+    A = h * (fs * e) @ phi  # <E f, phi_k>_h, one row per sample
+    B = h * phi.T @ (phi / e[:, np.newaxis])  # <E^{-1} phi_l, phi_k>_h
     vals = np.empty((len(fs), len(t_arr)))
     for ti, t in enumerate(t_arr):
-        P = top.propagator(t)
-        for fi, f in enumerate(fs):
-            g = P @ f
-            vals[fi, ti] = float(g @ (form.matrix @ g))
+        beta = (A * decay_weights(t * mu)) @ B.T
+        vals[:, ti] = (beta**2) @ mu
     norms2 = h * np.sum(fs**2, axis=1)
     expo = np.clip(c2 * unit * t_arr - 2.0 * s * t_arr, -700.0, 700.0)
     env_unit = np.exp(expo) / (alpha * t_arr)

@@ -38,6 +38,12 @@ def poly3_40():
     return form, SpectralDecomposition.from_form(form)
 
 
+@pytest.fixture(scope="session")
+def poly3_100():
+    form = assemble_form(polyharmonic_spec(3), Grid1D(length=1.0, n_interior=100))
+    return form, SpectralDecomposition.from_form(form)
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(42)

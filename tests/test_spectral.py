@@ -204,6 +204,26 @@ class TestEvolvedFormBound:
         rows = evolved_form_bound_check(d, t_grid[t_grid > 1.0 / s], d.eigenvectors[:, 0])
         assert [r["ratio"] for r in rows] == pytest.approx([1.0] * len(rows), rel=1e-12)
 
+    def test_capped_weights_compared_in_log_space(self):
+        # past 2 t mu_1 = 700 every decay weight is capped to exactly 0 while
+        # g~(t) ||f||^2 is still positive (it underflows near 745): Q(e^{-Ht} f)
+        # must not read 0 there. For f = phi_1 the bound is an equality
+        form = assemble_form(polyharmonic_spec(1), Grid1D(length=math.pi, n_interior=40))
+        d = SpectralDecomposition.from_form(form)
+        mu1 = d.eigenvalues[0]
+        t_grid = np.array([690.0, 710.0, 740.0, 750.0]) / (2.0 * mu1)
+        rows = evolved_form_bound_check(d, t_grid, d.eigenvectors[:, 0])
+        assert [r["ratio"] for r in rows] == pytest.approx([1.0] * 4, rel=1e-12)
+
+    def test_t_grid_at_once_matches_one_t_at_a_time(self, beam200):
+        _, d = beam200
+        t_grid = np.geomspace(0.01, 5.0, 25)
+        f = sample_functions(d, np.random.default_rng(3), 3)
+        rows = evolved_form_bound_check(d, t_grid, f)
+        single = [r for fi, g in enumerate(f) for t in t_grid
+                  for r in evolved_form_bound_check(d, np.array([t]), g[np.newaxis])]
+        assert [r["ratio"] for r in rows] == [r["ratio"] for r in single]  # bitwise
+
     def test_nonpositive_gap_rejected(self, laplace200):
         _, d = laplace200
         bad = SpectralDecomposition(

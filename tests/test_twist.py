@@ -26,6 +26,8 @@ from heatgauss import (
     twisted_semigroup_norm_fit,
 )
 from heatgauss import twist as twist_mod
+from heatgauss.assembly import FormMatrix
+from heatgauss.cli import sample_functions
 from heatgauss.core import Grid1D
 from heatgauss.spectral import decay_weights
 from heatgauss.twist import conjugate, mixed_norm_bound_fit, numerical_range_values
@@ -118,6 +120,73 @@ class TestLeibniz:
         tw = make_twist(g, 2.0, a=-1.0)
         assert math.isfinite(per_lambda(form, tw, f, rel_tol=1e-8))
 
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    def test_polyharmonic_m3_paths_agree(self, poly3_100, lam):
+        # the runners' samples start with the lowest eigenmodes, on which
+        # f (E^{-1} Q E) f - f Q f cancels past the tolerance at m = 3
+        form, d = poly3_100
+        tw = make_twist(d.grid, lam)
+        for f in sample_functions(d, np.random.default_rng(71), 15):
+            assert math.isfinite(per_lambda(form, tw, f, rel_tol=1e-10))
+
+    SPECS = {
+        "m1": OperatorSpec(m=1, coefficients={
+            (1, 1): lambda x: 1.0 + x,
+            (0, 0): constant_coefficient(2.0),
+        }),
+        "m2": OperatorSpec(m=2, coefficients={
+            (2, 2): lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x),
+            (1, 1): lambda x: 2.0 + x,
+            (0, 0): constant_coefficient(1.0),
+        }),
+        # off-diagonal entries: a top factor D M that is not a pure power of cosh
+        "m2-mixed": OperatorSpec(m=2, coefficients={
+            (2, 2): lambda x: 3.0 + x,
+            (1, 2): lambda x: 0.3 * x,
+            (2, 1): lambda x: 0.3 * x,
+            (0, 2): constant_coefficient(0.1),
+            (2, 0): constant_coefficient(0.1),
+            (1, 1): constant_coefficient(2.0),
+            (0, 1): constant_coefficient(0.2),
+            (1, 0): constant_coefficient(0.2),
+            (0, 0): constant_coefficient(1.0),
+        }),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SPECS))
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    def test_matches_dense_conjugation(self, case, lam):
+        form = assemble_form(self.SPECS[case], Grid1D(length=1.0, n_interior=20))
+        f = np.random.default_rng(5).standard_normal(20)
+        tw = make_twist(form.grid, lam, a=-1.0 if lam > 1.0 else 1.0)
+        e = tw.weights()
+        Q = form.matrix
+        want = f @ ((Q * e) / e[:, np.newaxis]) @ f - f @ Q @ f
+        assert per_lambda(form, tw, f) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_top_factor(self, level):
+        # log of the top coefficient against the expanded product at moderate c
+        h, lam = 0.01, 30.0
+        c = lam * h / 2.0
+        for i in range(level + 1):
+            top = twist_mod._twisted_factor_terms(i, level, lam, 1.0, h)[(i, level - i)]
+            assert math.exp(twist_mod._log_top_factor(i, level, c)) == pytest.approx(top, rel=1e-14)
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_top_entry_keeps_its_digits_as_lambda_h_vanishes(self, level):
+        # top_l top_r - 1 = c^2 (level + i (level - i) + j (level - j)) + O(c^4);
+        # the product formed first and then less 1 keeps no digit at c = 1e-6
+        h, lam = 1e-3, 2e-3
+        c = lam * h / 2.0
+        log_top = [twist_mod._log_top_factor(i, level, c) for i in range(level + 1)]
+        for i in range(level + 1):
+            for j in range(level + 1):
+                want = c**2 * (level + i * (level - i) + j * (level - j))
+                assert math.expm1(log_top[i] + log_top[j]) == pytest.approx(want, rel=1e-10)
+            # a diagonal coefficient a_ii keeps the top entry through the symmetrization
+            assert twist_mod._leibniz_matrix(i, i, level, lam, 1.0, h)[i, i] == math.expm1(2.0 * log_top[i])
+
     def test_small_lambda_quadratic_scaling(self, laplace200):
         # for m = 1, per(lam) ~ -lam^2 ||f||^2 in the continuum limit
         form, d = laplace200
@@ -208,6 +277,17 @@ class TestSemigroupFits:
         want = 0.5 * t * np.max(shifted * np.exp(-t * shifted))
         got = mixed_norm_bound_fit(d, make_twist(d.grid, 0.0), [t], 0.5, 1.0, 0.0)["c2"]
         assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("case", ["laplace200", "beam200", "poly3_100"])
+    def test_evolved_form_at_zero_twist_is_closed_form(self, case, request):
+        # at lambda = 0 and f = phi_1 the ratio Q(e^{-Ht} f) alpha t e^{2st} / ||f||^2
+        # is alpha mu_1 t, largest at t_max = 5/s; Q(g) read as g^T (Q g)
+        # cancels at m = 3
+        form, d = request.getfixturevalue(case)
+        ts = np.geomspace(0.05, 5.0, 6) / d.gap
+        phi1 = d.eigenvectors[:, :1].T
+        out = evolved_twisted_form_check(d, form, make_twist(d.grid, 0.0), 0.5, ts, phi1, phi1)
+        assert out["c1"] == pytest.approx(2.5, rel=1e-12)
 
     def test_evolved_twisted_form(self, laplace200, rng):
         form, d = laplace200
@@ -390,6 +470,25 @@ class TestPerTwistMemo:
             assert results == fresh
         assert len(calls) == 2 + 2 * len(zs)
         assert set(cold.twisted_spectra) == {make_twist(d.grid, 0.5), make_twist(d.grid, 1.0)}
+
+    def test_per_lambda_builds_one_table_per_twist(self, laplace200, monkeypatch):
+        form, d = laplace200
+        assert form.frozen
+        with pytest.raises(ValueError):
+            form.matrix[0, 0] = 1.0
+        cold = dataclasses.replace(form)  # same read-only matrix, nothing stored yet
+        fs = np.random.default_rng(6).standard_normal((4, d.grid.n_interior))
+        calls = self.counting(monkeypatch, twist_mod, "per_lambda_table")
+        first = [per_lambda(cold, make_twist(d.grid, 1.0), f) for f in fs]
+        # an equal twist built apart finds the same table
+        again = [per_lambda(cold, make_twist(d.grid, 1.0), f) for f in fs]
+        assert len(calls) == 1 and again == first
+        assert set(cold.twist_tables) == {make_twist(d.grid, 1.0)}
+        calls.clear()
+        loose = FormMatrix(matrix=form.matrix.copy(), grid=form.grid, m=form.m, spec=form.spec)
+        assert not loose.frozen
+        assert [per_lambda(loose, make_twist(d.grid, 1.0), f) for f in fs] == first
+        assert len(calls) == len(fs) and loose.twist_tables == {}
 
     def test_appendix_b_recomputes_for_writable_arrays(self, laplace200, monkeypatch):
         _, d = laplace200
