@@ -63,6 +63,7 @@ from .profiles import Profile, get_profile
 from .spectral import (
     HeatKernelEvaluator,
     SpectralDecomposition,
+    dirichlet_laplacian,
     evolved_form_bound_check,
     jacobi_eigh,
     kernel_eval,

@@ -174,21 +174,24 @@ def assemble_form(spec: OperatorSpec, grid: Grid1D) -> FormMatrix:
 def measure_ellipticity(form: FormMatrix, grid: Grid1D, m: int) -> float:
     """Extremes of the pencil Q_h f = lambda P_h f against the polyharmonic form.
 
-    Returns c = max(lambda_max, 1/lambda_min) >= 1 certifying the two-sided
-    sandwich; rejects the operator when an extreme is non-positive.
+    With Cholesky factors P_h = L_P L_P^T and Q_h = L_Q L_Q^T the pencil
+    extremes are the squared extreme singular values of L_P^{-1} L_Q, so no
+    eigensolver runs. Returns c = max(lambda_max, 1/lambda_min) >= 1
+    certifying the two-sided sandwich; rejects the operator when either form
+    is not positive definite.
     """
-    from .spectral import jacobi_eigh  # local import to avoid a cycle
-
     P = assemble_form(polyharmonic_spec(m), grid)
-    wp, vp = jacobi_eigh(P.matrix)
-    if wp[0] <= 0:
-        raise EllipticityError("polyharmonic reference form is not positive definite")
-    P_inv_half = (vp / np.sqrt(wp)) @ vp.T
-    C = P_inv_half @ form.matrix @ P_inv_half
-    C = 0.5 * (C + C.T)
-    wc, _ = jacobi_eigh(C)
-    lo, hi = float(wc[0]), float(wc[-1])
-    if lo <= 0 or hi <= 0:
+    try:
+        L_P = np.linalg.cholesky(P.matrix)
+    except np.linalg.LinAlgError:
+        raise EllipticityError("polyharmonic reference form is not positive definite") from None
+    try:
+        L_Q = np.linalg.cholesky(form.matrix)
+    except np.linalg.LinAlgError:
+        raise EllipticityError("form is not positive definite: a pencil extreme is non-positive") from None
+    sigma = np.linalg.svd(np.linalg.solve(L_P, L_Q), compute_uv=False)  # descending
+    lo, hi = float(sigma[-1]) ** 2, float(sigma[0]) ** 2
+    if lo <= 0:
         raise EllipticityError(f"pencil extremes non-positive: [{lo}, {hi}]")
     return max(hi, 1.0 / lo, 1.0)
 

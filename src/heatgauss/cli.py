@@ -41,6 +41,7 @@ from .reporting import (
 from .spectral import (
     HeatKernelEvaluator,
     SpectralDecomposition,
+    dirichlet_laplacian,
     evolved_form_bound_check,
 )
 
@@ -220,8 +221,7 @@ def run_verify_twist(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
 
 def run_verify_inequalities(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
     form, d_form, _ = _decompose(cfg)
-    lap = assemble_form(polyharmonic_spec(1), Grid1D(length=cfg.length, n_interior=cfg.n))
-    d_lap = SpectralDecomposition.from_form(lap)
+    d_lap = dirichlet_laplacian(form.grid)
     f_train, f_holdout = _train_holdout(d_form, cfg.seed, cfg.sample_count)
     rows = []
 

@@ -1,4 +1,5 @@
-"""Symmetric eigendecomposition (cyclic Jacobi), heat kernel and semigroup action."""
+"""Symmetric eigendecomposition (cyclic Jacobi; the Dirichlet Laplacian in closed
+form), heat kernel and semigroup action."""
 
 from __future__ import annotations
 
@@ -128,6 +129,22 @@ class SpectralDecomposition:
     def propagator(self, t: float) -> np.ndarray:
         """Matrix of exp(-H t) with underflowing modes dropped."""
         return self.operator_matrix(decay_weights(t * self.eigenvalues))
+
+
+def dirichlet_laplacian(grid: Grid1D) -> SpectralDecomposition:
+    """Read-only decomposition of the difference Laplacian H = D^T D from its sine modes.
+
+    mu_k = (2/h sin(k pi / (2(n+1))))^2 and phi_k(x_j) = sqrt(2/L) sin(j k pi / (n+1)),
+    k, j = 1..n; the ground mode is positive. H is the operator of
+    assemble_form(polyharmonic_spec(1), grid), so this replaces its eigensolve.
+    """
+    n = grid.n_interior
+    k = np.arange(1, n + 1)
+    mu = (2.0 / grid.h * np.sin(k * math.pi / (2 * (n + 1)))) ** 2
+    # j k reduced mod 2(n+1) keeps the sine argument in [0, 2 pi)
+    jk = np.outer(k, k) % (2 * (n + 1))
+    phi = math.sqrt(2.0 / grid.length) * np.sin(jk * (math.pi / (n + 1)))
+    return SpectralDecomposition(eigenvalues=freeze(mu), eigenvectors=freeze(phi), grid=grid, m=1)
 
 
 def spectral_gap(d: SpectralDecomposition) -> float:

@@ -23,6 +23,11 @@ def laplace400():
 
 
 @pytest.fixture(scope="session")
+def beam100():
+    return _decomp("beam-1", 100)
+
+
+@pytest.fixture(scope="session")
 def beam200():
     return _decomp("beam-1", 200)
 

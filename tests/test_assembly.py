@@ -6,6 +6,7 @@ import pytest
 from heatgauss import (
     ConfigurationError,
     DomainError,
+    EllipticityError,
     OperatorSpec,
     SpectralDecomposition,
     UnsupportedError,
@@ -15,7 +16,7 @@ from heatgauss import (
     measure_ellipticity,
     polyharmonic_spec,
 )
-from heatgauss.assembly import level_positions, staggered_operator
+from heatgauss.assembly import FormMatrix, level_positions, staggered_operator
 from heatgauss.core import Grid1D
 
 
@@ -177,7 +178,17 @@ class TestAssembly:
             OperatorSpec(m=1, coefficients={(2, 2): constant_coefficient(1.0)})
 
 
+def pencil_oracle(form, grid, m):
+    """max(hi, 1/lo, 1) over eigvalsh(L_P^{-1} Q L_P^{-T}), P = L_P L_P^T the polyharmonic form."""
+    L = np.linalg.cholesky(assemble_form(polyharmonic_spec(m), grid).matrix)
+    C = np.linalg.solve(L, np.linalg.solve(L, form.matrix).T)
+    w = np.linalg.eigvalsh(0.5 * (C + C.T))
+    return max(w[-1], 1.0 / w[0], 1.0)
+
+
 class TestEllipticity:
+    """measure_ellipticity (Cholesky factors and an SVD); the oracles use a symmetric eigensolve."""
+
     def test_polyharmonic_is_one(self):
         g = Grid1D(length=1.0, n_interior=20)
         for m in (1, 2):
@@ -195,6 +206,51 @@ class TestEllipticity:
         spec = OperatorSpec(m=1, coefficients={(1, 1): lambda x: 1.0 + x})
         c = measure_ellipticity(assemble_form(spec, g), g, 1)
         assert 1.0 < c <= 2.0 + 1e-9
+
+    def test_general_table_matches_oracle(self):
+        # non-diagonal m = 2 table: a_12 = a_21 != 0 with |a_12|^2 < a_11 a_22
+        spec = OperatorSpec(m=2, coefficients={
+            (0, 0): lambda x: 0.3 + 0.2 * np.sin(5.0 * x),
+            (1, 1): lambda x: 0.4 + 0.3 * x,
+            (2, 2): lambda x: 1.0 + 0.5 * x**2,
+            (1, 2): lambda x: 0.05 * np.cos(3.0 * x),
+            (2, 1): lambda x: 0.05 * np.cos(3.0 * x),
+        })
+        g = Grid1D(length=1.0, n_interior=40)
+        form = assemble_form(spec, g)
+        want = pencil_oracle(form, g, 2)
+        assert want > 1.2
+        assert measure_ellipticity(form, g, 2) == pytest.approx(want, rel=1e-10)
+
+    def test_variable_coefficient_matches_oracle(self):
+        spec = OperatorSpec(m=1, coefficients={
+            (0, 0): constant_coefficient(2.0),
+            (1, 1): lambda x: 1.0 + x + 0.5 * np.sin(7.0 * x),
+        })
+        g = Grid1D(length=1.0, n_interior=60)
+        form = assemble_form(spec, g)
+        assert measure_ellipticity(form, g, 1) == pytest.approx(pencil_oracle(form, g, 1), rel=1e-10)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("kappa", [0.25, 40.0])
+    def test_scaled_reference_reads_kappa(self, m, kappa):
+        g = Grid1D(length=1.0, n_interior=30)
+        P = assemble_form(polyharmonic_spec(m), g)
+        form = FormMatrix(matrix=kappa * P.matrix, grid=g, m=m)
+        assert measure_ellipticity(form, g, m) == pytest.approx(max(kappa, 1.0 / kappa), rel=1e-12)
+
+    def test_polyharmonic_m3_reads_one(self):
+        g = Grid1D(length=1.0, n_interior=80)
+        form = assemble_form(polyharmonic_spec(3), g)
+        assert abs(measure_ellipticity(form, g, 3) - 1.0) <= 1e-12
+
+    def test_indefinite_form_rejected(self):
+        # a_00 = -100 pulls the lowest pencil value below 0 (mu_1 ~ pi^2 at L = 1)
+        spec = OperatorSpec(m=1, coefficients={(1, 1): constant_coefficient(1.0),
+                                               (0, 0): constant_coefficient(-100.0)})
+        g = Grid1D(length=1.0, n_interior=30)
+        with pytest.raises(EllipticityError):
+            measure_ellipticity(assemble_form(spec, g), g, 1)
 
 
 class TestFracPower:

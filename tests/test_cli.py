@@ -195,6 +195,24 @@ class TestCliRuns:
         text = (out / "verify_inequalities.csv").read_text()
         assert "false" not in text.split("\n", 1)[1]
 
+    def test_verify_inequalities_runs_one_eigensolve(self, tmp_path, monkeypatch):
+        # the Laplacian has closed-form modes and the ellipticity comes from
+        # Cholesky factors: only the configured operator is decomposed
+        from heatgauss import spectral
+
+        calls = []
+        solve = spectral.jacobi_eigh
+
+        def counted(M):
+            calls.append(M.shape)
+            return solve(M)
+
+        monkeypatch.setattr(spectral, "jacobi_eigh", counted)
+        cfg = tmp_path / "poly3.cfg"
+        cfg.write_text(POLY3_CFG, encoding="utf-8")
+        main(["verify-inequalities", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert calls == [(40, 40)]
+
     def test_verify_twist_passes(self, laplace_cfg, tmp_path):
         out = tmp_path / "out"
         code = main(["verify-twist", "--config", laplace_cfg, "--out", str(out)])

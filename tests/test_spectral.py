@@ -12,6 +12,7 @@ from heatgauss import (
     ResolutionWarning,
     SpectralDecomposition,
     assemble_form,
+    dirichlet_laplacian,
     evolved_form_bound_check,
     jacobi_eigh,
     kernel_eval,
@@ -22,6 +23,30 @@ from heatgauss import (
 from heatgauss.cli import sample_functions
 from heatgauss.core import Grid1D
 from heatgauss.spectral import EXP_UNDERFLOW_CAP, decay_weights, grid_derivative
+
+
+class TestDirichletLaplacian:
+    """Closed-form sine modes against np.linalg.eigh of the assembled Laplacian."""
+
+    @pytest.mark.parametrize("length", [1.0, math.pi])
+    @pytest.mark.parametrize("n", [3, 40, 120])
+    def test_matches_eigh(self, n, length):
+        g = Grid1D(length=length, n_interior=n)
+        w, v = np.linalg.eigh(assemble_form(polyharmonic_spec(1), g).operator)
+        d = dirichlet_laplacian(g)
+        assert np.max(np.abs(d.eigenvalues - w) / w) <= 1e-12
+        want = v / math.sqrt(g.h)
+        sign = np.sign(np.sum(want * d.eigenvectors, axis=0))
+        assert np.max(np.abs(want * sign - d.eigenvectors)) <= 1e-10
+        assert np.max(np.abs(g.h * d.eigenvectors.T @ d.eigenvectors - np.eye(n))) <= 1e-12
+        assert np.all(d.eigenvectors[:, 0] > 0)
+        assert (d.grid, d.m) == (g, 1)
+
+    def test_read_only(self):
+        d = dirichlet_laplacian(Grid1D(length=1.0, n_interior=10))
+        assert d.frozen
+        with pytest.raises(ValueError):
+            d.eigenvalues[0] = 0.0
 
 
 class TestJacobi:

@@ -93,6 +93,13 @@ class TestSimilarity:
         with pytest.raises(ConditioningError):
             appendix_b_identities(d, tw, complex(d.eigenvalues[0], 0.0))
 
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    def test_appendix_b_guard_is_relative_to_z(self, beam100, lam):
+        # z = -1+1j lies 482 from the beam-1 spectrum at n = 100; a guard of
+        # 1e-6 mu_n (1,664) rejected it although both identities hold to 5e-11
+        _, d = beam100
+        assert appendix_b_identities(d, make_twist(d.grid, lam), complex(-1.0, 1.0))["ok"]
+
 
 class TestLeibniz:
     def test_dual_path_constant_coefficients(self, laplace200):
@@ -288,6 +295,17 @@ class TestSemigroupFits:
         phi1 = d.eigenvectors[:, :1].T
         out = evolved_twisted_form_check(d, form, make_twist(d.grid, 0.0), 0.5, ts, phi1, phi1)
         assert out["c1"] == pytest.approx(2.5, rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["beam200", "poly3_100"])
+    def test_evolved_form_on_the_default_t_grid(self, case, request):
+        # the runner's default t grid reaches 2 s t far past 700 on beam-1 and
+        # m = 3; with e^{-2st} factored out of both sides f = phi_1 still
+        # reads alpha mu_1 t_max at t_max = 5, not a ratio of flushed zeros
+        form, d = request.getfixturevalue(case)
+        ts = np.geomspace(0.01, 5.0, 25)
+        phi1 = d.eigenvectors[:, :1].T
+        out = evolved_twisted_form_check(d, form, make_twist(d.grid, 0.0), 0.5, ts, phi1, phi1)
+        assert out["c1"] == pytest.approx(0.5 * d.gap * 5.0, rel=1e-12)
 
     def test_evolved_twisted_form(self, laplace200, rng):
         form, d = laplace200
