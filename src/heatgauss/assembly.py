@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import Grid1D, freeze, is_frozen
+from .core import Grid1D, freeze, read_only
 from .errors import (
     ConfigurationError,
     ContractError,
@@ -116,17 +116,19 @@ def polyharmonic_spec(m: int) -> OperatorSpec:
 class FormMatrix:
     """Assembled symmetric form matrix Q_h with Q(f) = f^T Q_h f.
 
-    assemble_form returns a read-only matrix, so quantities derived from it can
-    be kept on the form (twist_tables).
+    The matrix is read-only by construction (a writable one is copied), so
+    quantities derived from it are kept on the form (twist_tables).
     """
 
     matrix: np.ndarray
     grid: Grid1D
     m: int
     spec: OperatorSpec | None = field(default=None, compare=False)
-    # per(lambda) tables keyed by TwistSpec: O(n m) per twist, filled by
-    # twist.per_lambda only while frozen
+    # per(lambda) tables keyed by TwistSpec: O(n m) per twist, filled by twist.per_lambda
     twist_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", read_only(self.matrix))
 
     def __call__(self, f: np.ndarray) -> float:
         return float(np.dot(np.conj(f), self.matrix @ f).real)
@@ -136,11 +138,6 @@ class FormMatrix:
         """staggered_taps of D^d M^a for every d + a <= m, computed once per form."""
         return {(d, a): staggered_taps(self.grid.h, d, a)
                 for d in range(self.m + 1) for a in range(self.m + 1 - d)}
-
-    @property
-    def frozen(self) -> bool:
-        """True when the matrix is read-only."""
-        return is_frozen(self.matrix)
 
     @property
     def operator(self) -> np.ndarray:

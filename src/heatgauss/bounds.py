@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,6 +13,9 @@ from .spectral import HeatKernelEvaluator, SpectralDecomposition, grid_derivativ
 
 KERNEL_REGRESSION_FLOOR = 1e-300  # values below are excluded from log regressions
 SHORT_TIME_EXCLUSION = 10.0  # multiples of the resolvable floor excluded from fits
+SAMPLE_STRIDE = 4  # node stride of the (x, y) samples in envelope_sup_ratio
+DRIFT_BUDGET = 0.10  # relative rise of c1 allowed on the refined mesh
+BOUNDARY_FRACTION = 0.10  # share of the nodes in boundary_slope's window
 
 
 @dataclass(frozen=True)
@@ -36,12 +39,11 @@ class FitResult:
     constants: dict
     worst_location: tuple | None = None
     drift: float | None = None
-    violations: int = 0
-    flags: list = field(default_factory=list)
+    failure: str | None = None  # why the fit failed; None when it passed
 
     @property
     def passed(self) -> bool:
-        return self.violations == 0
+        return self.failure is None
 
 
 def envelope_eval(env: BoundEnvelope, t: float, x: float, y: float, d_x: float, d_y: float) -> float:
@@ -119,11 +121,10 @@ def envelope_sup_ratio(
     schedule: GammaSchedule,
     c2: float,
     t_grid,
-    stride: int = 4,
 ) -> tuple[float, tuple]:
-    """sup over sampled (t, x, y) of envelope_ratios at c1 = 1; short-time
-    slices within 10x of the resolvable floor are skipped."""
-    idx = _sample_indices(ev.grid.n_interior, stride)
+    """sup over (t, x, y), every SAMPLE_STRIDE-th node, of envelope_ratios at c1 = 1;
+    short-time slices within 10x of the resolvable floor are skipped."""
+    idx = _sample_indices(ev.grid.n_interior, SAMPLE_STRIDE)
     xi = ev.grid.points[idx]
     env = BoundEnvelope(schedule=schedule, s=float(ev.decomposition.eigenvalues[0]), c1=1.0, c2=c2)
     worst, where = 0.0, None
@@ -148,41 +149,38 @@ def fit_envelope_constants(
     schedule: GammaSchedule,
     c2_grid,
     t_grid,
-    stride: int = 4,
     refined: HeatKernelEvaluator | None = None,
-    drift_budget: float = 0.10,
 ) -> FitResult:
     """Select (c1, c2) over a c2 grid, minimizing c1 * c2^{-(2m-1)N/(2m)}.
 
     For each candidate c2 the smallest admissible c1 is the sup ratio against
     the unit-constant envelope. When a refined evaluator is given, the chosen
     pair is re-checked there and the relative drift recorded; the fit passes
-    only if the drift stays within the budget.
+    only if c1 rises there by at most DRIFT_BUDGET.
     """
     m, N = schedule.m, schedule.N
     best = None
     for c2 in np.atleast_1d(c2_grid):
-        c1, where = envelope_sup_ratio(ev, schedule, float(c2), t_grid, stride)
+        c1, where = envelope_sup_ratio(ev, schedule, float(c2), t_grid)
         score = c1 * float(c2) ** (-(2 * m - 1) * N / (2.0 * m))
         if best is None or score < best[0]:
             best = (score, c1, float(c2), where)
     _, c1, c2, where = best
     result = FitResult(constants={"c1": c1, "c2": c2}, worst_location=where)
     if refined is not None:
-        c1_ref, _ = envelope_sup_ratio(refined, schedule, c2, t_grid, stride)
-        drift = abs(c1_ref - c1) / c1
-        result.drift = drift
-        if c1_ref > c1 * (1.0 + drift_budget):
-            result.violations = 1
-            result.flags.append(f"refined sup ratio {c1_ref} outside drift budget of c1={c1}")
+        c1_ref, _ = envelope_sup_ratio(refined, schedule, c2, t_grid)
+        result.drift = abs(c1_ref - c1) / c1
+        if c1_ref > c1 * (1.0 + DRIFT_BUDGET):
+            result.failure = f"refined sup ratio {c1_ref} outside drift budget of c1={c1}"
     return result
 
 
-def boundary_slope(ev: HeatKernelEvaluator, t: float, j: int, fraction: float = 0.10) -> float:
-    """Least-squares slope of log|k(t, x, y_j)| against log d_x near the left boundary."""
+def boundary_slope(ev: HeatKernelEvaluator, t: float, j: int) -> float:
+    """Least-squares slope of log|k(t, x, y_j)| against log d_x over the first
+    BOUNDARY_FRACTION of the nodes (at least 3)."""
     grid = ev.grid
     n = grid.n_interior
-    count = max(int(n * fraction), 3)
+    count = max(int(n * BOUNDARY_FRACTION), 3)
     K = ev.matrix(t)
     vals = np.abs(K[:count, j])
     d = grid.points[:count]
@@ -223,7 +221,11 @@ def sobolev_pointwise_check(
 
     n and kappa are the integer and fractional parts of gamma. Trains and
     validates on disjoint sample sets; a held-out violation fails the fit.
+    Raises ConfigurationError when x_indices is empty: no C is measured there.
     """
+    x_indices = [int(i) for i in x_indices]
+    if not x_indices:
+        raise ConfigurationError("no evaluation nodes for the pointwise Sobolev check")
     eps, kappa, order = schedule.eps, schedule.kappa, schedule.n
     grid = d.grid
     h = grid.h
@@ -237,16 +239,15 @@ def sobolev_pointwise_check(
                 continue
             rhs_f = (1.0 / math.sqrt(eps)) * q_f ** ((1.0 - eps) / 2.0) * norm**eps
             for i in x_indices:
-                lhs = abs(grid_derivative(grid, f, order, int(i)))
-                d_x = boundary_distance(grid, float(grid.points[int(i)]))
+                lhs = abs(grid_derivative(grid, f, order, i))
+                d_x = boundary_distance(grid, float(grid.points[i]))
                 rhs = rhs_f * d_x**kappa
                 r = lhs / rhs
                 if r > worst:
-                    worst, where = r, (fi, int(i))
+                    worst, where = r, (fi, i)
         return worst, where
 
     c_fit, where = sup_ratio(f_train)
     held, held_where = sup_ratio(f_holdout)
-    violations = 0 if holdout_within(held, c_fit) else 1
-    flags = [] if not violations else [f"held-out ratio {held} at {held_where} exceeds C={c_fit}"]
-    return FitResult(constants={"C": c_fit}, worst_location=where, violations=violations, flags=flags)
+    failure = None if holdout_within(held, c_fit) else f"held-out ratio {held} at {held_where} exceeds C={c_fit}"
+    return FitResult(constants={"C": c_fit}, worst_location=where, failure=failure)

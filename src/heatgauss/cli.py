@@ -26,7 +26,7 @@ from .assembly import (
 )
 from .config import RunConfig, load_run_config
 from .core import Grid1D
-from .errors import ConfigurationError, HeatGaussError, PropertyViolation
+from .errors import ConfigurationError, HeatGaussError, PropertyViolation, UnsupportedError
 from .profiles import BUILTIN_PROFILES, get_profile
 from .reporting import (
     KERNEL_HEADER,
@@ -65,7 +65,10 @@ def _build_form(cfg: RunConfig, n: int) -> FormMatrix:
         spec = OperatorSpec(m=cfg.m, coefficients=load_coefficients_csv(cfg.source[4:]))
     else:
         raise ConfigurationError(f"unknown coefficient source {cfg.source!r}")
-    return assemble_form(spec, grid)
+    try:
+        return assemble_form(spec, grid)
+    except UnsupportedError as exc:  # a non-Hermitian coefficient table
+        raise ConfigurationError(str(exc)) from None
 
 
 def sample_functions(d: SpectralDecomposition, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -108,6 +111,10 @@ def _fitted_envelope(cfg: RunConfig, ev: HeatKernelEvaluator):
     return fit, env
 
 
+def _fit_row(check: str, params: dict, statistic: float, fit: bounds_mod.FitResult) -> ReportRow:
+    return ReportRow(check, params, statistic, fit.passed, None if fit.passed else {"flags": fit.failure})
+
+
 def run_spectrum(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
     _, d, _ = _decompose(cfg)
     write_csv(
@@ -127,9 +134,7 @@ def run_kernel(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
     ts = [t for t in cfg.t_grid if t >= bounds_mod.SHORT_TIME_EXCLUSION * ev.t_floor]
     rows = kernel_rows(ev, lambda *args: bounds_mod.envelope_eval(env, *args), ts, indices)
     write_csv(os.path.join(out, "kernel.csv"), KERNEL_HEADER, rows)
-    return [ReportRow("kernel-dump", {"n": cfg.n, "gamma": env.schedule.gamma},
-                      fit.constants["c1"], fit.passed,
-                      None if fit.passed else {"flags": ";".join(fit.flags)})]
+    return [_fit_row("kernel-dump", {"n": cfg.n, "gamma": env.schedule.gamma}, fit.constants["c1"], fit)]
 
 
 def run_verify_bounds(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
@@ -146,14 +151,14 @@ def run_verify_bounds(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]
             fit = bounds_mod.fit_envelope_constants(
                 ev, schedule, cfg.c2_grid, cfg.t_grid, refined=refined_ev
             )
-            rows.append(ReportRow("fit-envelope", dict(params, c2=fit.constants["c2"]),
-                                  fit.constants["c1"], fit.passed,
-                                  None if fit.passed else {"flags": ";".join(fit.flags)}))
-            sob = bounds_mod.sobolev_pointwise_check(d, form, schedule, f_train, f_holdout, x_indices)
-            rows.append(ReportRow("sobolev-pointwise", params, sob.constants["C"], sob.passed,
-                                  None if sob.passed else {"flags": ";".join(sob.flags)}))
+            rows.append(_fit_row("fit-envelope", dict(params, c2=fit.constants["c2"]), fit.constants["c1"], fit))
         except (PropertyViolation, ConfigurationError) as exc:
             rows.append(ReportRow("fit-envelope", params, math.nan, False, {"error": str(exc)}))
+        try:
+            sob = bounds_mod.sobolev_pointwise_check(d, form, schedule, f_train, f_holdout, x_indices)
+            rows.append(_fit_row("sobolev-pointwise", params, sob.constants["C"], sob))
+        except ConfigurationError as exc:  # no evaluation node at n <= 4
+            rows.append(ReportRow("sobolev-pointwise", params, math.nan, False, {"error": str(exc)}))
     t_tail = [t for t in cfg.t_grid if t >= 1.0 / d.gap]
     if len(t_tail) >= 2:
         try:
@@ -196,7 +201,7 @@ def run_verify_twist(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
                                   evolved["c1"], True))
             if lam != 0.0:
                 i, j = cfg.n // 3, 2 * cfg.n // 3
-                val = twist_mod.twisted_kernel(ev, tw, t_mid, i, j, cross_check=True)
+                val = twist_mod.twisted_kernel(ev, tw, t_mid, i, j)
                 rows.append(ReportRow("twisted-kernel", dict(params, t=t_mid), val, True))
                 p_worst = 0.0
                 for f in f_train[:6]:
@@ -225,11 +230,9 @@ def run_verify_inequalities(cfg: RunConfig, out: str, refine: bool) -> list[Repo
     f_train, f_holdout = _train_holdout(d_form, cfg.seed, cfg.sample_count)
     rows = []
 
-    def guarded(name, params, fn):
+    def guarded(name, params, statistic):
         try:
-            result = fn()
-            stat = result.get("worst_margin", result.get("c1", result.get("worst_rel_gap", 0.0)))
-            rows.append(ReportRow(name, params, float(stat), True))
+            rows.append(ReportRow(name, params, float(statistic()), True))
         except HeatGaussError as exc:
             witness = getattr(exc, "witness", None) or {"error": str(exc)}
             rows.append(ReportRow(name, params, math.nan, False, witness))
@@ -241,22 +244,22 @@ def run_verify_inequalities(cfg: RunConfig, out: str, refine: bool) -> list[Repo
         "q": ineq.SearchGrid.lin_axis(0.25, 3.0, 7),
         "eps": ineq.SearchGrid.log_axis(1e-2, 10.0, 12),
     }, seed=cfg.seed)
-    guarded("check-basic", {"points": 14 * 14 * 7 * 7 * 12}, lambda: ineq.check_basic(basic_grid))
+    guarded("check-basic", {"points": 14 * 14 * 7 * 7 * 12}, lambda: ineq.check_basic(basic_grid)["worst_margin"])
 
     guarded("check-bond", {"n": cfg.n},
-            lambda: ineq.check_bond(d_lap, [(1, 2), (1, 3), (2, 3)], f_train[:8]))
+            lambda: ineq.check_bond(d_lap, [(1, 2), (1, 3), (2, 3)], f_train[:8])["worst_margin"])
 
     symbol_grid = ineq.SearchGrid(axes={
         "lam": ineq.SearchGrid.log_axis(1e-2, 1e2, 30),
         "eps": ineq.SearchGrid.log_axis(1e-2, 1.0, 20),
     }, seed=cfg.seed)
-    guarded("check-main", {"n": cfg.n}, lambda: ineq.check_main(d_lap, symbol_grid, f_train[:4]))
+    guarded("check-main", {"n": cfg.n}, lambda: ineq.check_main(d_lap, symbol_grid, f_train[:4])["worst_margin"])
 
     eps_grid = ineq.SearchGrid(axes={
         "lam": ineq.SearchGrid.log_axis(1e-2, 1e2, 40),
         "eps": ineq.SearchGrid.log_axis(1e-2, 1.9, 24),
     }, seed=cfg.seed)
-    guarded("check-epsilon", {"n": cfg.n}, lambda: ineq.check_epsilon(d_lap, eps_grid, f_train[:6]))
+    guarded("check-epsilon", {"n": cfg.n}, lambda: ineq.check_epsilon(d_lap, eps_grid, f_train[:6])["worst_margin"])
 
     stephen_grid = ineq.SearchGrid(axes={
         "rho": ineq.SearchGrid.log_axis(1e-2, 1e2, 16),
@@ -264,18 +267,15 @@ def run_verify_inequalities(cfg: RunConfig, out: str, refine: bool) -> list[Repo
         "lam": ineq.SearchGrid.log_axis(1e-2, 1e2, 24),
     }, seed=cfg.seed)
     guarded("check-stephen", {"n": cfg.n, "m": cfg.m},
-            lambda: ineq.check_stephen(form, d_form, stephen_grid, f_train, f_holdout))
+            lambda: ineq.check_stephen(form, d_form, stephen_grid, f_train, f_holdout)["c1"])
 
     s = d_form.gap
     gtilde_grid = ineq.SearchGrid(axes={
         "mu": ineq.SearchGrid.log_axis(s, 1e4 * s, 400),
         "t": ineq.SearchGrid.log_axis(1e-4 / s, 10.0 / s, 400),
     }, seed=cfg.seed)
-    guarded("gtilde-majorant", {"s": s}, lambda: ineq.gtilde_majorant(s, gtilde_grid))
-
-    ell = measure_ellipticity(form, form.grid, cfg.m)
-    rows.append(ReportRow("ellipticity", {"m": cfg.m}, ell, ell >= 1.0,
-                          None if ell >= 1.0 else {"c": ell}))
+    guarded("gtilde-majorant", {"s": s}, lambda: ineq.gtilde_majorant(s, gtilde_grid)["worst_rel_gap"])
+    guarded("ellipticity", {"m": cfg.m}, lambda: measure_ellipticity(form, form.grid, cfg.m))
     write_report_rows(os.path.join(out, "verify_inequalities.csv"), rows)
     return rows
 

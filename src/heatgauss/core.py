@@ -66,6 +66,11 @@ def is_frozen(a: np.ndarray) -> bool:
     return True
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a itself when is_frozen reports it read-only, else a read-only copy of it."""
+    return a if is_frozen(a) else freeze(np.array(a))
+
+
 def boundary_distance(grid: Grid1D, x: float) -> float:
     """Distance from x to the boundary {0, L}."""
     if x < 0 or x > grid.length:

@@ -39,15 +39,15 @@ class SearchGrid:
     def lin_axis(lo: float, hi: float, count: int) -> np.ndarray:
         return np.linspace(lo, hi, count)
 
-    def perturbations(self, worst: dict[str, float], names: list[str], count: int = REFINEMENT_SAMPLES):
-        """Random points near `worst`, clipped to the declared axis ranges."""
+    def perturbations(self, worst: dict[str, float], names: list[str]):
+        """REFINEMENT_SAMPLES random points near `worst`, clipped to the declared axis ranges."""
         out = {}
         for name in names:
             axis = self.axes[name]
             lo, hi = float(np.min(axis)), float(np.max(axis))
             center = worst[name]
             spread = 0.05 * (hi - lo)
-            vals = self.rng.uniform(center - spread, center + spread, size=count)
+            vals = self.rng.uniform(center - spread, center + spread, size=REFINEMENT_SAMPLES)
             out[name] = np.clip(vals, lo, hi)
         return out
 
@@ -97,7 +97,7 @@ def check_basic(grid: SearchGrid) -> dict:
     if tight > 1e-8:
         raise PropertyViolation(f"tightness at the analytic maximizer fails: rel gap {tight}")
     return {"worst_margin": worst, "worst_point": worst_point, "tightness_rel": tight,
-            "n_points": int(n_points), "violations": 0}
+            "n_points": int(n_points)}
 
 
 def _spectral_norm2(d: SpectralDecomposition, c2: np.ndarray, power: float) -> float:
@@ -140,7 +140,7 @@ def check_bond(d: SpectralDecomposition, pairs, f_samples: np.ndarray) -> dict:
         sat = math.sqrt(_spectral_norm2(d, cg, q)) / (c_qp * math.sqrt(_spectral_norm2(d, cg, p)))
         if abs(sat - 1.0) > 1e-8:
             raise PropertyViolation(f"ground-mode saturation off: {sat}")
-    return {"worst_margin": worst, "rows": rows, "violations": 0}
+    return {"worst_margin": worst, "rows": rows}
 
 
 def check_main(d: SpectralDecomposition, grid: SearchGrid, f_samples: np.ndarray) -> dict:
@@ -200,7 +200,7 @@ def check_main(d: SpectralDecomposition, grid: SearchGrid, f_samples: np.ndarray
     )
     if float(np.min(margin)) < -1e-10 * max(muw**p, 1.0):
         raise PropertyViolation("scalar symbol bound violated in refinement cloud", witness=worst_point)
-    return {"worst_margin": worst, "worst_point": worst_point, "n_points": int(n_points), "violations": 0}
+    return {"worst_margin": worst, "worst_point": worst_point, "n_points": int(n_points)}
 
 
 def _product_sides(d: SpectralDecomposition, c2: np.ndarray, p: int, r: int, s_idx: int, lam, eps):
@@ -252,7 +252,7 @@ def check_epsilon(d: SpectralDecomposition, grid: SearchGrid, f_samples: np.ndar
     lhs, rhs = _product_sides(d, modal[worst_point["sample"]], p, r, s_idx, pert["lam"], pert["eps"])
     if float(np.min(rhs - lhs)) < -1e-10 * float(np.max(rhs)):
         raise PropertyViolation("product estimate violated in refinement cloud", witness=worst_point)
-    return {"worst_margin": worst, "worst_point": worst_point, "n_points": int(n_points), "violations": 0}
+    return {"worst_margin": worst, "worst_point": worst_point, "n_points": int(n_points)}
 
 
 def check_stephen(
@@ -303,7 +303,7 @@ def check_stephen(
         raise PropertyViolation(
             f"held-out absorption ratio {held} exceeds fitted c1={c1}", witness=held_where
         )
-    return {"c1": c1, "worst_point": where, "n_points": int(n_points), "violations": 0}
+    return {"c1": c1, "worst_point": where, "n_points": int(n_points)}
 
 
 def gtilde_majorant(s: float, grid: SearchGrid) -> dict:
@@ -330,5 +330,4 @@ def gtilde_majorant(s: float, grid: SearchGrid) -> dict:
     rhs_p = gtilde(g, t_p)
     if float(np.min(rhs_p - lhs_p)) < -1e-12 * float(np.max(rhs_p)):
         raise PropertyViolation("g~ majorant violated in refinement cloud", witness=worst_point)
-    return {"worst_rel_gap": mn, "worst_point": worst_point,
-            "n_points": int(rel_gap.size), "violations": 0}
+    return {"worst_rel_gap": mn, "worst_point": worst_point, "n_points": int(rel_gap.size)}

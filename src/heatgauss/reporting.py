@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 FLOAT_FMT = "%.17g"
+PLOT_WIDTH, PLOT_HEIGHT = 640, 480  # line_plot_svg canvas, px
+RATIO_CELL, RATIO_MARGIN = 6, 40  # ratio_table_svg cell side and border, px
 
 
 @dataclass
@@ -116,14 +118,13 @@ def _scale(vals, lo_px, hi_px):
     return lo_px + (vals - vmin) / (vmax - vmin) * (hi_px - lo_px), vmin, vmax
 
 
-def line_plot_svg(path, series, title: str, xlabel: str, ylabel: str,
-                  width: int = 640, height: int = 480) -> None:
+def line_plot_svg(path, series, title: str, xlabel: str, ylabel: str) -> None:
     """Polyline plot; `series` is a list of (label, x array, y array).
 
     An empty series keeps its legend entry and draws no polyline; when every
     series is empty the axes span [0, 1].
     """
-    margin = 60
+    width, height, margin = PLOT_WIDTH, PLOT_HEIGHT, 60
     parts = _svg_header(width, height)
     all_x = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
     all_y = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
@@ -168,10 +169,10 @@ def line_plot_svg(path, series, title: str, xlabel: str, ylabel: str,
     _write_lines(path, parts)
 
 
-def ratio_table_svg(path, ratios: np.ndarray, title: str,
-                    cell: int = 6, margin: int = 40) -> None:
+def ratio_table_svg(path, ratios: np.ndarray, title: str) -> None:
     """Grayscale heat-table of a ratio matrix scaled by its largest finite entry;
     darker means closer to it, and a non-finite entry is drawn red."""
+    cell, margin = RATIO_CELL, RATIO_MARGIN
     ratios = np.asarray(ratios, dtype=float)
     n_i, n_j = ratios.shape
     width = margin * 2 + n_j * cell

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import FormMatrix
-from .core import Grid1D, GTildeFn, freeze, gtilde, is_frozen, log_gtilde
+from .core import Grid1D, GTildeFn, freeze, gtilde, log_gtilde, read_only
 from .errors import (
     ContractError,
     DomainError,
@@ -21,6 +21,7 @@ from .errors import (
 
 JACOBI_MAX_SWEEPS = 100
 EXP_UNDERFLOW_CAP = 700.0  # exp(-x) underflows to exact zero well before x = 745
+EVOLVED_FORM_SLACK = 1e-10  # relative round-off allowed above 1 in evolved_form_bound_check
 
 
 def _jacobi_sweeps(A: np.ndarray, V: np.ndarray, tol: float, max_sweeps: int) -> int:
@@ -90,8 +91,8 @@ def jacobi_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class SpectralDecomposition:
     """Ascending eigenvalues and h-orthonormal eigenvectors of a form matrix.
 
-    from_form returns read-only arrays, so quantities derived from them can be
-    kept on the decomposition (twisted_spectra).
+    Both arrays are read-only by construction (a writable one is copied), so
+    quantities derived from them are kept on the decomposition (twisted_spectra).
     """
 
     eigenvalues: np.ndarray
@@ -99,19 +100,18 @@ class SpectralDecomposition:
     grid: Grid1D
     m: int
     # sorted real spectra of twisted conjugates E^{-1} H E, keyed by TwistSpec:
-    # O(n) per twist, filled by twist.appendix_b_identities only while frozen
+    # O(n) per twist, filled by twist.appendix_b_identities
     twisted_spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "eigenvalues", read_only(self.eigenvalues))
+        object.__setattr__(self, "eigenvectors", read_only(self.eigenvectors))
 
     @classmethod
     def from_form(cls, form: FormMatrix) -> "SpectralDecomposition":
         w, v = jacobi_eigh(form.operator)
         phi = v / math.sqrt(form.grid.h)
         return cls(eigenvalues=freeze(w), eigenvectors=freeze(phi), grid=form.grid, m=form.m)
-
-    @property
-    def frozen(self) -> bool:
-        """True when the eigenvalue and eigenvector arrays are read-only."""
-        return is_frozen(self.eigenvalues) and is_frozen(self.eigenvectors)
 
     @property
     def gap(self) -> float:
@@ -255,7 +255,6 @@ def evolved_form_bound_check(
     d: SpectralDecomposition,
     t_grid: np.ndarray,
     f_samples: np.ndarray,
-    rel_slack: float = 1e-10,
 ) -> list[dict]:
     """Check Q(e^{-Ht} f) <= g~(t) ||f||^2 for each (t, f); returns report rows.
 
@@ -264,7 +263,7 @@ def evolved_form_bound_check(
     with c_k != 0 is capped past 2 t mu_k = 700 and Q reads exactly 0), log
     sum_k mu_k e^{-2t mu_k} c_k^2 over those modes is compared with log g~(t)
     + log ||f||^2, so no ratio rests on 0/0 or on a flushed 0. Raises
-    PropertyViolation when any ratio exceeds 1 beyond the relative slack.
+    PropertyViolation when any ratio exceeds 1 + EVOLVED_FORM_SLACK.
     """
     s = spectral_gap(d)
     g = GTildeFn(s)
@@ -292,8 +291,8 @@ def evolved_form_bound_check(
                 log_bound = log_gtilde(g, float(t)) + np.logaddexp.reduce(log_c2)
                 with np.errstate(over="ignore"):
                     ratio = float(np.exp(log_q - log_bound))
-            rows.append({"t": float(t), "sample": fi, "ratio": ratio, "ok": ratio <= 1.0 + rel_slack})
-            if ratio > 1.0 + rel_slack:
+            rows.append({"t": float(t), "sample": fi, "ratio": ratio})
+            if ratio > 1.0 + EVOLVED_FORM_SLACK:
                 raise PropertyViolation(
                     f"evolved form bound violated: ratio {ratio} at t={t}",
                     witness={"t": float(t), "sample_index": fi},

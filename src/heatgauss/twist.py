@@ -10,8 +10,8 @@ cosh(c) M + (h sinh(c)/2) D, where c = lambda * a * h / 2 and M is the
 adjacent-value average. This makes the Leibniz route to per(lambda) an exact
 second evaluation path rather than an O(h) approximation.
 
-per_lambda reads a PerLambdaTable built once per (form, twist) and kept on a
-read-only form: the direct path sums the m band diagonals of the form matrix
+per_lambda reads a PerLambdaTable built once per (form, twist) and kept on
+the (read-only) form: the direct path sums the m band diagonals of the form matrix
 with weights 4 sinh^2(lambda a b h / 2), so it never subtracts Q(f) from
 Q_{lambda psi}(f), and the Leibniz path contracts one stack of staggered
 images per level with a precomputed matrix, O(n m) per sample. The evolved
@@ -40,6 +40,11 @@ from .spectral import SpectralDecomposition, decay_weights, kernel_eval, spectra
 
 TWIST_CAP = 40.0  # |lambda| * L cap keeping diag(exp(lambda psi)) in double range
 RANGE_CHUNK = 64  # samples per matmul in numerical_range_values
+SHIFT_START = 1.0  # first upper bracket of sector_shift_search, doubled until it passes
+SHIFT_DOUBLINGS = 40  # doublings of the bracket before sector_shift_search gives up
+SHIFT_BISECTIONS = 20  # bisection steps of sector_shift_search
+APPENDIX_B_RHS = 10  # seeded right-hand sides of the resolvent identity
+APPENDIX_B_SEED = 42
 
 
 @dataclass(frozen=True)
@@ -199,7 +204,7 @@ class PerLambdaTable:
 
 
 def per_lambda_table(form: FormMatrix, tw: TwistSpec) -> PerLambdaTable:
-    """Build the PerLambdaTable of (form, tw); per_lambda keeps it on a frozen form."""
+    """Build the PerLambdaTable of (form, tw); per_lambda keeps it on the form."""
     grid, h, m = form.grid, form.grid.h, form.m
     n = grid.n_interior
     b = np.arange(m + 1)
@@ -232,8 +237,8 @@ def per_lambda(form: FormMatrix, tw: TwistSpec, f: np.ndarray, rel_tol: float = 
     Evaluated two ways from the form's PerLambdaTable for tw: directly over
     the band diagonals of the form matrix, and by the exact discrete Leibniz
     expansion keeping only terms that differ from the untwisted top
-    contribution. Disagreement beyond rel_tol raises. A frozen form keeps
-    its table per twist in form.twist_tables, so the table is built once per
+    contribution. Disagreement beyond rel_tol raises. The form keeps its
+    table per twist in form.twist_tables, so the table is built once per
     (form, tw) and each call costs O(n m).
     """
     if not np.count_nonzero(f):
@@ -242,10 +247,9 @@ def per_lambda(form: FormMatrix, tw: TwistSpec, f: np.ndarray, rel_tol: float = 
         raise DomainError("per_lambda needs the coefficient table; assemble via assemble_form")
     if tw.grid != form.grid:
         raise DomainError(f"twist grid {tw.grid} differs from the form grid {form.grid}")
-    tables = form.twist_tables if form.frozen else {}
-    table = tables.get(tw)
+    table = form.twist_tables.get(tw)
     if table is None:
-        table = tables[tw] = per_lambda_table(form, tw)
+        table = form.twist_tables[tw] = per_lambda_table(form, tw)
     n, m = len(f), form.m
     fp = np.zeros(n + 2 * m)
     fp[m : m + n] = f
@@ -337,9 +341,6 @@ def sector_shift_search(
     top: TwistedOperator,
     p: float,
     samples: np.ndarray,
-    c_hi: float = 1.0,
-    iterations: int = 20,
-    max_doublings: int = 40,
 ) -> float:
     """Smallest shift multiplier c passing the sector check, by bisection.
 
@@ -357,15 +358,15 @@ def sector_shift_search(
 
     if passes(0.0):
         return 0.0
-    hi = c_hi
-    for _ in range(max_doublings):
+    hi = SHIFT_START
+    for _ in range(SHIFT_DOUBLINGS):
         if passes(hi):
             break
         hi *= 2.0
     else:
         raise SearchBoundError(f"no admissible shift found below c_hi={hi}")
     lo = 0.0
-    for _ in range(iterations):
+    for _ in range(SHIFT_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if passes(mid):
             hi = mid
@@ -374,9 +375,7 @@ def sector_shift_search(
     return hi
 
 
-def twisted_kernel(
-    ev, tw: TwistSpec, t: float, i: int, j: int, cross_check: bool = True
-) -> float:
+def twisted_kernel(ev, tw: TwistSpec, t: float, i: int, j: int) -> float:
     """Kernel of the twisted semigroup: e^{-lam psi(x)} k(t,x,y) e^{lam psi(y)}.
 
     Cross-checked against the matrix-similarity propagator applied to
@@ -385,18 +384,17 @@ def twisted_kernel(
     x = ev.grid.points
     base = kernel_eval(ev, t, i, j)
     value = math.exp(-tw.lam * float(tw.psi(x[i]))) * base * math.exp(tw.lam * float(tw.psi(x[j])))
-    if cross_check:
-        top = TwistedOperator(base=ev.decomposition, twist=tw)
-        via_matrix = top.propagator(t)[i, j] / ev.grid.h
-        # the two routes sum the same modal series in different orders; their
-        # agreement floor in the Gaussian tail is set by round-off against the
-        # diagonal kernel scale, on which the twist weights cancel
-        diag_scale = max(kernel_eval(ev, t, i, i), kernel_eval(ev, t, j, j))
-        noise = len(ev.decomposition.eigenvalues) * np.finfo(float).eps * diag_scale
-        if abs(value - via_matrix) > 1e-10 * max(abs(value), abs(via_matrix)) + noise:
-            raise ConsistencyError(
-                f"twisted kernel mismatch: direct={value}, similarity={via_matrix}"
-            )
+    top = TwistedOperator(base=ev.decomposition, twist=tw)
+    via_matrix = top.propagator(t)[i, j] / ev.grid.h
+    # the two routes sum the same modal series in different orders; their
+    # agreement floor in the Gaussian tail is set by round-off against the
+    # diagonal kernel scale, on which the twist weights cancel
+    diag_scale = max(kernel_eval(ev, t, i, i), kernel_eval(ev, t, j, j))
+    noise = len(ev.decomposition.eigenvalues) * np.finfo(float).eps * diag_scale
+    if abs(value - via_matrix) > 1e-10 * max(abs(value), abs(via_matrix)) + noise:
+        raise ConsistencyError(
+            f"twisted kernel mismatch: direct={value}, similarity={via_matrix}"
+        )
     return value
 
 
@@ -526,19 +524,17 @@ def evolved_twisted_form_check(
             f"held-out evolved-form ratio {held_c1} exceeds fitted c1={c1}",
             witness={"c2": c2, "alpha": alpha, "lam": tw.lam},
         )
-    return {"c1": c1, "c2": c2, "violations": 0}
+    return {"c1": c1, "c2": c2}
 
 
-def appendix_b_identities(
-    d: SpectralDecomposition, tw: TwistSpec, z: complex, n_rhs: int = 10, seed: int = 42
-) -> dict:
+def appendix_b_identities(d: SpectralDecomposition, tw: TwistSpec, z: complex) -> dict:
     """Exact conjugation identities: resolvent similarity and spectrum equality.
 
-    Verifies (z - H_lam)^{-1} = E^{-1} (z - H)^{-1} E on random right-hand
-    sides and that the sorted spectra of H and H_lam agree. z is rejected
-    only when it lies within 1e-6 (|z| + mu_1) of the spectrum, a relative
-    distance that does not grow with mu_n. The spectrum of
-    H_lam does not depend on z: a frozen decomposition keeps it per twist in
+    Verifies (z - H_lam)^{-1} = E^{-1} (z - H)^{-1} E on APPENDIX_B_RHS
+    seeded right-hand sides and that the sorted spectra of H and H_lam agree.
+    z is rejected only when it lies within 1e-6 (|z| + mu_1) of the spectrum,
+    a relative distance that does not grow with mu_n. The spectrum of H_lam
+    does not depend on z: the decomposition keeps it per twist in
     d.twisted_spectra, so the eigensolve runs once per (d, tw).
     """
     mu = d.eigenvalues
@@ -550,15 +546,14 @@ def appendix_b_identities(
     H_lam = conjugate(S, tw)
     eye = np.eye(n)
     # columns are the right-hand sides, drawn in the same order as one at a time
-    G = np.random.default_rng(seed).standard_normal((n_rhs, n)).T
+    G = np.random.default_rng(APPENDIX_B_SEED).standard_normal((APPENDIX_B_RHS, n)).T
     X1 = np.linalg.solve(z * eye - H_lam, G.astype(complex))
     X2 = np.linalg.solve(z * eye - S, (e[:, np.newaxis] * G).astype(complex)) / e[:, np.newaxis]
     rel = np.linalg.norm(X1 - X2, axis=0) / np.maximum(np.linalg.norm(X2, axis=0), 1e-300)
     worst_resolvent = float(np.max(rel, initial=0.0))
-    spectra = d.twisted_spectra if d.frozen else {}
-    spec_tw = spectra.get(tw)
+    spec_tw = d.twisted_spectra.get(tw)
     if spec_tw is None:
-        spec_tw = spectra[tw] = freeze(np.sort(np.linalg.eigvals(H_lam).real))
+        spec_tw = d.twisted_spectra[tw] = freeze(np.sort(np.linalg.eigvals(H_lam).real))
     worst_spectrum = float(np.max(np.abs(spec_tw - mu)) / mu[-1])
     ok = worst_resolvent <= 1e-8 and worst_spectrum <= 1e-8
     return {

@@ -161,14 +161,12 @@ def test_criterion_3_gtilde(laplace400, beam400, rng):
                 d.eigenvectors[:, [0, 1, 199, 399]].T,
                 rng.standard_normal((8, d.grid.n_interior)),
             ])
-            rows = evolved_form_bound_check(d, t_grid, samples)
-            ok &= all(r["ok"] for r in rows)
+            evolved_form_bound_check(d, t_grid, samples)  # raises PropertyViolation on a ratio above 1
             grid = SearchGrid(axes={
                 "mu": SearchGrid.log_axis(s, 1e4 * s, 300),
                 "t": SearchGrid.log_axis(1e-4 / s, 10.0 / s, 300),
             }, seed=42)
-            out = gtilde_majorant(s, grid)
-            ok &= out["violations"] == 0
+            gtilde_majorant(s, grid)  # raises PropertyViolation on a violation
     except Exception:
         ok = False
         raise
@@ -214,9 +212,9 @@ def test_criterion_5_twist_exactness(laplace400):
         form, d = laplace400
         ev = HeatKernelEvaluator(d)
         tw = TwistSpec(grid=d.grid, x0=d.grid.length / 2.0, a=1.0, lam=1.0)
-        # twisted kernel: cross_check raises beyond 1e-10 relative
+        # twisted kernel: raises when its two routes differ beyond 1e-10 relative
         for t, i, j in [(0.05, 30, 300), (0.5, 100, 200), (2.0, 10, 390)]:
-            twisted_kernel(ev, tw, t, i, j, cross_check=True)
+            twisted_kernel(ev, tw, t, i, j)
         top = TwistedOperator(base=d, twist=tw)
         spec = np.sort(np.linalg.eigvals(top.matrix()).real)
         ok &= float(np.max(np.abs(spec - d.eigenvalues))) <= 1e-8 * d.eigenvalues[-1]
@@ -275,10 +273,10 @@ def test_criterion_7_semigroup_fits(laplace200, laplace400, beam200, beam400):
                     tw = TwistSpec(grid=d.grid, x0=d.grid.length / 2.0, a=1.0, lam=lam)
                     growth = twisted_semigroup_norm_fit(d, tw, t_grid)["c"]
                     mixed = mixed_norm_bound_fit(d, tw, t_grid, 0.5, 1.0, growth)["c2"]
+                    # raises PropertyViolation on a held-out violation
                     evolved = evolved_twisted_form_check(
                         d, form, tw, 0.5, t_grid, f_train, f_holdout
                     )
-                    ok &= evolved["violations"] == 0
                     fitted.setdefault(lam, {})[n] = (growth, mixed, evolved["c1"])
             for lam, by_n in fitted.items():
                 coarse, fine = by_n[200], by_n[400]
@@ -304,27 +302,26 @@ def test_criterion_8_appendix_sweeps(laplace200, beam200, rng):
             "q": SearchGrid.lin_axis(0.25, 3.0, 7),
             "eps": SearchGrid.log_axis(1e-2, 10.0, 12),
         }, seed=42))
-        ok &= basic["violations"] == 0 and basic["n_points"] >= 10**5
+        ok &= basic["n_points"] >= 10**5  # each sweep raises PropertyViolation on a violation
         ok &= basic["tightness_rel"] <= 1e-8
 
         form, d = laplace200
         f_samples = rng.standard_normal((8, 200))
-        bond = check_bond(d, [(1, 2), (1, 3), (2, 3)], f_samples)
-        ok &= bond["violations"] == 0
+        check_bond(d, [(1, 2), (1, 3), (2, 3)], f_samples)
 
         sym = SearchGrid(axes={
             "lam": SearchGrid.log_axis(1e-2, 1e2, 30),
             "eps": SearchGrid.log_axis(1e-2, 1.0, 20),
         }, seed=42)
         main_out = check_main(d, sym, f_samples[:4])
-        ok &= main_out["violations"] == 0 and main_out["n_points"] >= 10**5
+        ok &= main_out["n_points"] >= 10**5
 
         eps_grid = SearchGrid(axes={
             "lam": SearchGrid.log_axis(1e-2, 1e2, 40),
             "eps": SearchGrid.log_axis(1e-2, 1.9, 24),
         }, seed=42)
         eps_out = check_epsilon(d, eps_grid, f_samples[:6])
-        ok &= eps_out["violations"] == 0 and eps_out["n_points"] >= 10**5
+        ok &= eps_out["n_points"] >= 10**5
 
         stephen_grid = SearchGrid(axes={
             "rho": SearchGrid.log_axis(1e-2, 1e2, 16),
@@ -335,7 +332,7 @@ def test_criterion_8_appendix_sweeps(laplace200, beam200, rng):
             f_train = sample_functions(profile_d, np.random.default_rng(42), 12)
             f_holdout = np.random.default_rng(7).standard_normal((12, 200))
             stephen = check_stephen(profile_form, profile_d, stephen_grid, f_train, f_holdout)
-            ok &= stephen["violations"] == 0 and stephen["n_points"] >= 10**5
+            ok &= stephen["n_points"] >= 10**5
     except Exception:
         ok = False
         raise

@@ -10,6 +10,7 @@ from heatgauss import (
     DomainError,
     HeatKernelEvaluator,
     ParameterError,
+    SpectralDecomposition,
     boundary_slope,
     envelope_eval,
     fit_envelope_constants,
@@ -95,6 +96,15 @@ class TestEnvelopeFit:
         )
         assert fit.passed
         assert fit.drift is not None and fit.drift <= 0.10
+
+    def test_drift_beyond_budget_fails(self, laplace200):
+        _, d = laplace200
+        ev = HeatKernelEvaluator(d)
+        doubled = SpectralDecomposition(eigenvalues=d.eigenvalues, eigenvectors=2.0 * d.eigenvectors,
+                                        grid=d.grid, m=d.m)  # every kernel value times 4
+        fit = fit_envelope_constants(ev, lap_schedule(0.0), [0.1], [0.5, 1.0], refined=HeatKernelEvaluator(doubled))
+        assert not fit.passed and fit.drift == pytest.approx(3.0)
+        assert fit.failure.startswith("refined sup ratio")
 
     def test_sup_ratio_reports_location(self, laplace200):
         ev = HeatKernelEvaluator(laplace200[1])
@@ -282,3 +292,21 @@ class TestSobolevPointwise:
         )
         assert out.passed
         assert out.constants["C"] > 0
+
+    def test_held_out_violation_fails(self, laplace200):
+        form, d = laplace200
+        modes = [d.eigenvectors[:, [k]].T for k in (0, 1)]
+        nodes = range(0, 200, 10)
+
+        def fitted(f):
+            return sobolev_pointwise_check(d, form, lap_schedule(0.4), f, f, nodes).constants["C"]
+
+        lo, hi = sorted(modes, key=fitted)
+        out = sobolev_pointwise_check(d, form, lap_schedule(0.4), lo, hi, nodes)
+        assert not out.passed and out.failure.startswith("held-out ratio")
+
+    def test_empty_node_set_rejected(self, laplace200):
+        form, d = laplace200
+        f = d.eigenvectors[:, [0]].T
+        with pytest.raises(ConfigurationError, match="no evaluation nodes"):
+            sobolev_pointwise_check(d, form, lap_schedule(0.4), f, f, range(2, 2))

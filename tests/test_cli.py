@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from heatgauss.cli import main
 from heatgauss.config import RunConfig, load_run_config, parse_config_text
-from heatgauss.errors import ConfigurationError
+from heatgauss.errors import ConfigurationError, EllipticityError
 from heatgauss.reporting import format_value, line_plot_svg, ratio_table_svg, write_csv
 
 LAPLACE_CFG = """
@@ -160,6 +160,10 @@ class TestCliRuns:
         pytest.param("[operator]\nsource = laplace-pi\n[sweep]\nc2_grid = -0.1 0.5\n", None, id="c2-grid-negative"),
         pytest.param("[operator]\nsource = csv:{csv}\nm = 1\nL = 1\nn = 40\n",
                      "i,j,x,value\n1,1,0.0,1.0\n0,0,0.0,-50\n", id="csv-not-positive"),
+        pytest.param("[operator]\nsource = csv:{csv}\nm = 1\nL = 1\nn = 20\n",
+                     "i,j,x,value\n1,1,0.0,1.0\n0,1,0.0,0.5\n", id="csv-non-hermitian-missing"),
+        pytest.param("[operator]\nsource = csv:{csv}\nm = 1\nL = 1\nn = 20\n",
+                     "i,j,x,value\n1,1,0.0,1.0\n0,1,0.0,0.5\n1,0,0.0,0.25\n", id="csv-non-hermitian-unequal"),
     ])
     def test_malformed_config_exits_2_without_artifacts(self, tmp_path, capsys, config, coefficients):
         csv_path = tmp_path / "coeffs.csv"
@@ -212,6 +216,56 @@ class TestCliRuns:
         cfg.write_text(POLY3_CFG, encoding="utf-8")
         main(["verify-inequalities", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert calls == [(40, 40)]
+
+    def test_ellipticity_error_is_a_failing_row(self, tmp_path, capsys, monkeypatch):
+        from heatgauss import cli
+
+        def reject(form, grid, m):
+            raise EllipticityError("form is not positive definite: a pencil extreme is non-positive")
+
+        monkeypatch.setattr(cli, "measure_ellipticity", reject)
+        cfg = tmp_path / "poly3.cfg"
+        cfg.write_text(POLY3_CFG, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["verify-inequalities", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "FAIL ellipticity" in err and "Traceback" not in err
+        rows = list(csv.reader((out / "verify_inequalities.csv").open(encoding="utf-8", newline="")))
+        (row,) = [r for r in rows if r[0] == "ellipticity"]
+        assert row == ["ellipticity", "m=3", "nan", "false",
+                       "error=form is not positive definite: a pencil extreme is non-positive"]
+        assert all(r[3] == "true" for r in rows[1:] if r[0] != "ellipticity")
+
+    def test_verify_bounds_without_sobolev_nodes_fails_that_row(self, tmp_path, capsys):
+        # at n = 3 the runner's nodes range(2, n - 2, ...) are empty: no C is measured
+        cfg = tmp_path / "poly3.cfg"
+        cfg.write_text(POLY3_CFG.replace("n = 40", "n = 3"), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["verify-bounds", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        rows = list(csv.reader((out / "verify_bounds.csv").open(encoding="utf-8", newline="")))[1:]
+        assert [r[0] for r in rows[:4]] == ["fit-envelope", "sobolev-pointwise"] * 2
+        for fit, sob in (rows[0:2], rows[2:4]):
+            assert fit[3] == "true"
+            assert sob[2:4] == ["nan", "false"] and sob[4].startswith("error=no evaluation nodes")
+
+    @pytest.mark.parametrize("sub", ["spectrum", "kernel", "verify-bounds", "verify-twist",
+                                     "verify-inequalities", "report"])
+    def test_general_csv_table_runs_every_subcommand(self, sub, tmp_path, capsys):
+        # m = 2 on (0, 1) with a_12 = a_21 != 0 and |a_12|^2 < a_11 a_22: uniformly elliptic
+        xs = np.linspace(0.0, 1.0, 9)
+        u = np.random.default_rng(5).uniform(0.0, 1.0, size=(4, xs.size))
+        a12 = 0.1 * (2.0 * u[3] - 1.0)
+        table = {(0, 0): 0.5 * u[0], (1, 1): 0.2 + 0.5 * u[1], (2, 2): 1.0 + 0.5 * u[2], (1, 2): a12, (2, 1): a12}
+        lines = ["i,j,x,value"] + [f"{i},{j},{float(x)!r},{float(v)!r}"
+                                   for (i, j), vals in sorted(table.items()) for x, v in zip(xs, vals)]
+        coeffs = tmp_path / "general.csv"
+        coeffs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = tmp_path / "general.cfg"
+        cfg.write_text(f"[operator]\nsource = csv:{coeffs}\nm = 2\nL = 1.0\nn = 40\n\n[sweep]\nseed = 3\n",
+                       encoding="utf-8")
+        assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_verify_twist_passes(self, laplace_cfg, tmp_path):
         out = tmp_path / "out"

@@ -7,6 +7,7 @@ from heatgauss import (
     DomainError,
     PropertyViolation,
     SearchGrid,
+    SpectralDecomposition,
     check_basic,
     check_bond,
     check_epsilon,
@@ -46,7 +47,6 @@ class TestYoungConstant:
 class TestCheckBasic:
     def test_full_sweep(self):
         out = check_basic(basic_grid())
-        assert out["violations"] == 0
         assert out["n_points"] >= 10**5
         assert out["worst_margin"] >= -1e-12
 
@@ -65,7 +65,6 @@ class TestCheckBond:
     def test_spectral_monotonicity(self, laplace200, rng):
         _, d = laplace200
         out = check_bond(d, [(1, 2), (1, 3), (2, 3)], rng.standard_normal((8, 200)))
-        assert out["violations"] == 0
         assert all(row["ratio"] <= 1.0 + 1e-10 for row in out["rows"])
 
     def test_invalid_pair(self, laplace200):
@@ -81,7 +80,6 @@ class TestCheckMain:
             "eps": SearchGrid.log_axis(1e-2, 1.0, 20),
         }, seed=42)
         out = check_main(d, grid, rng.standard_normal((4, 200)))
-        assert out["violations"] == 0
         assert out["n_points"] >= 10**5
 
 
@@ -93,7 +91,6 @@ class TestCheckEpsilon:
             "eps": SearchGrid.log_axis(1e-2, 1.9, 24),
         }, seed=42)
         out = check_epsilon(d, grid, rng.standard_normal((6, 200)))
-        assert out["violations"] == 0
         assert out["worst_margin"] >= -1e-10
 
     def test_eps_must_stay_below_two(self, laplace200):
@@ -116,7 +113,6 @@ class TestCheckStephen:
         f_train = sample_functions(d, rng, 12)
         f_holdout = rng.standard_normal((12, 200))
         out = check_stephen(form, d, grid, f_train, f_holdout)
-        assert out["violations"] == 0
         assert out["n_points"] >= 10**5
         # polyharmonic profile: the fitted constant should sit near the
         # ellipticity constant 1
@@ -131,8 +127,7 @@ class TestCheckStephen:
         }, seed=42)
         f_train = sample_functions(d, rng, 8)
         f_holdout = rng.standard_normal((8, 200))
-        out = check_stephen(form, d, grid, f_train, f_holdout)
-        assert out["violations"] == 0
+        check_stephen(form, d, grid, f_train, f_holdout)  # raises PropertyViolation on a held-out violation
 
 
 class TestGTildeMajorant:
@@ -143,7 +138,6 @@ class TestGTildeMajorant:
             "t": SearchGrid.log_axis(1e-4, 10.0, 400),
         }, seed=42)
         out = gtilde_majorant(s, grid)
-        assert out["violations"] == 0
         assert out["worst_rel_gap"] >= -1e-12
 
     def test_minimum_near_saturation(self):
@@ -159,4 +153,58 @@ class TestGTildeMajorant:
     def test_mu_below_gap_rejected(self):
         grid = SearchGrid(axes={"mu": np.array([0.5]), "t": np.array([1.0])})
         with pytest.raises(DomainError):
+            gtilde_majorant(1.0, grid)
+
+
+class TestViolationsRaise:
+    """Each sweep reports a violation by raising PropertyViolation, never in its return value."""
+
+    def test_basic(self, monkeypatch):
+        from heatgauss import inequalities
+
+        monkeypatch.setattr(inequalities, "young_constant", lambda p, q: 0.5 * young_constant(p, q))
+        with pytest.raises(PropertyViolation, match="Young inequality violated"):
+            check_basic(basic_grid())
+
+    def test_bond(self, laplace200, rng):
+        _, d = laplace200
+        reversed_mu = SpectralDecomposition(eigenvalues=d.eigenvalues[::-1], eigenvectors=d.eigenvectors,
+                                            grid=d.grid, m=d.m)  # mu_1 is now the largest
+        with pytest.raises(PropertyViolation, match="spectral bound violated"):
+            check_bond(reversed_mu, [(1, 2)], rng.standard_normal((2, 200)))
+
+    def test_main(self, laplace200, rng):
+        _, d = laplace200
+        negative = SpectralDecomposition(eigenvalues=-d.eigenvalues, eigenvectors=d.eigenvectors, grid=d.grid, m=d.m)
+        grid = SearchGrid(axes={"lam": SearchGrid.log_axis(1e-2, 1e2, 5), "eps": SearchGrid.log_axis(1e-2, 1.0, 5)})
+        with pytest.raises(PropertyViolation, match="symbol bound violated"):
+            check_main(negative, grid, rng.standard_normal((2, 200)))
+
+    def test_epsilon(self, laplace200, rng, monkeypatch):
+        from heatgauss import inequalities
+
+        sides = inequalities._product_sides
+        monkeypatch.setattr(inequalities, "_product_sides", lambda *a: (2.0 * sides(*a)[1], sides(*a)[1]))
+        grid = SearchGrid(axes={"lam": SearchGrid.log_axis(1e-2, 1e2, 5), "eps": SearchGrid.log_axis(1e-2, 1.9, 5)})
+        with pytest.raises(PropertyViolation, match="product estimate violated"):
+            check_epsilon(laplace200[1], grid, rng.standard_normal((2, 200)))
+
+    def test_stephen_held_out(self, laplace200):
+        form, d = laplace200
+        grid = SearchGrid(axes={
+            "rho": SearchGrid.log_axis(1e-2, 1e2, 4),
+            "theta": SearchGrid.log_axis(1e-2, 10.0, 4),
+            "lam": SearchGrid.log_axis(1e-2, 1e2, 4),
+        })
+        modes = [d.eigenvectors[:, [k]].T for k in (0, 199)]
+        lo, hi = sorted(modes, key=lambda f: check_stephen(form, d, grid, f, f)["c1"])
+        with pytest.raises(PropertyViolation, match="held-out absorption ratio"):
+            check_stephen(form, d, grid, lo, hi)
+
+    def test_gtilde_majorant(self, monkeypatch):
+        from heatgauss import inequalities
+
+        monkeypatch.setattr(inequalities, "gtilde", lambda g, t: 0.5 * inequalities.GTildeFn(g.s)(t))
+        grid = SearchGrid(axes={"mu": SearchGrid.log_axis(1.0, 1e2, 10), "t": SearchGrid.log_axis(1e-2, 10.0, 10)})
+        with pytest.raises(PropertyViolation, match="majorant violated"):
             gtilde_majorant(1.0, grid)

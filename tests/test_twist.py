@@ -10,6 +10,7 @@ from heatgauss import (
     DomainError,
     HeatKernelEvaluator,
     OperatorSpec,
+    PropertyViolation,
     SpectralDecomposition,
     TwistSpec,
     TwistedOperator,
@@ -67,9 +68,17 @@ class TestSimilarity:
         _, d = laplace200
         ev = HeatKernelEvaluator(d)
         tw = make_twist(d.grid, 1.0)
-        # cross_check inside compares the direct formula with the similarity route
-        val = twisted_kernel(ev, tw, 0.2, 40, 150, cross_check=True)
+        # twisted_kernel compares the direct formula with the similarity route
+        val = twisted_kernel(ev, tw, 0.2, 40, 150)
         assert math.isfinite(val)
+
+    def test_twisted_kernel_mismatch_raises(self, laplace200, monkeypatch):
+        _, d = laplace200
+        ev = HeatKernelEvaluator(d)
+        kernel = twist_mod.kernel_eval
+        monkeypatch.setattr(twist_mod, "kernel_eval", lambda *a: 2.0 * kernel(*a))  # the direct route only
+        with pytest.raises(ConsistencyError, match="twisted kernel mismatch"):
+            twisted_kernel(ev, make_twist(d.grid, 1.0), 0.2, 40, 150)
 
     def test_zero_twist_is_plain_kernel(self, laplace200):
         from heatgauss import kernel_eval
@@ -315,8 +324,16 @@ class TestSemigroupFits:
         out = evolved_twisted_form_check(
             d, form, tw, 0.5, np.geomspace(0.05, 2.0, 6), f_train, f_holdout
         )
-        assert out["violations"] == 0
         assert out["c1"] > 0 and out["c2"] >= 0
+
+    def test_evolved_twisted_form_held_out_violation_raises(self, laplace200):
+        form, d = laplace200
+        tw = make_twist(d.grid, 1.0)
+        ts = np.geomspace(0.05, 2.0, 6)
+        modes = [d.eigenvectors[:, [k]].T for k in (0, 199)]
+        lo, hi = sorted(modes, key=lambda f: evolved_twisted_form_check(d, form, tw, 0.5, ts, f, f)["c1"])
+        with pytest.raises(PropertyViolation, match="held-out evolved-form ratio"):
+            evolved_twisted_form_check(d, form, tw, 0.5, ts, lo, hi)
 
 
 class TestBatchedAgainstLoops:
@@ -382,14 +399,14 @@ class TestBatchedAgainstLoops:
         n = S.shape[0]
         e = tw.weights()
         H_lam = (S * e[np.newaxis, :]) / e[:, np.newaxis]
-        rng = np.random.default_rng(11)
+        rng = np.random.default_rng(twist_mod.APPENDIX_B_SEED)
         worst = 0.0
-        for _ in range(6):
+        for _ in range(twist_mod.APPENDIX_B_RHS):
             g = rng.standard_normal(n)
             x1 = np.linalg.solve(z * np.eye(n) - H_lam, g.astype(complex))
             x2 = np.linalg.solve(z * np.eye(n) - S, (e * g).astype(complex)) / e
             worst = max(worst, float(np.linalg.norm(x1 - x2) / np.linalg.norm(x2)))
-        out = appendix_b_identities(d, tw, z, n_rhs=6, seed=11)
+        out = appendix_b_identities(d, tw, z)
         assert abs(out["resolvent_rel_err"] - worst) <= 1e-10
         assert out["ok"]
 
@@ -491,10 +508,10 @@ class TestPerTwistMemo:
 
     def test_per_lambda_builds_one_table_per_twist(self, laplace200, monkeypatch):
         form, d = laplace200
-        assert form.frozen
         with pytest.raises(ValueError):
             form.matrix[0, 0] = 1.0
         cold = dataclasses.replace(form)  # same read-only matrix, nothing stored yet
+        assert cold.matrix is form.matrix
         fs = np.random.default_rng(6).standard_normal((4, d.grid.n_interior))
         calls = self.counting(monkeypatch, twist_mod, "per_lambda_table")
         first = [per_lambda(cold, make_twist(d.grid, 1.0), f) for f in fs]
@@ -502,29 +519,33 @@ class TestPerTwistMemo:
         again = [per_lambda(cold, make_twist(d.grid, 1.0), f) for f in fs]
         assert len(calls) == 1 and again == first
         assert set(cold.twist_tables) == {make_twist(d.grid, 1.0)}
-        calls.clear()
-        loose = FormMatrix(matrix=form.matrix.copy(), grid=form.grid, m=form.m, spec=form.spec)
-        assert not loose.frozen
-        assert [per_lambda(loose, make_twist(d.grid, 1.0), f) for f in fs] == first
-        assert len(calls) == len(fs) and loose.twist_tables == {}
 
-    def test_appendix_b_recomputes_for_writable_arrays(self, laplace200, monkeypatch):
-        _, d = laplace200
-        loose = SpectralDecomposition(
-            eigenvalues=d.eigenvalues.copy(), eigenvectors=d.eigenvectors.copy(), grid=d.grid, m=d.m
-        )
-        assert not loose.frozen
-        calls = self.counting(monkeypatch, np.linalg, "eigvals")
+    def test_writable_arrays_are_copied_read_only(self, laplace200, monkeypatch):
+        # an owner built from writable arrays keeps read-only copies of them,
+        # so later writes to the caller's arrays cannot reach its stored tables
+        form, d = laplace200
+        matrix, mu, phi = form.matrix.copy(), d.eigenvalues.copy(), d.eigenvectors.copy()
+        loose_form = FormMatrix(matrix=matrix, grid=form.grid, m=form.m, spec=form.spec)
+        loose = SpectralDecomposition(eigenvalues=mu, eigenvectors=phi, grid=d.grid, m=d.m)
+        for kept, given in ((loose_form.matrix, matrix), (loose.eigenvalues, mu), (loose.eigenvectors, phi)):
+            assert kept is not given and np.array_equal(kept, given)
+            with pytest.raises(ValueError):
+                kept[0] = 1.0
         tw = make_twist(d.grid, 1.0)
-        for z in (complex(-1.0, 1.0), complex(-2.0, 3.0)):
-            assert appendix_b_identities(loose, tw, z) == appendix_b_identities(dataclasses.replace(d), tw, z)
-        assert len(calls) == 4
-        assert loose.twisted_spectra == {}
+        f = np.random.default_rng(6).standard_normal(d.grid.n_interior)
+        z = complex(-1.0, 1.0)
+        first = (per_lambda(loose_form, tw, f), appendix_b_identities(loose, tw, z))
+        matrix *= 2.0
+        mu *= 2.0
+        phi *= 2.0
+        tables = self.counting(monkeypatch, twist_mod, "per_lambda_table")
+        spectra = self.counting(monkeypatch, np.linalg, "eigvals")
+        assert (per_lambda(loose_form, tw, f), appendix_b_identities(loose, tw, z)) == first
+        assert tables == [] and spectra == []
 
     def test_stored_arrays_are_read_only(self, poly3_40):
         _, d = poly3_40
         top = TwistedOperator(base=d, twist=make_twist(d.grid, 1.0))
-        assert d.frozen
         for a in (d.eigenvalues, d.eigenvectors, sector_samples(d, count=5), top.hhat):
             with pytest.raises(ValueError):
                 a[0] = 1.0
