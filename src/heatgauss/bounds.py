@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GammaSchedule, boundary_distance, holdout_within
+from .core import GammaSchedule, boundary_distance, fit_holdout
 from .errors import ConfigurationError, DomainError, ParameterError
-from .spectral import HeatKernelEvaluator, SpectralDecomposition, grid_derivative
+from .spectral import HeatKernelEvaluator, SpectralDecomposition
 
 KERNEL_REGRESSION_FLOOR = 1e-300  # values below are excluded from log regressions
 SHORT_TIME_EXCLUSION = 10.0  # multiples of the resolvable floor excluded from fits
@@ -209,6 +209,23 @@ def longtime_rate(ev: HeatKernelEvaluator, t_grid) -> float:
     return float(slope)
 
 
+def centered_derivatives(grid, fs: np.ndarray, order: int, nodes) -> np.ndarray:
+    """f_i, (f_{i+1} - f_{i-1}) / 2h or (f_{i-1} - 2 f_i + f_{i+1}) / h^2 for order 0, 1, 2, of every
+    row of fs at every node. Raises DomainError at a node where the stencil leaves the grid."""
+    if order not in (0, 1, 2):
+        raise DomainError(f"derivative order {order} not supported (v1 caps m <= 3)")
+    nodes, halo, last = np.asarray(nodes, dtype=int), min(order, 1), grid.n_interior - 1
+    outside = nodes[(nodes < halo) | (nodes > last - halo)]
+    if outside.size:
+        raise DomainError(f"centered order-{order} difference needs nodes {halo}..{last - halo}, got {outside[0]}")
+    if order == 0:
+        return fs[:, nodes]
+    left, right = fs[:, nodes - 1], fs[:, nodes + 1]
+    if order == 1:
+        return (0.5 * right - 0.5 * left) / grid.h
+    return (left - 2.0 * fs[:, nodes] + right) / grid.h**2
+
+
 def sobolev_pointwise_check(
     d: SpectralDecomposition,
     form,
@@ -219,35 +236,30 @@ def sobolev_pointwise_check(
 ) -> FitResult:
     """Fit the smallest C in |f^(n)(x)| <= (C/sqrt(eps)) d_x^kappa Q(f)^{(1-eps)/2} ||f||^eps.
 
-    n and kappa are the integer and fractional parts of gamma. Trains and
-    validates on disjoint sample sets; a held-out violation fails the fit.
-    Raises ConfigurationError when x_indices is empty: no C is measured there.
+    n and kappa are the integer and fractional parts of gamma; f^(n) is the centered difference,
+    DomainError at a node it does not fit. Trains and validates on disjoint sample sets; a held-out
+    violation fails the fit. Raises ConfigurationError when x_indices is empty: no C is measured there.
     """
     x_indices = [int(i) for i in x_indices]
     if not x_indices:
         raise ConfigurationError("no evaluation nodes for the pointwise Sobolev check")
     eps, kappa, order = schedule.eps, schedule.kappa, schedule.n
-    grid = d.grid
-    h = grid.h
+    grid, h = d.grid, d.grid.h
+    d_kappa = np.array([boundary_distance(grid, float(grid.points[i])) ** kappa for i in x_indices])
 
-    def sup_ratio(fs: np.ndarray) -> tuple[float, tuple | None]:
-        worst, where = 0.0, None
-        for fi, f in enumerate(np.atleast_2d(fs)):
+    def ratios(fs: np.ndarray) -> np.ndarray:
+        rhs_f = []
+        for f in fs:
             q_f = float(f @ (form.matrix @ f))
             norm = math.sqrt(h * float(np.dot(f, f)))
-            if q_f <= 0 or norm == 0:
-                continue
-            rhs_f = (1.0 / math.sqrt(eps)) * q_f ** ((1.0 - eps) / 2.0) * norm**eps
-            for i in x_indices:
-                lhs = abs(grid_derivative(grid, f, order, i))
-                d_x = boundary_distance(grid, float(grid.points[i]))
-                rhs = rhs_f * d_x**kappa
-                r = lhs / rhs
-                if r > worst:
-                    worst, where = r, (fi, i)
-        return worst, where
+            ok = q_f > 0 and norm != 0  # else ratio 0
+            rhs_f.append((1.0 / math.sqrt(eps)) * q_f ** ((1.0 - eps) / 2.0) * norm**eps if ok else math.inf)
+        lhs = np.abs(centered_derivatives(grid, fs, order, x_indices))
+        return lhs / (np.array(rhs_f)[:, None] * d_kappa[None, :])
 
-    c_fit, where = sup_ratio(f_train)
-    held, held_where = sup_ratio(f_holdout)
-    failure = None if holdout_within(held, c_fit) else f"held-out ratio {held} at {held_where} exceeds C={c_fit}"
-    return FitResult(constants={"C": c_fit}, worst_location=where, failure=failure)
+    def node(at):  # (sample, position in x_indices) -> (sample, node index)
+        return None if at is None else (at[0], x_indices[at[1]])
+
+    fit = fit_holdout(ratios(np.atleast_2d(f_train)), ratios(np.atleast_2d(f_holdout)))
+    failure = None if fit.passed else f"held-out ratio {fit.held} at {node(fit.held_at)} exceeds C={fit.fitted}"
+    return FitResult(constants={"C": fit.fitted}, worst_location=node(fit.fitted_at), failure=failure)

@@ -26,7 +26,7 @@ from .assembly import (
 )
 from .config import RunConfig, load_run_config
 from .core import Grid1D
-from .errors import ConfigurationError, HeatGaussError, PropertyViolation, UnsupportedError
+from .errors import ConfigurationError, HeatGaussError, UnsupportedError
 from .profiles import BUILTIN_PROFILES, get_profile
 from .reporting import (
     KERNEL_HEADER,
@@ -115,6 +115,16 @@ def _fit_row(check: str, params: dict, statistic: float, fit: bounds_mod.FitResu
     return ReportRow(check, params, statistic, fit.passed, None if fit.passed else {"flags": fit.failure})
 
 
+def _guarded(rows: list, name: str, params: dict, outcome) -> None:
+    """Append one check's row: outcome() returns a passing row's statistic or a finished ReportRow, and
+    a HeatGaussError it raises becomes a failing row `name` with the error's witness or message."""
+    try:
+        value = outcome()
+        rows.append(value if isinstance(value, ReportRow) else ReportRow(name, params, float(value), True))
+    except HeatGaussError as exc:
+        rows.append(ReportRow(name, params, math.nan, False, getattr(exc, "witness", None) or {"error": str(exc)}))
+
+
 def run_spectrum(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
     _, d, _ = _decompose(cfg)
     write_csv(
@@ -139,43 +149,34 @@ def run_kernel(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
 
 def run_verify_bounds(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
     form, d, ev = _decompose(cfg)
-    refined_ev = None
-    if refine:
-        refined_ev = HeatKernelEvaluator(SpectralDecomposition.from_form(_build_form(cfg, 2 * cfg.n)))
+    refined_ev = HeatKernelEvaluator(SpectralDecomposition.from_form(_build_form(cfg, 2 * cfg.n))) \
+        if refine else None
     f_train, f_holdout = _train_holdout(d, cfg.seed, cfg.sample_count)
     x_indices = list(range(2, cfg.n - 2, max(cfg.n // 16, 1)))
     rows = []
     for schedule in cfg.schedules:
         params = {"gamma": schedule.gamma, "n": cfg.n}
-        try:
-            fit = bounds_mod.fit_envelope_constants(
-                ev, schedule, cfg.c2_grid, cfg.t_grid, refined=refined_ev
-            )
-            rows.append(_fit_row("fit-envelope", dict(params, c2=fit.constants["c2"]), fit.constants["c1"], fit))
-        except (PropertyViolation, ConfigurationError) as exc:
-            rows.append(ReportRow("fit-envelope", params, math.nan, False, {"error": str(exc)}))
-        try:
+
+        def envelope():
+            fit = bounds_mod.fit_envelope_constants(ev, schedule, cfg.c2_grid, cfg.t_grid, refined=refined_ev)
+            return _fit_row("fit-envelope", dict(params, c2=fit.constants["c2"]), fit.constants["c1"], fit)
+
+        def sobolev():
             sob = bounds_mod.sobolev_pointwise_check(d, form, schedule, f_train, f_holdout, x_indices)
-            rows.append(_fit_row("sobolev-pointwise", params, sob.constants["C"], sob))
-        except ConfigurationError as exc:  # no evaluation node at n <= 4
-            rows.append(ReportRow("sobolev-pointwise", params, math.nan, False, {"error": str(exc)}))
+            return _fit_row("sobolev-pointwise", params, sob.constants["C"], sob)
+
+        _guarded(rows, "fit-envelope", params, envelope)
+        _guarded(rows, "sobolev-pointwise", params, sobolev)
     t_tail = [t for t in cfg.t_grid if t >= 1.0 / d.gap]
     if len(t_tail) >= 2:
-        try:
+        def longtime():
             rate = bounds_mod.longtime_rate(ev, t_tail)
-        except ConfigurationError as exc:  # fewer than two t above the regression floor
-            rows.append(ReportRow("longtime-rate", {"s": d.gap}, math.nan, False, {"error": str(exc)}))
-        else:
-            rel = abs(rate - d.gap) / d.gap
-            rows.append(ReportRow("longtime-rate", {"s": d.gap}, rate, rel <= 0.05,
-                                  None if rel <= 0.05 else {"rate": rate, "s": d.gap}))
-    try:
-        check = evolved_form_bound_check(d, np.asarray(cfg.t_grid), f_train[: min(8, len(f_train))])
-        worst = max(r["ratio"] for r in check)
-        rows.append(ReportRow("evolved-form-gtilde", {"n": cfg.n}, worst, True))
-    except PropertyViolation as exc:
-        rows.append(ReportRow("evolved-form-gtilde", {"n": cfg.n}, math.nan, False,
-                              exc.witness or {"error": str(exc)}))
+            ok = abs(rate - d.gap) / d.gap <= 0.05
+            return ReportRow("longtime-rate", {"s": d.gap}, rate, ok, None if ok else {"rate": rate, "s": d.gap})
+
+        _guarded(rows, "longtime-rate", {"s": d.gap}, longtime)
+    _guarded(rows, "evolved-form-gtilde", {"n": cfg.n}, lambda: max(
+        r["ratio"] for r in evolved_form_bound_check(d, np.asarray(cfg.t_grid), f_train[: min(8, len(f_train))])))
     write_report_rows(os.path.join(out, "verify_bounds.csv"), rows)
     return rows
 
@@ -186,40 +187,45 @@ def run_verify_twist(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
     x0 = cfg.length / 2.0
     rows = []
     t_mid = float(np.median(cfg.t_grid))
+    i, j = cfg.n // 3, 2 * cfg.n // 3
     # depends only on d and the seed; read-only, so each twist evaluates it once
     samples = twist_mod.sector_samples(d, seed=cfg.seed, count=200)
     for lam in cfg.lam_grid:
         params = {"lam": lam, "n": cfg.n}
         tw = twist_mod.TwistSpec(grid=d.grid, x0=x0, a=1.0, lam=float(lam))
-        try:
-            norm_fit = twist_mod.twisted_semigroup_norm_fit(d, tw, cfg.t_grid)
-            rows.append(ReportRow("twisted-norm-fit", params, norm_fit["c"], True))
-            evolved = twist_mod.evolved_twisted_form_check(
-                d, form, tw, 0.5, cfg.t_grid, f_train, f_holdout, c2=2.0 * norm_fit["c"]
-            )
-            rows.append(ReportRow("evolved-twisted-form", dict(params, c2=evolved["c2"]),
-                                  evolved["c1"], True))
-            if lam != 0.0:
-                i, j = cfg.n // 3, 2 * cfg.n // 3
-                val = twist_mod.twisted_kernel(ev, tw, t_mid, i, j)
-                rows.append(ReportRow("twisted-kernel", dict(params, t=t_mid), val, True))
-                p_worst = 0.0
-                for f in f_train[:6]:
-                    p_worst = max(p_worst, abs(twist_mod.per_lambda(form, tw, f)))
-                rows.append(ReportRow("per-lambda-dual-path", params, p_worst, True))
-                ident = twist_mod.appendix_b_identities(d, tw, complex(-1.0, 1.0))
-                rows.append(ReportRow("appendix-b", params,
-                                      ident["resolvent_rel_err"], ident["ok"],
-                                      None if ident["ok"] else {"z": ident["z"]}))
-                top = twist_mod.TwistedOperator(base=d, twist=tw)
-                shift = twist_mod.sector_shift_search(top, 0.5, samples)
-                shift_applied = shift * ((1.0 + 0.5) * top.unit)
-                angle, violations = twist_mod.numerical_range_sector(top, 0.5, shift_applied, samples)
-                ok = not violations and angle <= math.atan(2.0) + 1e-12
-                rows.append(ReportRow("sector", dict(params, p=0.5, shift=shift), angle, ok,
-                                      None if ok else {"violations": len(violations)}))
-        except HeatGaussError as exc:
-            rows.append(ReportRow("twist-suite", params, math.nan, False, {"error": str(exc)}))
+        _guarded(rows, "twisted-norm-fit", params,
+                 lambda: twist_mod.twisted_semigroup_norm_fit(d, tw, cfg.t_grid)["c"])
+        # without a norm fit the evolved check fits c2 itself and fails its own row
+        c2 = 2.0 * rows[-1].statistic if rows[-1].passed else None
+
+        def evolved():
+            fit = twist_mod.evolved_twisted_form_check(d, form, tw, 0.5, cfg.t_grid, f_train, f_holdout, c2=c2)
+            return ReportRow("evolved-twisted-form", dict(params, c2=fit["c2"]), fit["c1"], True)
+
+        _guarded(rows, "evolved-twisted-form", params, evolved)
+        if lam == 0.0:
+            continue
+        _guarded(rows, "twisted-kernel", dict(params, t=t_mid),
+                 lambda: twist_mod.twisted_kernel(ev, tw, t_mid, i, j))
+        _guarded(rows, "per-lambda-dual-path", params,
+                 lambda: max(abs(twist_mod.per_lambda(form, tw, f)) for f in f_train[:6]))
+
+        def appendix_b():
+            ident = twist_mod.appendix_b_identities(d, tw, complex(-1.0, 1.0))
+            return ReportRow("appendix-b", params, ident["resolvent_rel_err"], ident["ok"],
+                             None if ident["ok"] else {"z": ident["z"]})
+
+        def sector():
+            top = twist_mod.TwistedOperator(base=d, twist=tw)
+            shift = twist_mod.sector_shift_search(top, 0.5, samples)
+            shift_applied = shift * ((1.0 + 0.5) * top.unit)
+            angle, violations = twist_mod.numerical_range_sector(top, 0.5, shift_applied, samples)
+            ok = not violations and angle <= math.atan(2.0) + 1e-12
+            return ReportRow("sector", dict(params, p=0.5, shift=shift), angle, ok,
+                             None if ok else {"violations": len(violations)})
+
+        _guarded(rows, "appendix-b", params, appendix_b)
+        _guarded(rows, "sector", dict(params, p=0.5), sector)
     write_report_rows(os.path.join(out, "verify_twist.csv"), rows)
     return rows
 
@@ -230,13 +236,6 @@ def run_verify_inequalities(cfg: RunConfig, out: str, refine: bool) -> list[Repo
     f_train, f_holdout = _train_holdout(d_form, cfg.seed, cfg.sample_count)
     rows = []
 
-    def guarded(name, params, statistic):
-        try:
-            rows.append(ReportRow(name, params, float(statistic()), True))
-        except HeatGaussError as exc:
-            witness = getattr(exc, "witness", None) or {"error": str(exc)}
-            rows.append(ReportRow(name, params, math.nan, False, witness))
-
     basic_grid = ineq.SearchGrid(axes={
         "a": ineq.SearchGrid.log_axis(1e-3, 1e3, 14),
         "b": ineq.SearchGrid.log_axis(1e-3, 1e3, 14),
@@ -244,38 +243,41 @@ def run_verify_inequalities(cfg: RunConfig, out: str, refine: bool) -> list[Repo
         "q": ineq.SearchGrid.lin_axis(0.25, 3.0, 7),
         "eps": ineq.SearchGrid.log_axis(1e-2, 10.0, 12),
     }, seed=cfg.seed)
-    guarded("check-basic", {"points": 14 * 14 * 7 * 7 * 12}, lambda: ineq.check_basic(basic_grid)["worst_margin"])
+    _guarded(rows, "check-basic", {"points": 14 * 14 * 7 * 7 * 12},
+             lambda: ineq.check_basic(basic_grid)["worst_margin"])
 
-    guarded("check-bond", {"n": cfg.n},
-            lambda: ineq.check_bond(d_lap, [(1, 2), (1, 3), (2, 3)], f_train[:8])["worst_margin"])
+    _guarded(rows, "check-bond", {"n": cfg.n},
+             lambda: ineq.check_bond(d_lap, [(1, 2), (1, 3), (2, 3)], f_train[:8])["worst_margin"])
 
     symbol_grid = ineq.SearchGrid(axes={
         "lam": ineq.SearchGrid.log_axis(1e-2, 1e2, 30),
         "eps": ineq.SearchGrid.log_axis(1e-2, 1.0, 20),
     }, seed=cfg.seed)
-    guarded("check-main", {"n": cfg.n}, lambda: ineq.check_main(d_lap, symbol_grid, f_train[:4])["worst_margin"])
+    _guarded(rows, "check-main", {"n": cfg.n},
+             lambda: ineq.check_main(d_lap, symbol_grid, f_train[:4])["worst_margin"])
 
     eps_grid = ineq.SearchGrid(axes={
         "lam": ineq.SearchGrid.log_axis(1e-2, 1e2, 40),
         "eps": ineq.SearchGrid.log_axis(1e-2, 1.9, 24),
     }, seed=cfg.seed)
-    guarded("check-epsilon", {"n": cfg.n}, lambda: ineq.check_epsilon(d_lap, eps_grid, f_train[:6])["worst_margin"])
+    _guarded(rows, "check-epsilon", {"n": cfg.n},
+             lambda: ineq.check_epsilon(d_lap, eps_grid, f_train[:6])["worst_margin"])
 
     stephen_grid = ineq.SearchGrid(axes={
         "rho": ineq.SearchGrid.log_axis(1e-2, 1e2, 16),
         "theta": ineq.SearchGrid.log_axis(1e-2, 10.0, 16),
         "lam": ineq.SearchGrid.log_axis(1e-2, 1e2, 24),
     }, seed=cfg.seed)
-    guarded("check-stephen", {"n": cfg.n, "m": cfg.m},
-            lambda: ineq.check_stephen(form, d_form, stephen_grid, f_train, f_holdout)["c1"])
+    _guarded(rows, "check-stephen", {"n": cfg.n, "m": cfg.m},
+             lambda: ineq.check_stephen(form, d_form, stephen_grid, f_train, f_holdout)["c1"])
 
     s = d_form.gap
     gtilde_grid = ineq.SearchGrid(axes={
         "mu": ineq.SearchGrid.log_axis(s, 1e4 * s, 400),
         "t": ineq.SearchGrid.log_axis(1e-4 / s, 10.0 / s, 400),
     }, seed=cfg.seed)
-    guarded("gtilde-majorant", {"s": s}, lambda: ineq.gtilde_majorant(s, gtilde_grid)["worst_rel_gap"])
-    guarded("ellipticity", {"m": cfg.m}, lambda: measure_ellipticity(form, form.grid, cfg.m))
+    _guarded(rows, "gtilde-majorant", {"s": s}, lambda: ineq.gtilde_majorant(s, gtilde_grid)["worst_rel_gap"])
+    _guarded(rows, "ellipticity", {"m": cfg.m}, lambda: measure_ellipticity(form, form.grid, cfg.m))
     write_report_rows(os.path.join(out, "verify_inequalities.csv"), rows)
     return rows
 

@@ -94,8 +94,8 @@ class RunConfig:
     def __post_init__(self):
         if not (1 <= self.m <= 3):
             raise ConfigurationError(f"m must be 1..3, got {self.m}")
-        if not (2 <= self.n <= 800):
-            raise ConfigurationError(f"n must be 2..800, got {self.n}")
+        if not (16 <= self.n <= 800):
+            raise ConfigurationError(f"n must be 16..800, got {self.n}")
         if not (0 < self.length < math.inf):
             raise ConfigurationError(f"L must be positive and finite, got {self.length}")
         for name in ("gamma_list", "t_grid", "lam_grid", "c2_grid"):

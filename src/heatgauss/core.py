@@ -1,4 +1,4 @@
-"""Domain, grid, read-only array helpers, decay schedules, the held-out rule and the spectral-gap reference function."""
+"""Domain, grid, read-only array helpers, decay schedules, held-out fitting and the spectral-gap reference function."""
 
 from __future__ import annotations
 
@@ -81,6 +81,38 @@ def boundary_distance(grid: Grid1D, x: float) -> float:
 def holdout_within(held: float, fitted: float) -> bool:
     """Held-out rule of the fit-and-validate checks: held-out sup <= fitted constant * (1 + HOLDOUT_SLACK)."""
     return held <= fitted * (1.0 + HOLDOUT_SLACK)
+
+
+@dataclass(frozen=True)
+class HoldoutFit:
+    """Fitted constant and held-out sup, each at its (sample, *table index), and the verdict."""
+
+    fitted: float
+    fitted_at: tuple | None  # Python ints; None where no ratio is positive
+    held: float
+    held_at: tuple | None
+    passed: bool
+
+
+def _sup_by_sample(ratios) -> tuple[float, tuple | None]:
+    """Largest ratio over the per-sample tables, at least 0, and where it first occurs; NaN wins."""
+    worst, where = 0.0, None
+    for fi, r in enumerate(ratios):
+        r = np.asarray(r, dtype=float)
+        pos = int(np.argmax(r))  # the first NaN, if any
+        if not r.flat[pos] <= worst:  # larger, or NaN
+            worst, where = float(r.flat[pos]), (fi, *(int(k) for k in np.unravel_index(pos, r.shape)))
+            if math.isnan(worst):
+                break
+    return worst, where
+
+
+def fit_holdout(train, held) -> HoldoutFit:
+    """Fit the sup of the training ratios, validate it by holdout_within against the held-out
+    sup. Each argument yields one ratio table per sample: a generator holds one at a time."""
+    fitted, fitted_at = _sup_by_sample(train)
+    held_sup, held_at = _sup_by_sample(held)
+    return HoldoutFit(fitted, fitted_at, held_sup, held_at, holdout_within(held_sup, fitted))
 
 
 @dataclass(frozen=True)

@@ -54,4 +54,4 @@ class PropertyViolation(HeatGaussError, AssertionError):
 
 
 class ResolutionWarning(UserWarning):
-    """Result computed below the resolvable-time floor or with a degraded stencil."""
+    """Result computed below the resolvable-time floor."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GTildeFn, gtilde, holdout_within
+from .core import GTildeFn, fit_holdout, gtilde
 from .errors import DomainError, PropertyViolation
 from .spectral import SpectralDecomposition
 
@@ -270,40 +270,33 @@ def check_stephen(
     """
     s = float(d.eigenvalues[0])
     m = form.m
-    rho_axis = grid.axes["rho"]
-    theta_axis = grid.axes["theta"]
-    lam_axis = grid.axes["lam"]
+    lam_axis, rho_axis, theta_axis = grid.axes["lam"], grid.axes["rho"], grid.axes["theta"]
+    lam, rho, theta = lam_axis[:, None, None], rho_axis[None, :, None], theta_axis[None, None, :]
 
-    def sup_ratio(fs: np.ndarray):
-        worst, where, count = 0.0, None, 0
-        for fi, f in enumerate(np.atleast_2d(fs)):
+    def ratios(fs: np.ndarray):
+        """One table per sample, axes (p - 1, lam, rho, theta)."""
+        for f in np.atleast_2d(fs):
             c2 = d.coefficients(f) ** 2
             q_f = float(f @ (form.matrix @ f))
             norm2 = float(np.sum(c2))
-            for p in range(1, m + 1):
-                norm_p2 = _spectral_norm2(d, c2, p)
-                lam = lam_axis[:, None, None]
-                rho = rho_axis[None, :, None]
-                theta = theta_axis[None, None, :]
-                lhs = norm_p2 + rho * lam ** (2 * p) * norm2
-                rhs_unit = (1.0 + theta) * q_f + rho * (1.0 + theta * s / rho) ** (2 * m) * lam ** (2 * m) * norm2
-                ratio = lhs / rhs_unit
-                count += ratio.size
-                mx = float(np.max(ratio))
-                if mx > worst:
-                    worst = mx
-                    pos = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
-                    where = {"sample": fi, "p": p, "lam": float(lam_axis[pos[0]]),
-                             "rho": float(rho_axis[pos[1]]), "theta": float(theta_axis[pos[2]])}
-        return worst, where, count
+            rhs_unit = (1.0 + theta) * q_f + rho * (1.0 + theta * s / rho) ** (2 * m) * lam ** (2 * m) * norm2
+            yield np.stack([(_spectral_norm2(d, c2, p) + rho * lam ** (2 * p) * norm2) / rhs_unit
+                            for p in range(1, m + 1)])
 
-    c1, where, n_points = sup_ratio(f_train)
-    held, held_where, _ = sup_ratio(f_holdout)
-    if not holdout_within(held, c1):
+    def point(at):
+        if at is None:  # no training sample
+            return None
+        fi, p, i, j, k = at
+        return {"sample": fi, "p": p + 1, "lam": float(lam_axis[i]),
+                "rho": float(rho_axis[j]), "theta": float(theta_axis[k])}
+
+    fit = fit_holdout(ratios(f_train), ratios(f_holdout))
+    if not fit.passed:
         raise PropertyViolation(
-            f"held-out absorption ratio {held} exceeds fitted c1={c1}", witness=held_where
+            f"held-out absorption ratio {fit.held} exceeds fitted c1={fit.fitted}", witness=point(fit.held_at)
         )
-    return {"c1": c1, "worst_point": where, "n_points": int(n_points)}
+    n_points = len(np.atleast_2d(f_train)) * m * lam_axis.size * rho_axis.size * theta_axis.size
+    return {"c1": fit.fitted, "worst_point": point(fit.fitted_at), "n_points": int(n_points)}
 
 
 def gtilde_majorant(s: float, grid: SearchGrid) -> dict:

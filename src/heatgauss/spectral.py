@@ -212,45 +212,6 @@ def kernel_eval(ev: HeatKernelEvaluator, t: float, i: int, j: int) -> float:
     return float(np.sum(ev._weights(t) * phi[i] * phi[j]))
 
 
-_CENTERED_STENCILS = {
-    0: (np.array([1.0]), 0),
-    1: (np.array([-0.5, 0.0, 0.5]), 1),
-    2: (np.array([1.0, -2.0, 1.0]), 1),
-}
-_ONESIDED_STENCILS = {
-    # forward one-sided, first-order accurate; mirrored for the right boundary
-    1: np.array([-1.0, 1.0]),
-    2: np.array([1.0, -2.0, 1.0]),
-}
-
-
-def grid_derivative(grid: Grid1D, values: np.ndarray, order: int, i: int) -> float:
-    """Finite-difference derivative of a grid function at node i.
-
-    Uses the centered stencil when it fits; falls back to a one-sided stencil
-    of matching order near the boundary (flagged with a ResolutionWarning).
-    """
-    if order not in _CENTERED_STENCILS:
-        raise DomainError(f"derivative order {order} not supported (v1 caps m <= 3)")
-    coeffs, halo = _CENTERED_STENCILS[order]
-    n = grid.n_interior
-    h = grid.h
-    if halo <= i <= n - 1 - halo:
-        window = values[i - halo : i + halo + 1]
-        return float(np.dot(coeffs, window)) / h**order
-    stencil = _ONESIDED_STENCILS[order]
-    width = len(stencil)
-    warnings.warn(
-        f"one-sided order-{order} stencil at node {i}", ResolutionWarning, stacklevel=2
-    )
-    if i < halo:  # left boundary
-        window = values[i : i + width]
-        return float(np.dot(stencil, window)) / h**order
-    window = values[i - width + 1 : i + 1]
-    sgn = (-1.0) ** order
-    return sgn * float(np.dot(stencil[::-1], window)) / h**order
-
-
 def evolved_form_bound_check(
     d: SpectralDecomposition,
     t_grid: np.ndarray,

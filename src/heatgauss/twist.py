@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .assembly import FormMatrix, level_positions
-from .core import Grid1D, freeze, holdout_within, is_frozen
+from .core import Grid1D, fit_holdout, freeze, is_frozen
 from .errors import (
     ConditioningError,
     ConsistencyError,
@@ -517,14 +517,13 @@ def evolved_twisted_form_check(
     norms2 = h * np.sum(fs**2, axis=1)
     env_inv = alpha * t_arr * np.exp(-c2 * unit * t_arr)  # underflows only where the ratio is negligible
     ratios = vals * env_inv[None, :] / norms2[:, None]
-    c1 = float(np.max(ratios[: len(train)]))
-    held_c1 = float(np.max(ratios[len(train) :]))
-    if not holdout_within(held_c1, c1):
+    fit = fit_holdout(ratios[: len(train)], ratios[len(train) :])
+    if not fit.passed:
         raise PropertyViolation(
-            f"held-out evolved-form ratio {held_c1} exceeds fitted c1={c1}",
+            f"held-out evolved-form ratio {fit.held} exceeds fitted c1={fit.fitted}",
             witness={"c2": c2, "alpha": alpha, "lam": tw.lam},
         )
-    return {"c1": c1, "c2": c2}
+    return {"c1": fit.fitted, "c2": c2}
 
 
 def appendix_b_identities(d: SpectralDecomposition, tw: TwistSpec, z: complex) -> dict:

@@ -11,17 +11,20 @@ from heatgauss import (
     HeatKernelEvaluator,
     ParameterError,
     SpectralDecomposition,
+    assemble_form,
     boundary_slope,
     envelope_eval,
     fit_envelope_constants,
     longtime_rate,
     optimal_lambda,
+    polyharmonic_spec,
     semigroup_apply,
     sobolev_pointwise_check,
 )
-from heatgauss.bounds import _sample_indices, envelope_ratios, envelope_sup_ratio
+from heatgauss.bounds import _sample_indices, centered_derivatives, envelope_ratios, envelope_sup_ratio
+from heatgauss.cli import _train_holdout
 from heatgauss.errors import ResolutionWarning
-from heatgauss.core import schedule_from_gamma
+from heatgauss.core import Grid1D, schedule_from_gamma
 
 
 def lap_schedule(gamma):
@@ -310,3 +313,57 @@ class TestSobolevPointwise:
         f = d.eigenvectors[:, [0]].T
         with pytest.raises(ConfigurationError, match="no evaluation nodes"):
             sobolev_pointwise_check(d, form, lap_schedule(0.4), f, f, range(2, 2))
+
+    # orders 1 and 2, which no benchmark config reaches: C, its location and the verdict
+    # pinned to the values of the per-node stencil loop that the array step replaced
+    @pytest.mark.parametrize("m, gamma, order, c, where", [
+        pytest.param(2, 1.2, 1, 0.18619969501385444, (0, 32), id="beam-1"),
+        pytest.param(3, 2.2, 2, 0.11873779888687762, (0, 2), id="m3"),
+    ])
+    def test_pinned_higher_orders(self, m, gamma, order, c, where):
+        # beam-1 is polyharmonic m = 2 on (0, 1); the runner's samples and nodes at n = 40
+        form = assemble_form(polyharmonic_spec(m), Grid1D(length=1.0, n_interior=40))
+        d = SpectralDecomposition.from_form(form)
+        f_train, f_holdout = _train_holdout(d, 42, 24)
+        schedule = schedule_from_gamma(m, 1, gamma)
+        assert schedule.n == order
+        out = sobolev_pointwise_check(d, form, schedule, f_train, f_holdout, range(2, 38, 2))
+        assert out.constants["C"] == pytest.approx(c, rel=1e-12)
+        assert out.worst_location == where and out.passed
+
+    def test_boundary_node_raises_at_order_one(self, beam100):
+        form, d = beam100
+        f = d.eigenvectors[:, [0, 1]].T
+        with pytest.raises(DomainError, match=r"needs nodes 1\.\.98, got 0"):
+            sobolev_pointwise_check(d, form, schedule_from_gamma(2, 1, 1.2), f, f, range(0, 100, 10))
+
+
+class TestCenteredDerivatives:
+    @pytest.mark.parametrize("order, node, want, rel", [
+        pytest.param(0, 7, lambda x: x**2, 0.0, id="order0"),
+        pytest.param(1, 20, lambda x: 2.0 * x, 1e-10, id="order1"),
+        pytest.param(2, 25, lambda x: 2.0, 1e-6, id="order2"),
+    ])
+    def test_analytic_cases(self, order, node, want, rel):
+        g = Grid1D(length=1.0, n_interior=49)
+        f = g.points**2
+        (got,) = centered_derivatives(g, f[None, :], order, [node])
+        assert got[0] == pytest.approx(want(g.points[node]), rel=rel)
+
+    def test_every_sample_at_every_node(self):
+        g = Grid1D(length=1.0, n_interior=20)
+        fs = np.vstack([g.points, 3.0 * g.points**2])
+        got = centered_derivatives(g, fs, 1, [1, 10, 18])
+        assert got.shape == (2, 3)
+        assert np.allclose(got, [[1.0] * 3, 6.0 * g.points[[1, 10, 18]]], rtol=1e-9)
+
+    @pytest.mark.parametrize("order, node", [(1, 0), (1, 19), (2, 0), (2, 19), (0, 20), (0, -1)])
+    def test_node_outside_the_stencil_raises(self, order, node):
+        g = Grid1D(length=1.0, n_interior=20)
+        with pytest.raises(DomainError, match="centered"):
+            centered_derivatives(g, g.points[None, :], order, [5, node])
+
+    def test_unsupported_order(self):
+        g = Grid1D(length=1.0, n_interior=10)
+        with pytest.raises(DomainError):
+            centered_derivatives(g, g.points[None, :], 3, [5])

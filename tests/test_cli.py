@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heatgauss import bounds as bounds_mod
+from heatgauss import twist as twist_mod
 from heatgauss.cli import main
 from heatgauss.config import RunConfig, load_run_config, parse_config_text
-from heatgauss.errors import ConfigurationError, EllipticityError
+from heatgauss.errors import ConfigurationError, EllipticityError, PropertyViolation
 from heatgauss.reporting import format_value, line_plot_svg, ratio_table_svg, write_csv
 
 LAPLACE_CFG = """
@@ -71,6 +73,9 @@ class TestConfigParser:
             RunConfig(m=4, length=1.0, n=100, source="polyharmonic", gamma_list=[0.0])
         with pytest.raises(ConfigurationError):
             RunConfig(m=1, length=1.0, n=1000, source="polyharmonic", gamma_list=[0.0])
+        with pytest.raises(ConfigurationError, match="n must be 16..800, got 15"):
+            RunConfig(m=1, length=1.0, n=15, source="polyharmonic", gamma_list=[0.0])
+        assert RunConfig(m=1, length=1.0, n=16, source="polyharmonic", gamma_list=[0.0]).n == 16
 
     def test_profile_defaults(self, laplace_cfg):
         cfg = load_run_config(laplace_cfg)
@@ -237,17 +242,38 @@ class TestCliRuns:
         assert all(r[3] == "true" for r in rows[1:] if r[0] != "ellipticity")
 
     def test_verify_bounds_without_sobolev_nodes_fails_that_row(self, tmp_path, capsys):
-        # at n = 3 the runner's nodes range(2, n - 2, ...) are empty: no C is measured
+        # at n = 3 the runner's nodes range(2, n - 2, ...) would be empty; the config
+        # rejects n < 16, and the empty node set stays a library error
+        # (TestSobolevPointwise.test_empty_node_set_rejected)
         cfg = tmp_path / "poly3.cfg"
         cfg.write_text(POLY3_CFG.replace("n = 40", "n = 3"), encoding="utf-8")
         out = tmp_path / "out"
-        assert main(["verify-bounds", "--config", str(cfg), "--out", str(out)]) == 1
+        assert main(["verify-bounds", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: n must be 16..800, got 3\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub, target, check, later", [
+        pytest.param("verify-twist", (twist_mod, "evolved_twisted_form_check"), "evolved-twisted-form",
+                     ["twisted-kernel", "per-lambda-dual-path", "appendix-b", "sector"], id="verify-twist"),
+        pytest.param("verify-bounds", (bounds_mod, "sobolev_pointwise_check"), "sobolev-pointwise",
+                     ["fit-envelope", "evolved-form-gtilde"], id="verify-bounds"),
+    ])
+    def test_a_raising_check_hides_no_other_row(self, sub, target, check, later, tmp_path, monkeypatch, capsys):
+        def reject(*args, **kwargs):
+            raise PropertyViolation("rejected", witness={"probe": 1})
+
+        monkeypatch.setattr(*target, reject)
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(LAPLACE_CFG.replace("n = 120", "n = 40"), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([sub, "--config", str(cfg), "--out", str(out)]) == 1
         assert "Traceback" not in capsys.readouterr().err
-        rows = list(csv.reader((out / "verify_bounds.csv").open(encoding="utf-8", newline="")))[1:]
-        assert [r[0] for r in rows[:4]] == ["fit-envelope", "sobolev-pointwise"] * 2
-        for fit, sob in (rows[0:2], rows[2:4]):
-            assert fit[3] == "true"
-            assert sob[2:4] == ["nan", "false"] and sob[4].startswith("error=no evaluation nodes")
+        rows = list(csv.reader((out / f"{sub.replace('-', '_')}.csv").open(encoding="utf-8", newline="")))[1:]
+        failing = [r for r in rows if r[3] == "false"]
+        assert failing and all(r[0] == check and r[2:] == ["nan", "false", "probe=1"] for r in failing)
+        assert len(failing) == 2  # one per gamma, or one per lambda
+        assert set(later) <= {r[0] for r in rows}
+        assert all(r[3] == "true" for r in rows if r[0] != check)
 
     @pytest.mark.parametrize("sub", ["spectrum", "kernel", "verify-bounds", "verify-twist",
                                      "verify-inequalities", "report"])

@@ -19,7 +19,7 @@ from heatgauss import (
     gtilde,
     schedule_from_gamma,
 )
-from heatgauss.core import HOLDOUT_SLACK, holdout_within
+from heatgauss.core import HOLDOUT_SLACK, fit_holdout, holdout_within
 
 
 class TestGrid:
@@ -69,6 +69,23 @@ class TestHoldoutRule:
         assert holdout_within(2.0 * (1.0 + 0.5 * HOLDOUT_SLACK), 2.0)
         assert not holdout_within(2.0 * (1.0 + 2.0 * HOLDOUT_SLACK), 2.0)
         assert holdout_within(1.0, 2.0)
+
+
+class TestFitHoldout:
+    def test_sups_locations_and_verdict(self):
+        train = np.array([[[0.5, 2.0], [2.0, 1.0]], [[1.0, 2.0], [0.0, 0.0]]])
+        fit = fit_holdout(train, (np.full((2, 2), r) for r in (1.0, 2.5)))  # a generator of tables
+        assert (fit.fitted, fit.fitted_at) == (2.0, (0, 0, 1))  # first occurrence: sample, then C order
+        assert (fit.held, fit.held_at) == (2.5, (1, 0, 0)) and not fit.passed
+        assert all(type(k) is int for k in fit.fitted_at + fit.held_at)
+        assert str(fit.held_at) == "(1, 0, 0)"
+        assert fit_holdout(train, train[:, :1]).passed
+
+    def test_no_positive_ratio_and_nan(self):
+        fit = fit_holdout(np.zeros((2, 3)), np.empty((0, 3)))
+        assert (fit.fitted, fit.fitted_at, fit.held, fit.held_at, fit.passed) == (0.0, None, 0.0, None, True)
+        fit = fit_holdout(np.array([[1.0, np.nan, 3.0], [5.0, 0.0, 0.0]]), np.zeros((1, 3)))
+        assert math.isnan(fit.fitted) and fit.fitted_at == (0, 1) and not fit.passed
 
 
 class TestGammaSchedule:

@@ -23,7 +23,7 @@ from heatgauss import (
 from heatgauss.cli import sample_functions
 from heatgauss import assembly, spectral
 from heatgauss.core import Grid1D, is_frozen
-from heatgauss.spectral import EXP_UNDERFLOW_CAP, decay_weights, grid_derivative
+from heatgauss.spectral import EXP_UNDERFLOW_CAP, decay_weights
 
 
 class TestDirichletLaplacian:
@@ -182,30 +182,6 @@ class TestHeatKernel:
         ev = HeatKernelEvaluator(laplace200[1])
         with pytest.raises(DomainError):
             ev.matrix(0.0)
-
-
-class TestGridDerivative:
-    def test_centered_first_derivative(self):
-        g = Grid1D(length=1.0, n_interior=49)
-        f = g.points**2
-        assert grid_derivative(g, f, 1, 20) == pytest.approx(2.0 * g.points[20], rel=1e-10)
-
-    def test_centered_second_derivative(self):
-        g = Grid1D(length=1.0, n_interior=49)
-        f = g.points**2
-        assert grid_derivative(g, f, 2, 25) == pytest.approx(2.0, rel=1e-6)
-
-    def test_one_sided_at_boundary_warns(self):
-        g = Grid1D(length=1.0, n_interior=20)
-        f = g.points.copy()
-        with pytest.warns(ResolutionWarning):
-            val = grid_derivative(g, f, 1, 0)
-        assert val == pytest.approx(1.0, rel=1e-9)
-
-    def test_unsupported_order(self):
-        g = Grid1D(length=1.0, n_interior=10)
-        with pytest.raises(DomainError):
-            grid_derivative(g, g.points, 3, 5)
 
 
 class TestEvolvedFormBound:
