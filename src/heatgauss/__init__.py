@@ -67,7 +67,6 @@ from .spectral import (
     evolved_form_bound_check,
     jacobi_eigh,
     kernel_eval,
-    semigroup_apply,
     spectral_gap,
 )
 from .twist import (

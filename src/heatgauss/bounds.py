@@ -116,6 +116,32 @@ def envelope_ratios(env: BoundEnvelope, grid, idx: np.ndarray, t: float, K: np.n
     return ratios
 
 
+def _sup_ratios(
+    ev: HeatKernelEvaluator, schedule: GammaSchedule, c2s: list[float], t_grid
+) -> list[tuple[float, tuple]]:
+    """envelope_sup_ratio at each c2 of c2s, reading one kernel block per admissible t."""
+    idx = _sample_indices(ev.grid.n_interior, SAMPLE_STRIDE)
+    xi = ev.grid.points[idx]
+    s = float(ev.decomposition.eigenvalues[0])
+    envs = [BoundEnvelope(schedule=schedule, s=s, c1=1.0, c2=c2) for c2 in c2s]
+    sups = [(0.0, None)] * len(envs)
+    for t in np.atleast_1d(t_grid):
+        t = float(t)
+        if t < SHORT_TIME_EXCLUSION * ev.t_floor:
+            continue
+        K = ev.block(t, idx)
+        for k, env in enumerate(envs):
+            ratios = envelope_ratios(env, ev.grid, idx, t, K)
+            pos = int(np.argmax(ratios))
+            r = float(ratios.flat[pos])
+            if r > sups[k][0]:
+                i, j = np.unravel_index(pos, ratios.shape)
+                sups[k] = (r, (t, float(xi[i]), float(xi[j])))
+    if any(where is None for _, where in sups):
+        raise ConfigurationError("no admissible t slices above the resolvable floor")
+    return sups
+
+
 def envelope_sup_ratio(
     ev: HeatKernelEvaluator,
     schedule: GammaSchedule,
@@ -124,24 +150,7 @@ def envelope_sup_ratio(
 ) -> tuple[float, tuple]:
     """sup over (t, x, y), every SAMPLE_STRIDE-th node, of envelope_ratios at c1 = 1;
     short-time slices within 10x of the resolvable floor are skipped."""
-    idx = _sample_indices(ev.grid.n_interior, SAMPLE_STRIDE)
-    xi = ev.grid.points[idx]
-    env = BoundEnvelope(schedule=schedule, s=float(ev.decomposition.eigenvalues[0]), c1=1.0, c2=c2)
-    worst, where = 0.0, None
-    for t in np.atleast_1d(t_grid):
-        t = float(t)
-        if t < SHORT_TIME_EXCLUSION * ev.t_floor:
-            continue
-        ratios = envelope_ratios(env, ev.grid, idx, t, ev.block(t, idx))
-        pos = int(np.argmax(ratios))
-        r = float(ratios.flat[pos])
-        if r > worst:
-            worst = r
-            i, j = np.unravel_index(pos, ratios.shape)
-            where = (t, float(xi[i]), float(xi[j]))
-    if where is None:
-        raise ConfigurationError("no admissible t slices above the resolvable floor")
-    return worst, where
+    return _sup_ratios(ev, schedule, [c2], t_grid)[0]
 
 
 def fit_envelope_constants(
@@ -154,17 +163,18 @@ def fit_envelope_constants(
     """Select (c1, c2) over a c2 grid, minimizing c1 * c2^{-(2m-1)N/(2m)}.
 
     For each candidate c2 the smallest admissible c1 is the sup ratio against
-    the unit-constant envelope. When a refined evaluator is given, the chosen
-    pair is re-checked there and the relative drift recorded; the fit passes
-    only if c1 rises there by at most DRIFT_BUDGET.
+    the unit-constant envelope; every c2 reads the same kernel block per t.
+    When a refined evaluator is given, the chosen pair is re-checked there and
+    the relative drift recorded; the fit passes only if c1 rises there by at
+    most DRIFT_BUDGET.
     """
     m, N = schedule.m, schedule.N
+    c2s = [float(c2) for c2 in np.atleast_1d(c2_grid)]
     best = None
-    for c2 in np.atleast_1d(c2_grid):
-        c1, where = envelope_sup_ratio(ev, schedule, float(c2), t_grid)
-        score = c1 * float(c2) ** (-(2 * m - 1) * N / (2.0 * m))
+    for c2, (c1, where) in zip(c2s, _sup_ratios(ev, schedule, c2s, t_grid)):
+        score = c1 * c2 ** (-(2 * m - 1) * N / (2.0 * m))
         if best is None or score < best[0]:
-            best = (score, c1, float(c2), where)
+            best = (score, c1, c2, where)
     _, c1, c2, where = best
     result = FitResult(constants={"c1": c1, "c2": c2}, worst_location=where)
     if refined is not None:

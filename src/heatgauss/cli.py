@@ -31,10 +31,10 @@ from .profiles import BUILTIN_PROFILES, get_profile
 from .reporting import (
     KERNEL_HEADER,
     ReportRow,
-    format_value,
     kernel_rows,
     line_plot_svg,
     ratio_table_svg,
+    witness_text,
     write_csv,
     write_report_rows,
 )
@@ -344,9 +344,7 @@ def main(argv=None) -> int:
         return 2
     failing = [r for r in rows if not r.passed]
     for row in failing:
-        witness = row.witness or {}
-        detail = ";".join(f"{k}={format_value(v)}" for k, v in sorted(witness.items()))
-        print(f"FAIL {row.check} {row.params} witness: {detail}", file=sys.stderr)
+        print(f"FAIL {row.check} {row.params} witness: {witness_text(row.witness)}", file=sys.stderr)
     return 1 if failing else 0
 
 

@@ -66,18 +66,24 @@ def write_csv(path, header: list[str], rows) -> None:
     _write_lines(path, [_csv_line(header)] + [_csv_line(row) for row in rows])
 
 
+def witness_text(witness: dict | None) -> str:
+    """key=value pairs of a witness, sorted by key and joined by ';'; as in RFC 4180 one
+    level down, a value whose text holds ';' or '"' is written in double quotes, quotes doubled."""
+
+    def value(v) -> str:
+        text = format_value(v)
+        return '"' + text.replace('"', '""') + '"' if any(c in text for c in ';"') else text
+
+    return ";".join(f"{k}={value(v)}" for k, v in sorted((witness or {}).items()))
+
+
 def write_report_rows(path, rows: list[ReportRow]) -> None:
     header = ["check", "params", "statistic", "passed", "witness"]
     table = []
     for row in rows:
         row.validate()
         params = ";".join(f"{k}={format_value(v)}" for k, v in sorted(row.params.items()))
-        witness = (
-            ";".join(f"{k}={format_value(v)}" for k, v in sorted(row.witness.items()))
-            if row.witness
-            else ""
-        )
-        table.append([row.check, params, row.statistic, row.passed, witness])
+        table.append([row.check, params, row.statistic, row.passed, witness_text(row.witness)])
     write_csv(path, header, table)
 
 

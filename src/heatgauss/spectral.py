@@ -1,5 +1,5 @@
 """Symmetric eigendecomposition (cyclic Jacobi; the Dirichlet Laplacian in closed
-form), heat kernel and semigroup action."""
+form) and heat kernel."""
 
 from __future__ import annotations
 
@@ -92,7 +92,8 @@ class SpectralDecomposition:
     """Ascending eigenvalues and h-orthonormal eigenvectors of a form matrix.
 
     Both arrays are read-only by construction (a writable one is copied), so
-    quantities derived from them are kept on the decomposition (twisted_spectra).
+    quantities derived from them are kept on the decomposition (twisted_spectra,
+    twisted_norms).
     """
 
     eigenvalues: np.ndarray
@@ -102,6 +103,9 @@ class SpectralDecomposition:
     # sorted real spectra of twisted conjugates E^{-1} H E, keyed by TwistSpec:
     # O(n) per twist, filled by twist.appendix_b_identities
     twisted_spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # 2-norms of the twisted semigroup P_t ("P") and of Hhat_lambda P_t ("HP"),
+    # keyed by (TwistSpec, kind, t): floats only, filled by twist._twisted_norms
+    twisted_norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", read_only(self.eigenvalues))
@@ -153,14 +157,6 @@ def spectral_gap(d: SpectralDecomposition) -> float:
     if s <= 0:
         raise PropertyViolation(f"Dirichlet positivity violated: mu_1 = {s}")
     return s
-
-
-def semigroup_apply(d: SpectralDecomposition, t: float, f: np.ndarray) -> np.ndarray:
-    """Evolve f by the semigroup: sum_k exp(-mu_k t) <f, phi_k>_h phi_k."""
-    if t < 0:
-        raise DomainError(f"semigroup time must be non-negative, got {t}")
-    c = d.coefficients(f)
-    return d.eigenvectors @ (decay_weights(t * d.eigenvalues) * c)
 
 
 @dataclass(frozen=True)

@@ -398,29 +398,38 @@ def twisted_kernel(ev, tw: TwistSpec, t: float, i: int, j: int) -> float:
     return value
 
 
-def _twisted_norms(d: SpectralDecomposition, tw: TwistSpec, weights) -> list[float]:
-    """2-norms of E^{-1} (sum_k w_k phi_k phi_k^T h) E, one per row w of weights.
+def _twisted_norms(d: SpectralDecomposition, tw: TwistSpec, keys) -> list[float]:
+    """2-norms of E^{-1} (sum_k w_k phi_k phi_k^T h) E, one per (kind, t) in keys.
 
-    With O = sqrt(h) Phi orthogonal, the matrix is (E^{-1} O) diag(w) (E O)^T;
-    QR of both factors leaves sigma_max(R_- diag(w) R_+^T). The weights of a
-    decay profile vanish past a prefix k (mu ascends), and the R factor of the
-    first k columns is the leading k x k block of the full R, so each norm is
-    an exact SVD of a k x k matrix. Never forming the n x n product keeps
-    ||Hhat_lambda P|| free of the eps ||Hhat|| ||P|| round-off floor.
+    The weights are w = decay_weights(t (mu - s)) for kind "P", the twisted
+    semigroup, and (mu - s) w for kind "HP", Hhat_lambda times it. Each norm
+    is kept in d.twisted_norms under (tw, kind, t); only the missing ones are
+    computed, all from one QR pair. With O = sqrt(h) Phi orthogonal, the
+    matrix is (E^{-1} O) diag(w) (E O)^T; QR of both factors leaves
+    sigma_max(R_- diag(w) R_+^T). The weights of a decay profile vanish past
+    a prefix k (mu ascends), and the R factor of the first k columns is the
+    leading k x k block of the full R, so each norm is an exact SVD of a k x k
+    matrix. Never forming the n x n product keeps ||Hhat_lambda P|| free of
+    the eps ||Hhat|| ||P|| round-off floor.
     """
-    O = math.sqrt(d.grid.h) * d.eigenvectors
-    e = tw.weights()[:, np.newaxis]
-    r_minus = np.linalg.qr(O / e, mode="r")
-    r_plus = np.linalg.qr(O * e, mode="r")
-    norms = []
-    for w in weights:
-        support = np.flatnonzero(w)
-        if support.size == 0:
-            norms.append(0.0)
-            continue
-        k = int(support[-1]) + 1
-        norms.append(float(np.linalg.norm((r_minus[:k, :k] * w[:k]) @ r_plus[:k, :k].T, 2)))
-    return norms
+    memo = d.twisted_norms
+    missing = [key for key in dict.fromkeys(keys) if (tw, *key) not in memo]
+    if missing:
+        O = math.sqrt(d.grid.h) * d.eigenvectors
+        e = tw.weights()[:, np.newaxis]
+        r_minus = np.linalg.qr(O / e, mode="r")
+        r_plus = np.linalg.qr(O * e, mode="r")
+        shifted = d.eigenvalues - spectral_gap(d)
+        for kind, t in missing:
+            w = decay_weights(t * shifted)
+            if kind == "HP":
+                w = shifted * w
+            support = np.flatnonzero(w)
+            k = int(support[-1]) + 1 if support.size else 0
+            memo[(tw, kind, t)] = (
+                float(np.linalg.norm((r_minus[:k, :k] * w[:k]) @ r_plus[:k, :k].T, 2)) if k else 0.0
+            )
+    return [memo[(tw, *key)] for key in keys]
 
 
 def twisted_semigroup_norm_fit(d: SpectralDecomposition, tw: TwistSpec, t_grid) -> dict:
@@ -431,8 +440,7 @@ def twisted_semigroup_norm_fit(d: SpectralDecomposition, tw: TwistSpec, t_grid) 
     """
     top = TwistedOperator(base=d, twist=tw)
     ts = [float(t) for t in np.atleast_1d(t_grid)]
-    shifted = d.eigenvalues - top.gap
-    norms = list(zip(ts, _twisted_norms(d, tw, [decay_weights(t * shifted) for t in ts])))
+    norms = list(zip(ts, _twisted_norms(d, tw, [("P", t) for t in ts])))
     c = 0.0
     for t, nrm in norms:
         if top.unit > 0 and nrm > 1.0:
@@ -455,12 +463,9 @@ def mixed_norm_bound_fit(
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0,1), got {alpha}")
-    top = TwistedOperator(base=d, twist=tw)
-    unit = top.unit
+    unit = TwistedOperator(base=d, twist=tw).unit
     ts = [float(t) for t in np.atleast_1d(t_grid)]
-    shifted = d.eigenvalues - top.gap
-    w = [decay_weights(t * shifted) for t in ts]
-    norms = _twisted_norms(d, tw, w + [shifted * wt for wt in w])
+    norms = _twisted_norms(d, tw, [("P", t) for t in ts] + [("HP", t) for t in ts])
     c2 = 0.0
     for t, p_norm, hp_norm in zip(ts, norms[: len(ts)], norms[len(ts) :]):
         lhs = hp_norm + beta * unit * p_norm

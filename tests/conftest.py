@@ -4,6 +4,12 @@ import pytest
 from heatgauss import SpectralDecomposition, assemble_form, polyharmonic_spec
 from heatgauss.core import Grid1D
 from heatgauss.profiles import get_profile
+from heatgauss.spectral import decay_weights
+
+
+def semigroup_apply(d, t: float, f: np.ndarray) -> np.ndarray:
+    """Oracle evolution of f by the semigroup: sum_k exp(-mu_k t) <f, phi_k>_h phi_k."""
+    return d.eigenvectors @ (decay_weights(t * d.eigenvalues) * d.coefficients(f))
 
 
 def _decomp(name: str, n: int):

@@ -13,14 +13,15 @@ from heatgauss import (
     SpectralDecomposition,
     assemble_form,
     boundary_slope,
+    dirichlet_laplacian,
     envelope_eval,
     fit_envelope_constants,
     longtime_rate,
     optimal_lambda,
     polyharmonic_spec,
-    semigroup_apply,
     sobolev_pointwise_check,
 )
+from conftest import semigroup_apply
 from heatgauss.bounds import _sample_indices, centered_derivatives, envelope_ratios, envelope_sup_ratio
 from heatgauss.cli import _train_holdout
 from heatgauss.errors import ResolutionWarning
@@ -185,6 +186,69 @@ class TestSupRatioUnderflow:
             env = BoundEnvelope(schedule=schedule, s=s, c1=1.0, c2=c2)
             assert envelope_eval(env, t, x, y, min(x, 1.0 - x), min(y, 1.0 - y)) == 0.0
             assert math.isfinite(ratio) and ratio > 1.0
+
+
+@pytest.fixture(scope="module", params=[1, 2, 3])
+def evaluator40(request):
+    """Kernel evaluator of the Laplacian on (0, pi), the clamped beam and m = 3 at n = 40."""
+    m = request.param
+    length = math.pi if m == 1 else 1.0
+    form = assemble_form(polyharmonic_spec(m), Grid1D(length=length, n_interior=40))
+    return HeatKernelEvaluator(SpectralDecomposition.from_form(form))
+
+
+class TestFitAgainstPerC2Loop:
+    """fit_envelope_constants against one envelope_sup_ratio call per c2."""
+
+    C2_GRID = np.geomspace(1e-3, 1.0, 7)
+
+    @staticmethod
+    def per_c2_fit(ev, schedule, c2_grid, t_grid):
+        m, N = schedule.m, schedule.N
+        best = None
+        for c2 in c2_grid:
+            c1, where = envelope_sup_ratio(ev, schedule, float(c2), t_grid)
+            score = c1 * float(c2) ** (-(2 * m - 1) * N / (2.0 * m))
+            if best is None or score < best[0]:
+                best = (score, c1, float(c2), where)
+        return best[1:]
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.4])
+    def test_same_constants_and_location(self, evaluator40, gamma, monkeypatch):
+        ev = evaluator40
+        m, s = ev.decomposition.m, ev.decomposition.gap
+        schedule = schedule_from_gamma(m, 1, gamma)
+        # the first two slices (and at m = 1 the third) lie below 10 t_floor, which the fit skips
+        t_grid = np.concatenate([[ev.t_floor, 5.0 * ev.t_floor], np.geomspace(0.05, 5.0, 12) / s])
+        c1, c2, where = self.per_c2_fit(ev, schedule, self.C2_GRID, t_grid)
+        blocks, block = [], HeatKernelEvaluator.block
+
+        def counted(self, t, idx):
+            blocks.append(t)
+            return block(self, t, idx)
+
+        monkeypatch.setattr(HeatKernelEvaluator, "block", counted)
+        fit = fit_envelope_constants(ev, schedule, self.C2_GRID, t_grid)
+        assert fit.constants == {"c1": c1, "c2": c2} and fit.worst_location == where
+        assert blocks == [float(t) for t in t_grid if t >= 10.0 * ev.t_floor]  # one block per admissible t
+        assert len(blocks) >= 11
+
+    def test_refined_path(self):
+        coarse = HeatKernelEvaluator(dirichlet_laplacian(Grid1D(length=math.pi, n_interior=40)))
+        refined = HeatKernelEvaluator(dirichlet_laplacian(Grid1D(length=math.pi, n_interior=80)))
+        schedule, t_grid = lap_schedule(0.4), np.geomspace(0.05, 5.0, 12)
+        c1, c2, where = self.per_c2_fit(coarse, schedule, self.C2_GRID, t_grid)
+        c1_ref, _ = envelope_sup_ratio(refined, schedule, c2, t_grid)
+        fit = fit_envelope_constants(coarse, schedule, self.C2_GRID, t_grid, refined=refined)
+        assert fit.constants == {"c1": c1, "c2": c2} and fit.worst_location == where
+        assert fit.drift == abs(c1_ref - c1) / c1
+        assert fit.passed == (c1_ref <= c1 * 1.10)
+
+    def test_all_slices_below_the_floor(self, evaluator40):
+        ev = evaluator40
+        schedule = schedule_from_gamma(ev.decomposition.m, 1, 0.0)
+        with pytest.raises(ConfigurationError, match="no admissible t slices"):
+            fit_envelope_constants(ev, schedule, self.C2_GRID, [ev.t_floor, 5.0 * ev.t_floor])
 
 
 class TestEnvelopeRatios:

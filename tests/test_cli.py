@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from heatgauss import twist as twist_mod
 from heatgauss.cli import main
 from heatgauss.config import RunConfig, load_run_config, parse_config_text
 from heatgauss.errors import ConfigurationError, EllipticityError, PropertyViolation
-from heatgauss.reporting import format_value, line_plot_svg, ratio_table_svg, write_csv
+from heatgauss.reporting import format_value, line_plot_svg, ratio_table_svg, witness_text, write_csv
 
 LAPLACE_CFG = """
 # reference Laplacian run
@@ -275,6 +276,22 @@ class TestCliRuns:
         assert set(later) <= {r[0] for r in rows}
         assert all(r[3] == "true" for r in rows if r[0] != check)
 
+    def test_witness_value_holding_the_separator(self, tmp_path, monkeypatch, capsys):
+        def reject(*args, **kwargs):
+            raise PropertyViolation("rejected", witness={"error": "a;b=c", "t": 0.5})
+
+        monkeypatch.setattr(bounds_mod, "sobolev_pointwise_check", reject)
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(LAPLACE_CFG.replace("n = 120", "n = 40"), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["verify-bounds", "--config", str(cfg), "--out", str(out)]) == 1
+        rows = list(csv.reader((out / "verify_bounds.csv").open(encoding="utf-8", newline="")))[1:]
+        witnesses = {r[4] for r in rows if r[0] == "sobolev-pointwise"}
+        assert witnesses == {'error="a;b=c";t=0.5'}
+        (text,) = witnesses
+        assert split_witness(text) == {"error": "a;b=c", "t": "0.5"}
+        assert f"witness: {text}\n" in capsys.readouterr().err
+
     @pytest.mark.parametrize("sub", ["spectrum", "kernel", "verify-bounds", "verify-twist",
                                      "verify-inequalities", "report"])
     def test_general_csv_table_runs_every_subcommand(self, sub, tmp_path, capsys):
@@ -364,6 +381,26 @@ class TestCsvWriter:
         assert path.read_text(encoding="utf-8") == (
             'check,witness\nx,a=1;b=2\ny,"error=direct=1, leibniz=2"\nz,"say ""hi"""\n'
         )
+
+
+def split_witness(text):
+    """key -> value of a witness text; a double-quoted value may hold ';', with '""' for '"'."""
+    pairs = re.findall(r'([^=;]+)=("(?:[^"]|"")*"|[^;]*)(?:;|$)', text)
+    return {k: v[1:-1].replace('""', '"') if v.startswith('"') else v for k, v in pairs}
+
+
+class TestWitnessText:
+    def test_plain_values_keep_their_bytes(self):
+        assert witness_text({"t": 0.5, "error": "direct=1, leibniz=2", "n": 3}) == (
+            "error=direct=1, leibniz=2;n=3;t=0.5"
+        )
+        assert witness_text(None) == witness_text({}) == ""
+
+    def test_quoted_values_split_back(self):
+        witness = {"error": 'say "a;b"', "q": '"', "t": 0.5}
+        text = witness_text(witness)
+        assert text == 'error="say ""a;b""";q="""";t=0.5'
+        assert split_witness(text) == {k: format_value(v) for k, v in witness.items()}
 
 
 class TestRatioTable:

