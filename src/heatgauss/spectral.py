@@ -104,7 +104,8 @@ class SpectralDecomposition:
     # O(n) per twist, filled by twist.appendix_b_identities
     twisted_spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # 2-norms of the twisted semigroup P_t ("P") and of Hhat_lambda P_t ("HP"),
-    # keyed by (TwistSpec, kind, t): floats only, filled by twist._twisted_norms
+    # keyed by (TwistSpec, kind, t): floats only, filled by twist._twisted_norms;
+    # a hit needs the same decomposition asked twice for one (twist, kind, t)
     twisted_norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

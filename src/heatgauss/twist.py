@@ -404,13 +404,19 @@ def _twisted_norms(d: SpectralDecomposition, tw: TwistSpec, keys) -> list[float]
     The weights are w = decay_weights(t (mu - s)) for kind "P", the twisted
     semigroup, and (mu - s) w for kind "HP", Hhat_lambda times it. Each norm
     is kept in d.twisted_norms under (tw, kind, t); only the missing ones are
-    computed, all from one QR pair. With O = sqrt(h) Phi orthogonal, the
-    matrix is (E^{-1} O) diag(w) (E O)^T; QR of both factors leaves
-    sigma_max(R_- diag(w) R_+^T). The weights of a decay profile vanish past
-    a prefix k (mu ascends), and the R factor of the first k columns is the
-    leading k x k block of the full R, so each norm is an exact SVD of a k x k
-    matrix. Never forming the n x n product keeps ||Hhat_lambda P|| free of
-    the eps ||Hhat|| ||P|| round-off floor.
+    computed, all from one QR pair. The memo pays only where one decomposition
+    is asked for the same (twist, kind, t) again: the norm fit, the P half of
+    the mixed fit and the default c2 of the evolved-form check share the P
+    norms, and later calls on a kept decomposition read all of them; a run
+    that asks once per twist, as verify-twist does, computes every norm as
+    before.
+
+    With O = sqrt(h) Phi orthogonal, the matrix is (E^{-1} O) diag(w) (E O)^T;
+    QR of both factors leaves sigma_max(R_- diag(w) R_+^T). The weights of a
+    decay profile vanish past a prefix k (mu ascends), and the R factor of the
+    first k columns is the leading k x k block of the full R, so each norm is
+    an exact SVD of a k x k matrix. Never forming the n x n product keeps
+    ||Hhat_lambda P|| free of the eps ||Hhat|| ||P|| round-off floor.
     """
     memo = d.twisted_norms
     missing = [key for key in dict.fromkeys(keys) if (tw, *key) not in memo]

@@ -276,6 +276,28 @@ class TestCliRuns:
         assert set(later) <= {r[0] for r in rows}
         assert all(r[3] == "true" for r in rows if r[0] != check)
 
+    def test_verify_twist_asks_each_norm_once(self, tmp_path, monkeypatch):
+        # one norm fit per lambda and an explicit c2 for the evolved check: the
+        # norm memo never hits, and each lambda takes its own QR pair
+        requests, qr = [], []
+        norms, factor = twist_mod._twisted_norms, twist_mod.np.linalg.qr
+
+        def counted_norms(d, tw, keys):
+            requests.extend((tw, *key) in d.twisted_norms for key in keys)
+            return norms(d, tw, keys)
+
+        def counted_qr(*args, **kwargs):
+            qr.append(1)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(twist_mod, "_twisted_norms", counted_norms)
+        monkeypatch.setattr(twist_mod.np.linalg, "qr", counted_qr)
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(LAPLACE_CFG.replace("n = 120", "n = 40"), encoding="utf-8")
+        assert main(["verify-twist", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert len(requests) == 2 * 6 and not any(requests)  # two lambdas, six t
+        assert len(qr) == 2 * 2
+
     def test_witness_value_holding_the_separator(self, tmp_path, monkeypatch, capsys):
         def reject(*args, **kwargs):
             raise PropertyViolation("rejected", witness={"error": "a;b=c", "t": 0.5})
