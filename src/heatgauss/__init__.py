@@ -18,7 +18,6 @@ from .bounds import (
     BoundEnvelope,
     FitResult,
     boundary_slope,
-    envelope_eval,
     fit_envelope_constants,
     longtime_rate,
     optimal_lambda,
@@ -28,7 +27,6 @@ from .core import (
     GammaSchedule,
     Grid1D,
     GTildeFn,
-    boundary_distance,
     epsilon_from_gamma,
     gamma_from_epsilon,
     gtilde,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GammaSchedule, boundary_distance, fit_holdout
+from .core import GammaSchedule, fit_holdout
 from .errors import ConfigurationError, DomainError, ParameterError
 from .spectral import HeatKernelEvaluator, SpectralDecomposition
 
@@ -46,25 +46,6 @@ class FitResult:
         return self.failure is None
 
 
-def envelope_eval(env: BoundEnvelope, t: float, x: float, y: float, d_x: float, d_y: float) -> float:
-    """Evaluate the upper-bound envelope at (t, x, y).
-
-    The prefactor carries 1/eps with eps = 1 - (N + 2 gamma)/(2m); the
-    Gaussian factor uses |x-y|^{2m/(2m-1)} / t^{1/(2m-1)} and the long-time
-    factor e^{-st}.
-    """
-    if t <= 0:
-        raise DomainError(f"envelope time must be positive, got {t}")
-    if d_x < 0 or d_y < 0:
-        raise DomainError("boundary distances must be non-negative")
-    sch = env.schedule
-    m, N, gamma = sch.m, sch.N, sch.gamma
-    power = (N + 2.0 * gamma) / (2.0 * m)
-    decay = d_x**gamma * d_y**gamma if gamma > 0 else 1.0
-    expo = -env.c2 * abs(x - y) ** (2 * m / (2 * m - 1)) / t ** (1.0 / (2 * m - 1)) - env.s * t
-    return env.c1 / sch.eps * t ** (-power) * decay * math.exp(expo)
-
-
 @dataclass(frozen=True)
 class OptimalTwist:
     value: float
@@ -86,52 +67,77 @@ def optimal_lambda(m: int, c2: float, s: float, r: float, t: float, length: floa
     return OptimalTwist(lam, False)
 
 
-def _sample_indices(n: int, stride: int) -> np.ndarray:
+def sample_indices(n: int, stride: int) -> np.ndarray:
+    """Every stride-th of n node indices, and the last one."""
     idx = np.arange(0, n, max(stride, 1))
     if idx[-1] != n - 1:
         idx = np.append(idx, n - 1)
     return idx
 
 
+def admissible_times(ev: HeatKernelEvaluator, t_grid) -> list[float]:
+    """The t of t_grid the envelope is checked at: short times within SHORT_TIME_EXCLUSION of the
+    resolvable floor are skipped."""
+    return [float(t) for t in np.atleast_1d(t_grid) if t >= SHORT_TIME_EXCLUSION * ev.t_floor]
+
+
+class EnvelopeTable:
+    """Envelopes that differ only in c2, over the nodes idx of a grid:
+    (c1/eps) t^{-p} (d_x d_y)^gamma exp(-c2 |x-y|^{2m/(2m-1)} / t^{1/(2m-1)} - s t), p = (N + 2 gamma)/(2m),
+    with eps = 1 - p. The distance power and the boundary-decay product are built once, the t factors
+    once per `at`, and only the c2 term per envelope.
+    """
+
+    def __init__(self, envs: list[BoundEnvelope], grid, idx: np.ndarray):
+        first = envs[0]
+        if any((env.schedule, env.s, env.c1) != (first.schedule, first.s, first.c1) for env in envs):
+            raise ParameterError("the envelopes of one table differ only in c2")
+        m, gamma = first.schedule.m, first.schedule.gamma
+        xi, di = grid.points[idx], grid.boundary_distances[idx]
+        self.envs = envs
+        self.power = (first.schedule.N + 2.0 * gamma) / (2.0 * m)
+        self.dist_power = np.abs(xi[:, None] - xi[None, :]) ** (2 * m / (2 * m - 1))
+        self.decay = np.outer(di**gamma, di**gamma) if gamma > 0 else 1.0
+
+    def at(self, t: float, K: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(envelope, |K| / envelope) at t for each envelope, K the kernel block on the nodes. The ratio
+        is 0 where K = 0, taken in log space where only the envelope underflows, and inf past the
+        float range. Raises DomainError at t <= 0."""
+        if t <= 0:
+            raise DomainError(f"envelope time must be positive, got {t}")
+        first = self.envs[0]
+        prefactor = (first.c1 / first.schedule.eps) * t ** (-self.power) * self.decay
+        tq = t ** (1.0 / (2 * first.schedule.m - 1))
+        absk = np.abs(K)
+        nonzero = absk > 0
+        tables = []
+        for env in self.envs:
+            expo = -env.c2 * self.dist_power / tq - env.s * t
+            envelope = prefactor * np.exp(expo)
+            lost = (envelope == 0) & nonzero
+            with np.errstate(over="ignore"):
+                ratio = np.divide(absk, envelope, out=np.zeros_like(absk), where=envelope > 0)
+                if np.any(lost):
+                    ratio[lost] = np.exp(np.log(absk[lost]) - (np.log(prefactor) + expo)[lost])
+            tables.append((envelope, ratio))
+        return tables
+
+
 def envelope_ratios(env: BoundEnvelope, grid, idx: np.ndarray, t: float, K: np.ndarray) -> np.ndarray:
-    """|K| / envelope(t, x_i, x_j) over the nodes idx, K the kernel block on them: 0 where
-    K = 0, and in log space where only the envelope underflows (inf past the float range)."""
-    sch = env.schedule
-    m, gamma = sch.m, sch.gamma
-    xi = grid.points[idx]
-    di = np.minimum(xi, grid.length - xi)
-    decay = np.outer(di**gamma, di**gamma) if gamma > 0 else 1.0
-    power = (sch.N + 2.0 * gamma) / (2.0 * m)
-    expo = (-env.c2 * np.abs(xi[:, None] - xi[None, :]) ** (2 * m / (2 * m - 1)) / t ** (1.0 / (2 * m - 1))
-            - env.s * t)
-    prefactor = (env.c1 / sch.eps) * t ** (-power) * decay
-    envm = prefactor * np.exp(expo)
-    absk = np.abs(K)
-    ratios = np.divide(absk, envm, out=np.zeros_like(absk), where=envm > 0)
-    lost = (envm == 0) & (absk > 0)
-    if np.any(lost):
-        log_env = np.log(prefactor) + expo
-        with np.errstate(over="ignore"):
-            ratios[lost] = np.exp(np.log(absk[lost]) - log_env[lost])
-    return ratios
+    """|K| / envelope(t, x_i, x_j) over the nodes idx, K the kernel block on them, by EnvelopeTable's rule."""
+    return EnvelopeTable([env], grid, idx).at(t, K)[0][1]
 
 
-def _sup_ratios(
-    ev: HeatKernelEvaluator, schedule: GammaSchedule, c2s: list[float], t_grid
-) -> list[tuple[float, tuple]]:
-    """envelope_sup_ratio at each c2 of c2s, reading one kernel block per admissible t."""
-    idx = _sample_indices(ev.grid.n_interior, SAMPLE_STRIDE)
+def _sup_ratios(ev: HeatKernelEvaluator, schedule: GammaSchedule, c2s: list[float],
+                t_grid) -> list[tuple[float, tuple]]:
+    """envelope_sup_ratio at each c2 of c2s from one envelope table, reading one kernel block per admissible t."""
+    idx = sample_indices(ev.grid.n_interior, SAMPLE_STRIDE)
     xi = ev.grid.points[idx]
     s = float(ev.decomposition.eigenvalues[0])
-    envs = [BoundEnvelope(schedule=schedule, s=s, c1=1.0, c2=c2) for c2 in c2s]
-    sups = [(0.0, None)] * len(envs)
-    for t in np.atleast_1d(t_grid):
-        t = float(t)
-        if t < SHORT_TIME_EXCLUSION * ev.t_floor:
-            continue
-        K = ev.block(t, idx)
-        for k, env in enumerate(envs):
-            ratios = envelope_ratios(env, ev.grid, idx, t, K)
+    table = EnvelopeTable([BoundEnvelope(schedule=schedule, s=s, c1=1.0, c2=c2) for c2 in c2s], ev.grid, idx)
+    sups = [(0.0, None)] * len(c2s)
+    for t in admissible_times(ev, t_grid):
+        for k, (_, ratios) in enumerate(table.at(t, ev.block(t, idx))):
             pos = int(np.argmax(ratios))
             r = float(ratios.flat[pos])
             if r > sups[k][0]:
@@ -142,14 +148,8 @@ def _sup_ratios(
     return sups
 
 
-def envelope_sup_ratio(
-    ev: HeatKernelEvaluator,
-    schedule: GammaSchedule,
-    c2: float,
-    t_grid,
-) -> tuple[float, tuple]:
-    """sup over (t, x, y), every SAMPLE_STRIDE-th node, of envelope_ratios at c1 = 1;
-    short-time slices within 10x of the resolvable floor are skipped."""
+def envelope_sup_ratio(ev: HeatKernelEvaluator, schedule: GammaSchedule, c2: float, t_grid) -> tuple[float, tuple]:
+    """sup over the admissible_times t and every SAMPLE_STRIDE-th node x, y of envelope_ratios at c1 = 1."""
     return _sup_ratios(ev, schedule, [c2], t_grid)[0]
 
 
@@ -255,7 +255,8 @@ def sobolev_pointwise_check(
         raise ConfigurationError("no evaluation nodes for the pointwise Sobolev check")
     eps, kappa, order = schedule.eps, schedule.kappa, schedule.n
     grid, h = d.grid, d.grid.h
-    d_kappa = np.array([boundary_distance(grid, float(grid.points[i])) ** kappa for i in x_indices])
+    dist = grid.boundary_distances  # raised to kappa one by one: numpy's array pow can differ from libm's
+    d_kappa = np.array([float(dist[i]) ** kappa for i in x_indices])
 
     def ratios(fs: np.ndarray) -> np.ndarray:
         rhs_f = []

@@ -140,10 +140,16 @@ def run_spectrum(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
 def run_kernel(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
     _, _, ev = _decompose(cfg)
     fit, env = _fitted_envelope(cfg, ev)
-    indices = bounds_mod._sample_indices(cfg.n, max(cfg.n // 24, 1))
-    ts = [t for t in cfg.t_grid if t >= bounds_mod.SHORT_TIME_EXCLUSION * ev.t_floor]
-    rows = kernel_rows(ev, lambda *args: bounds_mod.envelope_eval(env, *args), ts, indices)
-    write_csv(os.path.join(out, "kernel.csv"), KERNEL_HEADER, rows)
+    idx = bounds_mod.sample_indices(cfg.n, max(cfg.n // 24, 1))
+    table = bounds_mod.EnvelopeTable([env], ev.grid, idx)
+    x, dist = ev.grid.points[idx], ev.grid.boundary_distances[idx]
+
+    def rows():
+        for t in bounds_mod.admissible_times(ev, cfg.t_grid):
+            K = ev.matrix(t)[np.ix_(idx, idx)]
+            yield from kernel_rows(t, x, dist, K, *table.at(t, K)[0])
+
+    write_csv(os.path.join(out, "kernel.csv"), KERNEL_HEADER, rows())
     return [_fit_row("kernel-dump", {"n": cfg.n, "gamma": env.schedule.gamma}, fit.constants["c1"], fit)]
 
 
@@ -284,8 +290,6 @@ def run_verify_inequalities(cfg: RunConfig, out: str, refine: bool) -> list[Repo
 
 def run_report(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
     _, d, ev = _decompose(cfg)
-    x = d.grid.points
-    dist = np.minimum(x, cfg.length - x)
     half = cfg.n // 2
     t_mid = float(np.median(cfg.t_grid))
     left = slice(0, max(cfg.n // 5, 3))
@@ -294,7 +298,7 @@ def run_report(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
     keep = vals > 0
     line_plot_svg(
         os.path.join(out, "kernel_boundary.svg"),
-        [("log|k|", np.log(dist[left][keep]), np.log(vals[keep]))],
+        [("log|k|", np.log(d.grid.boundary_distances[left][keep]), np.log(vals[keep]))],
         "kernel decay at the boundary", "log d_x", "log |k|",
     )
     ts = np.asarray(cfg.t_grid, dtype=float)
@@ -305,7 +309,7 @@ def run_report(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
         "long-time kernel decay", "t", "log sup |k|",
     )
     _, env = _fitted_envelope(cfg, ev)
-    idx = bounds_mod._sample_indices(cfg.n, max(cfg.n // 40, 1))
+    idx = bounds_mod.sample_indices(cfg.n, max(cfg.n // 40, 1))
     ratios = bounds_mod.envelope_ratios(env, d.grid, idx, t_mid, K[np.ix_(idx, idx)])
     ratio_table_svg(os.path.join(out, "envelope_ratio.svg"), ratios,
                     "kernel / envelope ratio")

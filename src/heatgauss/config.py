@@ -14,6 +14,7 @@ import numpy as np
 from .core import GammaSchedule, gamma_from_epsilon, schedule_from_gamma
 from .errors import ConfigurationError, ParameterError
 from .profiles import BUILTIN_PROFILES, get_profile
+from .twist import TWIST_CAP
 
 
 def _strip_comment(line: str) -> str:
@@ -103,6 +104,8 @@ class RunConfig:
                 raise ConfigurationError(f"{name} must be non-empty")
             if name in ("t_grid", "c2_grid") and not all(0 < v < math.inf for v in getattr(self, name)):
                 raise ConfigurationError(f"[sweep] {name} entries must be positive and finite")
+        if not all(abs(lam) * self.length <= TWIST_CAP for lam in self.lam_grid):  # also rejects nan
+            raise ConfigurationError(f"[sweep] lam_grid entries must be finite with |lam| * L <= {TWIST_CAP}")
         if self.seed < 0:
             raise ConfigurationError("seed must be a non-negative integer")
         if self.sample_count < 1:

@@ -37,6 +37,12 @@ class Grid1D:
     def points(self) -> np.ndarray:
         return np.arange(1, self.n_interior + 1) * self.h
 
+    @property
+    def boundary_distances(self) -> np.ndarray:
+        """Distance min(x_i, L - x_i) from each node to the boundary {0, L}."""
+        x = self.points
+        return np.minimum(x, self.length - x)
+
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
         """Discrete L2 inner product <u,v>_h = h * sum(u*v)."""
         return self.h * float(np.dot(np.conj(v), u).real) if np.iscomplexobj(u) or np.iscomplexobj(v) \
@@ -69,13 +75,6 @@ def is_frozen(a: np.ndarray) -> bool:
 def read_only(a: np.ndarray) -> np.ndarray:
     """a itself when is_frozen reports it read-only, else a read-only copy of it."""
     return a if is_frozen(a) else freeze(np.array(a))
-
-
-def boundary_distance(grid: Grid1D, x: float) -> float:
-    """Distance from x to the boundary {0, L}."""
-    if x < 0 or x > grid.length:
-        raise DomainError(f"x={x} outside [0, {grid.length}]")
-    return min(x, grid.length - x)
 
 
 def holdout_within(held: float, fitted: float) -> bool:

@@ -7,7 +7,6 @@ SVG output is a convenience layer built from polyline and text primitives.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -87,21 +86,12 @@ def write_report_rows(path, rows: list[ReportRow]) -> None:
     write_csv(path, header, table)
 
 
-def kernel_rows(ev, env_fn, t_values, indices):
-    """Rows t,x,y,d_x,d_y,k,envelope,ratio for the kernel dump CSV."""
-    grid = ev.grid
-    x = grid.points
-    d = np.minimum(x, grid.length - x)
-    for t in t_values:
-        K = ev.matrix(float(t))
-        for i in indices:
-            for j in indices:
-                k = float(K[i, j])
-                env = env_fn(float(t), float(x[i]), float(x[j]), float(d[i]), float(d[j]))
-                # as in bounds.envelope_sup_ratio: a zero kernel reads 0 even where
-                # the envelope underflows, and only k > 0 over env = 0 is infinite
-                ratio = abs(k) / env if env > 0 else (math.inf if k else 0.0)
-                yield [t, x[i], x[j], d[i], d[j], k, env, ratio]
+def kernel_rows(t, x, d, k, envelope, ratio):
+    """Rows t,x,y,d_x,d_y,k,envelope,ratio of the kernel dump CSV at one t: x the nodes, d their
+    boundary distances, and k, envelope and ratio the tables over them."""
+    for i in range(len(x)):
+        for j in range(len(x)):
+            yield [t, x[i], x[j], d[i], d[j], k[i, j], envelope[i, j], ratio[i, j]]
 
 
 KERNEL_HEADER = ["t", "x", "y", "d_x", "d_y", "k", "envelope", "ratio"]

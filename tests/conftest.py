@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,17 @@ from heatgauss.spectral import decay_weights
 def semigroup_apply(d, t: float, f: np.ndarray) -> np.ndarray:
     """Oracle evolution of f by the semigroup: sum_k exp(-mu_k t) <f, phi_k>_h phi_k."""
     return d.eigenvectors @ (decay_weights(t * d.eigenvalues) * d.coefficients(f))
+
+
+def envelope_eval(env, t: float, x: float, y: float, d_x: float, d_y: float) -> float:
+    """Oracle envelope at one (t, x, y) in scalar libm arithmetic:
+    (c1/eps) t^{-(N + 2 gamma)/(2m)} (d_x d_y)^gamma exp(-c2 |x-y|^{2m/(2m-1)} / t^{1/(2m-1)} - s t)."""
+    sch = env.schedule
+    m, N, gamma = sch.m, sch.N, sch.gamma
+    power = (N + 2.0 * gamma) / (2.0 * m)
+    decay = d_x**gamma * d_y**gamma if gamma > 0 else 1.0
+    expo = -env.c2 * abs(x - y) ** (2 * m / (2 * m - 1)) / t ** (1.0 / (2 * m - 1)) - env.s * t
+    return env.c1 / sch.eps * t ** (-power) * decay * math.exp(expo)
 
 
 def _decomp(name: str, n: int):

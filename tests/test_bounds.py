@@ -14,15 +14,14 @@ from heatgauss import (
     assemble_form,
     boundary_slope,
     dirichlet_laplacian,
-    envelope_eval,
     fit_envelope_constants,
     longtime_rate,
     optimal_lambda,
     polyharmonic_spec,
     sobolev_pointwise_check,
 )
-from conftest import semigroup_apply
-from heatgauss.bounds import _sample_indices, centered_derivatives, envelope_ratios, envelope_sup_ratio
+from conftest import envelope_eval, semigroup_apply
+from heatgauss.bounds import EnvelopeTable, centered_derivatives, envelope_ratios, envelope_sup_ratio, sample_indices
 from heatgauss.cli import _train_holdout
 from heatgauss.errors import ResolutionWarning
 from heatgauss.core import Grid1D, schedule_from_gamma
@@ -32,31 +31,53 @@ def lap_schedule(gamma):
     return schedule_from_gamma(1, 1, gamma)
 
 
+def envelope_at(env, grid, t):
+    """EnvelopeTable's envelope of env over every node of grid at t."""
+    idx = np.arange(grid.n_interior)
+    return EnvelopeTable([env], grid, idx).at(t, np.zeros((idx.size, idx.size)))[0][0]
+
+
 class TestEnvelope:
+    GRID = Grid1D(length=math.pi, n_interior=30)
+
     def test_gamma_zero_reduces_to_gaussian(self):
         env = BoundEnvelope(schedule=lap_schedule(0.0), s=1.0, c1=1.0, c2=0.25)
-        t, x, y = 0.5, 1.0, 2.0
-        val = envelope_eval(env, t, x, y, 1.0, 1.0)
-        expected = (1.0 / 0.5) * t**-0.5 * math.exp(-0.25 * abs(x - y) ** 2 / t - t)
-        assert val == pytest.approx(expected)
+        t, x = 0.5, self.GRID.points
+        table = envelope_at(env, self.GRID, t)
+        expected = (1.0 / 0.5) * t**-0.5 * np.exp(-0.25 * (x[:, None] - x[None, :]) ** 2 / t - t)
+        np.testing.assert_allclose(table, expected, rtol=1e-14)
+        assert np.all(table > 0)
 
     def test_boundary_decay_factor(self):
         env = BoundEnvelope(schedule=lap_schedule(0.4), s=1.0, c1=1.0, c2=0.1)
-        near = envelope_eval(env, 1.0, 0.1, 1.0, 0.1, 1.0)
-        far = envelope_eval(env, 1.0, 1.0, 1.0, 1.0, 1.0)
-        # same |x-y| would be needed for a clean ratio; compare the d_x factor directly
-        assert near / far == pytest.approx(
-            0.1**0.4 * math.exp(-0.1 * (0.9**2 - 0.0)), rel=1e-9
-        )
+        flat = BoundEnvelope(schedule=lap_schedule(0.4), s=1.0, c1=1.0, c2=1e-300)
+        table, plain = envelope_at(env, self.GRID, 1.0), envelope_at(flat, self.GRID, 1.0)
+        x, d = self.GRID.points, self.GRID.boundary_distances
+        # at c2 -> 0 only the boundary-decay product (d_x d_y)^gamma varies over the nodes
+        np.testing.assert_allclose(plain / plain[0, 0], np.outer(d, d) ** 0.4 / d[0] ** 0.8, rtol=1e-13)
+        # and the Gaussian factor decays with the distance |x - y|
+        np.testing.assert_allclose(table / plain, np.exp(-0.1 * (x[:, None] - x[None, :]) ** 2), rtol=1e-13)
+
+    def test_matches_scalar_oracle(self):
+        for m, gamma in ((1, 0.0), (1, 0.4), (2, 1.2), (3, 2.3)):
+            grid = Grid1D(length=1.0, n_interior=20)
+            env = BoundEnvelope(schedule=schedule_from_gamma(m, 1, gamma), s=3.0, c1=2.0, c2=0.2)
+            x, d = grid.points, grid.boundary_distances
+            for t in (1e-3, 0.1, 2.0):
+                table = envelope_at(env, grid, t)
+                oracle = [[envelope_eval(env, t, x[i], x[j], d[i], d[j]) for j in range(20)] for i in range(20)]
+                np.testing.assert_allclose(table, oracle, rtol=1e-14, atol=0.0)
 
     def test_invalid_arguments(self):
         env = BoundEnvelope(schedule=lap_schedule(0.0), s=1.0, c1=1.0, c2=1.0)
-        with pytest.raises(DomainError):
-            envelope_eval(env, 0.0, 1.0, 1.0, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            envelope_eval(env, 1.0, 1.0, 1.0, -0.1, 1.0)
+        for t in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                envelope_at(env, self.GRID, t)
         with pytest.raises(ParameterError):
             BoundEnvelope(schedule=lap_schedule(0.0), s=1.0, c1=0.0, c2=1.0)
+        with pytest.raises(ParameterError):  # a table shares everything but c2
+            EnvelopeTable([env, BoundEnvelope(schedule=lap_schedule(0.0), s=1.0, c1=2.0, c2=1.0)],
+                          self.GRID, np.arange(3))
 
 
 class TestOptimalLambda:
@@ -126,7 +147,7 @@ class TestEnvelopeFit:
 def loop_sup_ratio(ev, schedule, c2, t_grid, stride=4):
     """envelope_sup_ratio entry by entry, every ratio taken in log space."""
     grid = ev.grid
-    idx = _sample_indices(grid.n_interior, stride)
+    idx = sample_indices(grid.n_interior, stride)
     s = float(ev.decomposition.eigenvalues[0])
     m, gamma = schedule.m, schedule.gamma
     power = (schedule.N + 2.0 * gamma) / (2.0 * m)
@@ -261,7 +282,7 @@ class TestEnvelopeRatios:
         s = d.gap
         schedule = schedule_from_gamma(3, 1, 0.4)
         env = BoundEnvelope(schedule=schedule, s=s, c1=2.5, c2=50.0)
-        idx = _sample_indices(d.grid.n_interior, 2)
+        idx = sample_indices(d.grid.n_interior, 2)
         x = d.grid.points
         seen = set()
         for t in (0.5 / s, 690.0 / s, 800.0 / s):
@@ -287,11 +308,52 @@ class TestEnvelopeRatios:
         assert seen == {"zero", "plain", "log"}
 
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.4])
+    def test_table_matches_the_per_pair_arithmetic_exactly(self, evaluator40, gamma):
+        # the table hoists the c2-independent factors but keeps each expression's order, so the
+        # envelope, the ratios and hence the fitted constants are those of one rebuild per (c2, t)
+        ev = evaluator40
+        m, s = ev.decomposition.m, float(ev.decomposition.eigenvalues[0])
+        schedule = schedule_from_gamma(m, 1, gamma)
+        gamma = schedule.gamma  # the schedule's round trip through eps can move the last bit
+        idx = sample_indices(ev.grid.n_interior, 4)
+        xi = ev.grid.points[idx]
+        di, r = np.minimum(xi, ev.grid.length - xi), np.abs(xi[:, None] - xi[None, :])
+        envs = [BoundEnvelope(schedule=schedule, s=s, c1=1.5, c2=c2) for c2 in (1e-3, 0.1, 50.0)]
+        table = EnvelopeTable(envs, ev.grid, idx)
+        for t in np.geomspace(0.05, 700.0, 6) / s:
+            K = ev.block(t, idx)
+            for env, (envelope, ratios) in zip(envs, table.at(t, K)):
+                decay = np.outer(di**gamma, di**gamma) if gamma > 0 else 1.0
+                expo = -env.c2 * r ** (2 * m / (2 * m - 1)) / t ** (1.0 / (2 * m - 1)) - s * t
+                prefactor = (1.5 / schedule.eps) * t ** (-(1 + 2.0 * gamma) / (2.0 * m)) * decay
+                want = prefactor * np.exp(expo)
+                assert np.array_equal(envelope, want)
+                plain = want > 0
+                with np.errstate(over="ignore"):
+                    assert np.array_equal(ratios[plain], np.abs(K[plain]) / want[plain])
+
+    @pytest.mark.parametrize("c2", [100.0, 1e4])
+    def test_ratio_past_the_float_range_reads_inf(self, c2):
+        # laplace-pi at n = 40, t = 1: below a kernel entry the envelope is subnormal (the plain
+        # branch, at c2 = 100) or underflows to 0 (the log branch, at both c2), and |k| / envelope
+        # passes the float range; the suite turns an unguarded overflow's RuntimeWarning into an error
+        form = assemble_form(polyharmonic_spec(1), Grid1D(length=math.pi, n_interior=40))
+        ev = HeatKernelEvaluator(SpectralDecomposition.from_form(form))
+        ratio, _ = envelope_sup_ratio(ev, lap_schedule(0.0), c2, [1.0])
+        assert ratio == math.inf
+        env = BoundEnvelope(schedule=lap_schedule(0.0), s=float(ev.decomposition.eigenvalues[0]), c1=1.0, c2=c2)
+        idx = sample_indices(40, 4)
+        envelope, ratios = EnvelopeTable([env], ev.grid, idx).at(1.0, ev.block(1.0, idx))[0]
+        assert np.any(np.isinf(ratios) & (envelope > 0)) == (c2 == 100.0)
+        assert np.any(np.isinf(ratios) & (envelope == 0))
+
+
 class TestKernelBlock:
     def test_block_matches_full_table(self, laplace200, beam200):
         for _, d in (laplace200, beam200):
             ev = HeatKernelEvaluator(d)
-            idx = _sample_indices(d.grid.n_interior, 4)
+            idx = sample_indices(d.grid.n_interior, 4)
             for t in (0.1 / d.gap, 1.0 / d.gap):
                 want = ev.matrix(t)[np.ix_(idx, idx)]
                 got = ev.block(t, idx)

@@ -164,6 +164,13 @@ class TestCliRuns:
         pytest.param("[operator]\nsource = laplace-pi\n[schedule]\ngamma =\n", None, id="gamma-empty"),
         pytest.param("[operator]\nsource = laplace-pi\n[sweep]\nt_grid = -0.1 0.5 1.0\n", None, id="t-grid-negative"),
         pytest.param("[operator]\nsource = laplace-pi\n[sweep]\nc2_grid = -0.1 0.5\n", None, id="c2-grid-negative"),
+        # |lam| * L = 100 pi past the twist cap of 40
+        pytest.param("[operator]\nsource = laplace-pi\nn = 40\n[sweep]\nlam_grid = 0 100\n", None,
+                     id="lam-grid-past-cap"),
+        pytest.param("[operator]\nsource = laplace-pi\nn = 40\n[sweep]\nlam_grid = inf\n", None,
+                     id="lam-grid-infinite"),
+        pytest.param("[operator]\nsource = laplace-pi\nn = 40\n[sweep]\nlam_grid = nan\n", None,
+                     id="lam-grid-nan"),
         pytest.param("[operator]\nsource = csv:{csv}\nm = 1\nL = 1\nn = 40\n",
                      "i,j,x,value\n1,1,0.0,1.0\n0,0,0.0,-50\n", id="csv-not-positive"),
         pytest.param("[operator]\nsource = csv:{csv}\nm = 1\nL = 1\nn = 20\n",
@@ -184,19 +191,27 @@ class TestCliRuns:
         assert capsys.readouterr().err.startswith("config error: ")
 
     def test_kernel_dump_reads_zero_over_zero_as_zero(self, tmp_path):
-        # the m = 3 kernel and envelope both underflow at the larger t
-        cfg = tmp_path / "poly3.cfg"
-        cfg.write_text(POLY3_CFG, encoding="utf-8")
+        # every row's k and ratio are the kernel block and envelope_ratios on it, exactly; the
+        # m = 3 kernel and envelope both underflow at the larger t, where the ratio reads 0
+        from heatgauss.cli import _decompose, _fitted_envelope
+
+        path = tmp_path / "poly3.cfg"
+        path.write_text(POLY3_CFG, encoding="utf-8")
         out = tmp_path / "out"
-        main(["kernel", "--config", str(cfg), "--out", str(out)])
-        rows = [[float(v) for v in ln.split(",")] for ln in (out / "kernel.csv").read_text().splitlines()[1:]]
-        both_zero = [r for r in rows if r[5] == 0.0 and r[6] == 0.0]
-        assert both_zero and all(r[7] == 0.0 for r in both_zero)
-        for *_, k, env, ratio in rows:
-            if env > 0:
-                assert ratio == abs(k) / env
-            elif k != 0:
-                assert ratio == math.inf
+        main(["kernel", "--config", str(path), "--out", str(out)])
+        rows = np.array([[float(v) for v in ln.split(",")] for ln in (out / "kernel.csv").read_text().splitlines()[1:]])
+        cfg = load_run_config(str(path))
+        _, _, ev = _decompose(cfg)
+        _, env = _fitted_envelope(cfg, ev)
+        idx = bounds_mod.sample_indices(cfg.n, max(cfg.n // 24, 1))
+        ts = bounds_mod.admissible_times(ev, cfg.t_grid)
+        assert rows.shape == (len(ts) * idx.size**2, 8)
+        for t, block in zip(ts, rows.reshape(len(ts), idx.size**2, 8)):
+            K = ev.matrix(t)[np.ix_(idx, idx)]
+            assert np.all(block[:, 0] == t) and np.array_equal(block[:, 5], K.ravel())
+            assert np.array_equal(block[:, 7], bounds_mod.envelope_ratios(env, ev.grid, idx, t, K).ravel())
+        both_zero = (rows[:, 5] == 0.0) & (rows[:, 6] == 0.0)
+        assert np.any(both_zero) and np.all(rows[both_zero, 7] == 0.0)
 
     def test_verify_inequalities_passes(self, laplace_cfg, tmp_path):
         out = tmp_path / "out"

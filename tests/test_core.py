@@ -13,7 +13,6 @@ from heatgauss import (
     Grid1D,
     GTildeFn,
     ParameterError,
-    boundary_distance,
     epsilon_from_gamma,
     gamma_from_epsilon,
     gtilde,
@@ -50,16 +49,10 @@ class TestGrid:
 class TestBoundaryDistance:
     def test_values(self):
         g = Grid1D(length=4.0, n_interior=3)
-        assert boundary_distance(g, 1.0) == 1.0
-        assert boundary_distance(g, 3.5) == pytest.approx(0.5)
-        assert boundary_distance(g, 2.0) == 2.0
-
-    def test_outside_domain(self):
-        g = Grid1D(length=4.0, n_interior=3)
-        with pytest.raises(DomainError):
-            boundary_distance(g, -0.1)
-        with pytest.raises(DomainError):
-            boundary_distance(g, 4.1)
+        assert g.boundary_distances.tolist() == [1.0, 2.0, 1.0]
+        g = Grid1D(length=1.0, n_interior=4)
+        np.testing.assert_allclose(g.boundary_distances, [0.2, 0.4, 0.4, 0.2], rtol=1e-15)
+        assert np.array_equal(g.boundary_distances, np.minimum(g.points, 1.0 - g.points))
 
 
 class TestHoldoutRule:
