@@ -20,15 +20,11 @@ from .bounds import (
     boundary_slope,
     fit_envelope_constants,
     longtime_rate,
-    optimal_lambda,
     sobolev_pointwise_check,
 )
 from .core import (
     GammaSchedule,
     Grid1D,
-    GTildeFn,
-    epsilon_from_gamma,
-    gamma_from_epsilon,
     gtilde,
     schedule_from_gamma,
 )
@@ -65,7 +61,6 @@ from .spectral import (
     evolved_form_bound_check,
     jacobi_eigh,
     kernel_eval,
-    spectral_gap,
 )
 from .twist import (
     TwistSpec,

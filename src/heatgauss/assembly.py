@@ -123,7 +123,7 @@ class FormMatrix:
     matrix: np.ndarray
     grid: Grid1D
     m: int
-    spec: OperatorSpec | None = field(default=None, compare=False)
+    spec: OperatorSpec = field(compare=False)
     # per(lambda) tables keyed by TwistSpec: O(n m) per twist, filled by twist.per_lambda
     twist_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -168,16 +168,16 @@ def assemble_form(spec: OperatorSpec, grid: Grid1D) -> FormMatrix:
     return FormMatrix(matrix=Q, grid=grid, m=spec.m, spec=spec)
 
 
-def measure_ellipticity(form: FormMatrix, grid: Grid1D, m: int) -> float:
+def measure_ellipticity(form: FormMatrix) -> float:
     """Extremes of the pencil Q_h f = lambda P_h f against the polyharmonic form.
 
-    With Cholesky factors P_h = L_P L_P^T and Q_h = L_Q L_Q^T the pencil
-    extremes are the squared extreme singular values of L_P^{-1} L_Q, so no
-    eigensolver runs. Returns c = max(lambda_max, 1/lambda_min) >= 1
-    certifying the two-sided sandwich; rejects the operator when either form
-    is not positive definite.
+    P_h has the order and the grid of the form. With Cholesky factors
+    P_h = L_P L_P^T and Q_h = L_Q L_Q^T the pencil extremes are the squared
+    extreme singular values of L_P^{-1} L_Q, so no eigensolver runs. Returns
+    c = max(lambda_max, 1/lambda_min) >= 1 certifying the two-sided sandwich;
+    rejects the operator when either form is not positive definite.
     """
-    P = assemble_form(polyharmonic_spec(m), grid)
+    P = assemble_form(polyharmonic_spec(form.m), form.grid)
     try:
         L_P = np.linalg.cholesky(P.matrix)
     except np.linalg.LinAlgError:

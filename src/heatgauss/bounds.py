@@ -16,6 +16,7 @@ SHORT_TIME_EXCLUSION = 10.0  # multiples of the resolvable floor excluded from f
 SAMPLE_STRIDE = 4  # node stride of the (x, y) samples in envelope_sup_ratio
 DRIFT_BUDGET = 0.10  # relative rise of c1 allowed on the refined mesh
 BOUNDARY_FRACTION = 0.10  # share of the nodes in boundary_slope's window
+TINY = np.finfo(float).tiny  # least normal float: an envelope below it divides in log space
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,8 @@ class BoundEnvelope:
     c2: float
 
     def __post_init__(self):
-        if self.c1 <= 0 or self.c2 <= 0 or self.s <= 0:
-            raise ParameterError("envelope constants c1, c2 and the gap s must be positive")
+        if not all(0 < v < math.inf for v in (self.c1, self.c2, self.s)):  # also rejects nan
+            raise ParameterError("envelope constants c1, c2 and the gap s must be positive and finite")
 
 
 @dataclass
@@ -44,27 +45,6 @@ class FitResult:
     @property
     def passed(self) -> bool:
         return self.failure is None
-
-
-@dataclass(frozen=True)
-class OptimalTwist:
-    value: float
-    saturated: bool
-
-
-def optimal_lambda(m: int, c2: float, s: float, r: float, t: float, length: float | None = None) -> OptimalTwist:
-    """Twist strength minimizing the exponent: lambda^{2m-1} = r / (2m c2 (1+s)^{2m} t).
-
-    Capped at 40/L when the domain length is supplied; saturation is flagged.
-    """
-    if r < 0 or t <= 0:
-        raise DomainError(f"need r >= 0 and t > 0, got r={r}, t={t}")
-    if r == 0:
-        return OptimalTwist(0.0, False)
-    lam = (r / (2.0 * m * c2 * (1.0 + s) ** (2 * m) * t)) ** (1.0 / (2 * m - 1))
-    if length is not None and lam > 40.0 / length:
-        return OptimalTwist(40.0 / length, True)
-    return OptimalTwist(lam, False)
 
 
 def sample_indices(n: int, stride: int) -> np.ndarray:
@@ -101,10 +81,11 @@ class EnvelopeTable:
 
     def at(self, t: float, K: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """(envelope, |K| / envelope) at t for each envelope, K the kernel block on the nodes. The ratio
-        is 0 where K = 0, taken in log space where only the envelope underflows, and inf past the
-        float range. Raises DomainError at t <= 0."""
-        if t <= 0:
-            raise DomainError(f"envelope time must be positive, got {t}")
+        is 0 where K = 0, taken in log space where only the envelope falls below the normal range
+        (a subnormal envelope has lost digits, a flushed one all of them), and inf past the float
+        range. Raises DomainError unless 0 < t < inf."""
+        if not (0 < t < math.inf):  # also rejects nan
+            raise DomainError(f"envelope time must be positive and finite, got {t}")
         first = self.envs[0]
         prefactor = (first.c1 / first.schedule.eps) * t ** (-self.power) * self.decay
         tq = t ** (1.0 / (2 * first.schedule.m - 1))
@@ -114,9 +95,10 @@ class EnvelopeTable:
         for env in self.envs:
             expo = -env.c2 * self.dist_power / tq - env.s * t
             envelope = prefactor * np.exp(expo)
-            lost = (envelope == 0) & nonzero
+            small = envelope < TINY
+            lost = small & nonzero
             with np.errstate(over="ignore"):
-                ratio = np.divide(absk, envelope, out=np.zeros_like(absk), where=envelope > 0)
+                ratio = np.divide(absk, envelope, out=np.zeros_like(absk), where=~small)
                 if np.any(lost):
                     ratio[lost] = np.exp(np.log(absk[lost]) - (np.log(prefactor) + expo)[lost])
             tables.append((envelope, ratio))
@@ -133,7 +115,7 @@ def _sup_ratios(ev: HeatKernelEvaluator, schedule: GammaSchedule, c2s: list[floa
     """envelope_sup_ratio at each c2 of c2s from one envelope table, reading one kernel block per admissible t."""
     idx = sample_indices(ev.grid.n_interior, SAMPLE_STRIDE)
     xi = ev.grid.points[idx]
-    s = float(ev.decomposition.eigenvalues[0])
+    s = ev.decomposition.gap
     table = EnvelopeTable([BoundEnvelope(schedule=schedule, s=s, c1=1.0, c2=c2) for c2 in c2s], ev.grid, idx)
     sups = [(0.0, None)] * len(c2s)
     for t in admissible_times(ev, t_grid):
@@ -261,7 +243,7 @@ def sobolev_pointwise_check(
     def ratios(fs: np.ndarray) -> np.ndarray:
         rhs_f = []
         for f in fs:
-            q_f = float(f @ (form.matrix @ f))
+            q_f = form(f)
             norm = math.sqrt(h * float(np.dot(f, f)))
             ok = q_f > 0 and norm != 0  # else ratio 0
             rhs_f.append((1.0 / math.sqrt(eps)) * q_f ** ((1.0 - eps) / 2.0) * norm**eps if ok else math.inf)

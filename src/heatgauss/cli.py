@@ -243,11 +243,11 @@ def run_verify_inequalities(cfg: RunConfig, out: str, refine: bool) -> list[Repo
     rows = []
 
     basic_grid = ineq.SearchGrid(axes={
-        "a": ineq.SearchGrid.log_axis(1e-3, 1e3, 14),
-        "b": ineq.SearchGrid.log_axis(1e-3, 1e3, 14),
-        "p": ineq.SearchGrid.lin_axis(0.25, 3.0, 7),
-        "q": ineq.SearchGrid.lin_axis(0.25, 3.0, 7),
-        "eps": ineq.SearchGrid.log_axis(1e-2, 10.0, 12),
+        "a": np.geomspace(1e-3, 1e3, 14),
+        "b": np.geomspace(1e-3, 1e3, 14),
+        "p": np.linspace(0.25, 3.0, 7),
+        "q": np.linspace(0.25, 3.0, 7),
+        "eps": np.geomspace(1e-2, 10.0, 12),
     }, seed=cfg.seed)
     _guarded(rows, "check-basic", {"points": 14 * 14 * 7 * 7 * 12},
              lambda: ineq.check_basic(basic_grid)["worst_margin"])
@@ -256,34 +256,34 @@ def run_verify_inequalities(cfg: RunConfig, out: str, refine: bool) -> list[Repo
              lambda: ineq.check_bond(d_lap, [(1, 2), (1, 3), (2, 3)], f_train[:8])["worst_margin"])
 
     symbol_grid = ineq.SearchGrid(axes={
-        "lam": ineq.SearchGrid.log_axis(1e-2, 1e2, 30),
-        "eps": ineq.SearchGrid.log_axis(1e-2, 1.0, 20),
+        "lam": np.geomspace(1e-2, 1e2, 30),
+        "eps": np.geomspace(1e-2, 1.0, 20),
     }, seed=cfg.seed)
     _guarded(rows, "check-main", {"n": cfg.n},
              lambda: ineq.check_main(d_lap, symbol_grid, f_train[:4])["worst_margin"])
 
     eps_grid = ineq.SearchGrid(axes={
-        "lam": ineq.SearchGrid.log_axis(1e-2, 1e2, 40),
-        "eps": ineq.SearchGrid.log_axis(1e-2, 1.9, 24),
+        "lam": np.geomspace(1e-2, 1e2, 40),
+        "eps": np.geomspace(1e-2, 1.9, 24),
     }, seed=cfg.seed)
     _guarded(rows, "check-epsilon", {"n": cfg.n},
              lambda: ineq.check_epsilon(d_lap, eps_grid, f_train[:6])["worst_margin"])
 
     stephen_grid = ineq.SearchGrid(axes={
-        "rho": ineq.SearchGrid.log_axis(1e-2, 1e2, 16),
-        "theta": ineq.SearchGrid.log_axis(1e-2, 10.0, 16),
-        "lam": ineq.SearchGrid.log_axis(1e-2, 1e2, 24),
+        "rho": np.geomspace(1e-2, 1e2, 16),
+        "theta": np.geomspace(1e-2, 10.0, 16),
+        "lam": np.geomspace(1e-2, 1e2, 24),
     }, seed=cfg.seed)
     _guarded(rows, "check-stephen", {"n": cfg.n, "m": cfg.m},
              lambda: ineq.check_stephen(form, d_form, stephen_grid, f_train, f_holdout)["c1"])
 
     s = d_form.gap
     gtilde_grid = ineq.SearchGrid(axes={
-        "mu": ineq.SearchGrid.log_axis(s, 1e4 * s, 400),
-        "t": ineq.SearchGrid.log_axis(1e-4 / s, 10.0 / s, 400),
+        "mu": np.geomspace(s, 1e4 * s, 400),
+        "t": np.geomspace(1e-4 / s, 10.0 / s, 400),
     }, seed=cfg.seed)
     _guarded(rows, "gtilde-majorant", {"s": s}, lambda: ineq.gtilde_majorant(s, gtilde_grid)["worst_rel_gap"])
-    _guarded(rows, "ellipticity", {"m": cfg.m}, lambda: measure_ellipticity(form, form.grid, cfg.m))
+    _guarded(rows, "ellipticity", {"m": cfg.m}, lambda: measure_ellipticity(form))
     write_report_rows(os.path.join(out, "verify_inequalities.csv"), rows)
     return rows
 

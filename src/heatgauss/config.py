@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GammaSchedule, gamma_from_epsilon, schedule_from_gamma
+from .core import GammaSchedule, schedule_from_gamma
 from .errors import ConfigurationError, ParameterError
 from .profiles import BUILTIN_PROFILES, get_profile
 from .twist import TWIST_CAP
@@ -143,14 +143,16 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
         length = _parse_number(op["L"], "[operator] L", float)
     n = _parse_number(op.get("n", "200"), "[operator] n", int)
 
+    eps_schedules = None
     if "gamma" in sched:
         gamma_list = _parse_floats(sched["gamma"], "[schedule] gamma")
     elif "eps" in sched:
         eps_list = _parse_floats(sched["eps"], "[schedule] eps")
         try:
-            gamma_list = [gamma_from_epsilon(m, 1, e).gamma for e in eps_list]
+            eps_schedules = [GammaSchedule(m=m, N=1, eps=e) for e in eps_list]
         except ParameterError as exc:
             raise ConfigurationError(f"[schedule] eps: {exc}") from None
+        gamma_list = [schedule.gamma for schedule in eps_schedules]
     else:
         gamma_list = [0.0]
 
@@ -167,5 +169,8 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     if seed_override is not None:
         seed = seed_override
 
-    return RunConfig(m=m, length=length, n=n, source=source,
-                     gamma_list=gamma_list, seed=seed, **kwargs)
+    cfg = RunConfig(m=m, length=length, n=n, source=source,
+                    gamma_list=gamma_list, seed=seed, **kwargs)
+    if eps_schedules is not None:  # eps as given: its round trip through gamma can move it by an ulp
+        cfg.schedules = eps_schedules
+    return cfg

@@ -24,8 +24,8 @@ class Grid1D:
     n_interior: int
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise DomainError(f"domain length must be positive, got {self.length}")
+        if not (0 < self.length < math.inf):  # also rejects nan
+            raise DomainError(f"domain length must be positive and finite, got {self.length}")
         if self.n_interior < 1:
             raise DomainError(f"need at least one interior point, got {self.n_interior}")
 
@@ -42,19 +42,6 @@ class Grid1D:
         """Distance min(x_i, L - x_i) from each node to the boundary {0, L}."""
         x = self.points
         return np.minimum(x, self.length - x)
-
-    def inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        """Discrete L2 inner product <u,v>_h = h * sum(u*v)."""
-        return self.h * float(np.dot(np.conj(v), u).real) if np.iscomplexobj(u) or np.iscomplexobj(v) \
-            else self.h * float(np.dot(u, v))
-
-    def norm(self, u: np.ndarray) -> float:
-        return math.sqrt(self.h * float(np.vdot(u, u).real))
-
-    def index_of(self, x: float) -> int:
-        """Index of the grid node nearest to x."""
-        i = int(round(x / self.h)) - 1
-        return min(max(i, 0), self.n_interior - 1)
 
 
 def freeze(a: np.ndarray) -> np.ndarray:
@@ -147,47 +134,27 @@ class GammaSchedule:
         object.__setattr__(self, "kappa", gamma - n)
 
 
-def gamma_from_epsilon(m: int, N: int, eps: float) -> GammaSchedule:
-    """Build the (gamma, n, kappa) schedule from the order parameter and eps."""
-    return GammaSchedule(m=m, N=N, eps=eps)
-
-
-def epsilon_from_gamma(m: int, N: int, gamma: float) -> float:
-    """Inverse map eps = 1 - (N + 2*gamma)/(2m); validated by GammaSchedule."""
-    return 1.0 - (N + 2.0 * gamma) / (2.0 * m)
-
-
 def schedule_from_gamma(m: int, N: int, gamma: float) -> GammaSchedule:
-    return gamma_from_epsilon(m, N, epsilon_from_gamma(m, N, gamma))
+    """The schedule with boundary exponent gamma, eps = 1 - (N + 2 gamma)/(2m)."""
+    return GammaSchedule(m=m, N=N, eps=1.0 - (N + 2.0 * gamma) / (2.0 * m))
 
 
-@dataclass(frozen=True)
-class GTildeFn:
-    """Piecewise majorant of sup_{mu >= s} mu*exp(-2*mu*t)."""
-
-    s: float
-
-    def __post_init__(self):
-        if self.s <= 0:
-            raise DomainError(f"spectral gap must be positive, got {self.s}")
-
-    def __call__(self, t):
-        return gtilde(self, t)
-
-
-def gtilde(fn: GTildeFn, t):
-    """Evaluate g~(t): s*e^{-2st} for t > 1/s, (1/t)*e^{-st-1} for t <= 1/s."""
+def gtilde(s: float, t):
+    """Majorant g~(t) of sup_{mu >= s} mu e^{-2 mu t} at gap s:
+    s e^{-2st} for t > 1/s, (1/t) e^{-st-1} for t <= 1/s."""
+    if not (0 < s < math.inf):  # also rejects nan
+        raise DomainError(f"spectral gap must be positive and finite, got {s}")
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0):
+    if not np.all(t_arr > 0):  # also rejects nan
         raise DomainError("gtilde requires t > 0")
-    s = fn.s
     out = np.where(t_arr > 1.0 / s,
                    s * np.exp(-2.0 * s * t_arr),
                    np.exp(-s * t_arr - 1.0) / t_arr)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
-def log_gtilde(fn: GTildeFn, t: float) -> float:
-    """log g~(t) for scalar t > 0, finite where g~(t) underflows to 0."""
-    s = fn.s
+def log_gtilde(s: float, t: float) -> float:
+    """log g~(t) at gap s for scalar t > 0, finite where g~(t) underflows to 0."""
+    if not (0 < s < math.inf):
+        raise DomainError(f"spectral gap must be positive and finite, got {s}")
     return math.log(s) - 2.0 * s * t if t > 1.0 / s else -s * t - 1.0 - math.log(t)

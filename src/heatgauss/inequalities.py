@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GTildeFn, fit_holdout, gtilde
+from .core import fit_holdout, gtilde
 from .errors import DomainError, PropertyViolation
 from .spectral import SpectralDecomposition
 
@@ -30,14 +30,6 @@ class SearchGrid:
 
     def __post_init__(self):
         self.rng = np.random.default_rng(self.seed)
-
-    @staticmethod
-    def log_axis(lo: float, hi: float, count: int) -> np.ndarray:
-        return np.geomspace(lo, hi, count)
-
-    @staticmethod
-    def lin_axis(lo: float, hi: float, count: int) -> np.ndarray:
-        return np.linspace(lo, hi, count)
 
     def perturbations(self, worst: dict[str, float], names: list[str]):
         """REFINEMENT_SAMPLES random points near `worst`, clipped to the declared axis ranges."""
@@ -112,7 +104,7 @@ def check_bond(d: SpectralDecomposition, pairs, f_samples: np.ndarray) -> dict:
     sample functions; equality is attained on the ground mode.
     """
     mu = d.eigenvalues
-    mu1 = float(mu[0])
+    mu1 = d.gap
     worst = math.inf
     rows = []
     for (q, p) in pairs:
@@ -268,7 +260,7 @@ def check_stephen(
     <= c1 (1+theta) Q(f) + c1 rho (1 + theta s / rho)^{2m} lam^{2m} ||f||^2.
     Trains on f_train, requires zero violations on f_holdout.
     """
-    s = float(d.eigenvalues[0])
+    s = d.gap
     m = form.m
     lam_axis, rho_axis, theta_axis = grid.axes["lam"], grid.axes["rho"], grid.axes["theta"]
     lam, rho, theta = lam_axis[:, None, None], rho_axis[None, :, None], theta_axis[None, None, :]
@@ -277,7 +269,7 @@ def check_stephen(
         """One table per sample, axes (p - 1, lam, rho, theta)."""
         for f in np.atleast_2d(fs):
             c2 = d.coefficients(f) ** 2
-            q_f = float(f @ (form.matrix @ f))
+            q_f = form(f)
             norm2 = float(np.sum(c2))
             rhs_unit = (1.0 + theta) * q_f + rho * (1.0 + theta * s / rho) ** (2 * m) * lam ** (2 * m) * norm2
             yield np.stack([(_spectral_norm2(d, c2, p) + rho * lam ** (2 * p) * norm2) / rhs_unit
@@ -308,8 +300,7 @@ def gtilde_majorant(s: float, grid: SearchGrid) -> dict:
     if np.any(grid.axes["mu"] < s * (1.0 - 1e-12)):
         raise DomainError("mu axis must start at or above the gap s")
     lhs = mu * np.exp(-2.0 * mu * t)
-    g = GTildeFn(s)
-    rhs = gtilde(g, grid.axes["t"])[None, :]
+    rhs = gtilde(s, grid.axes["t"])[None, :]
     rel_gap = (rhs - lhs) / rhs
     mn = float(np.min(rel_gap))
     pos = np.unravel_index(int(np.argmin(rel_gap)), rel_gap.shape)
@@ -320,7 +311,7 @@ def gtilde_majorant(s: float, grid: SearchGrid) -> dict:
     mu_p = np.maximum(pert["mu"], s)
     t_p = np.maximum(pert["t"], float(np.min(grid.axes["t"])))
     lhs_p = mu_p * np.exp(-2.0 * mu_p * t_p)
-    rhs_p = gtilde(g, t_p)
+    rhs_p = gtilde(s, t_p)
     if float(np.min(rhs_p - lhs_p)) < -1e-12 * float(np.max(rhs_p)):
         raise PropertyViolation("g~ majorant violated in refinement cloud", witness=worst_point)
     return {"worst_rel_gap": mn, "worst_point": worst_point, "n_points": int(rel_gap.size)}

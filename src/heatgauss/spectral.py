@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import FormMatrix
-from .core import Grid1D, GTildeFn, freeze, gtilde, log_gtilde, read_only
+from .core import Grid1D, freeze, gtilde, log_gtilde, read_only
 from .errors import (
     ContractError,
     DomainError,
@@ -120,7 +120,12 @@ class SpectralDecomposition:
 
     @property
     def gap(self) -> float:
-        return spectral_gap(self)
+        """Least eigenvalue mu_1, the infimum of the discrete Rayleigh quotient; raises
+        PropertyViolation unless it is positive."""
+        s = float(self.eigenvalues[0])
+        if not s > 0:  # also rejects nan
+            raise PropertyViolation(f"Dirichlet positivity violated: mu_1 = {s}")
+        return s
 
     def coefficients(self, f: np.ndarray) -> np.ndarray:
         """Modal coefficients <f, phi_k>_h."""
@@ -150,14 +155,6 @@ def dirichlet_laplacian(grid: Grid1D) -> SpectralDecomposition:
     jk = np.outer(k, k) % (2 * (n + 1))
     phi = math.sqrt(2.0 / grid.length) * np.sin(jk * (math.pi / (n + 1)))
     return SpectralDecomposition(eigenvalues=freeze(mu), eigenvectors=freeze(phi), grid=grid, m=1)
-
-
-def spectral_gap(d: SpectralDecomposition) -> float:
-    """Least eigenvalue; the infimum of the discrete Rayleigh quotient."""
-    s = float(d.eigenvalues[0])
-    if s <= 0:
-        raise PropertyViolation(f"Dirichlet positivity violated: mu_1 = {s}")
-    return s
 
 
 @dataclass(frozen=True)
@@ -192,8 +189,8 @@ class HeatKernelEvaluator:
         return (phi * self._weights(t)) @ phi.T
 
     def _check_floor(self, t: float) -> None:
-        if t <= 0:
-            raise DomainError(f"kernel time must be positive, got {t}")
+        if not (0 < t < math.inf):  # also rejects nan
+            raise DomainError(f"kernel time must be positive and finite, got {t}")
         if t < self.t_floor:
             warnings.warn(
                 f"t={t} below the resolvable floor {self.t_floor}; result is discretization-limited",
@@ -223,12 +220,11 @@ def evolved_form_bound_check(
     + log ||f||^2, so no ratio rests on 0/0 or on a flushed 0. Raises
     PropertyViolation when any ratio exceeds 1 + EVOLVED_FORM_SLACK.
     """
-    s = spectral_gap(d)
-    g = GTildeFn(s)
+    s = d.gap
     mu = d.eigenvalues
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
     weights = decay_weights(2.0 * ts[:, np.newaxis] * mu)  # one row per t
-    g_t = gtilde(g, ts)
+    g_t = gtilde(s, ts)
     tiny = np.finfo(float).tiny
     rows = []
     for fi, f in enumerate(np.atleast_2d(f_samples)):
@@ -246,7 +242,7 @@ def evolved_form_bound_check(
                 ratio = float(q_ft[ti] / bound[ti])
             else:
                 log_q = np.logaddexp.reduce(np.log(mu[live]) - 2.0 * t * mu[live] + log_c2)
-                log_bound = log_gtilde(g, float(t)) + np.logaddexp.reduce(log_c2)
+                log_bound = log_gtilde(s, float(t)) + np.logaddexp.reduce(log_c2)
                 with np.errstate(over="ignore"):
                     ratio = float(np.exp(log_q - log_bound))
             rows.append({"t": float(t), "sample": fi, "ratio": ratio})

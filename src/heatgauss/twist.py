@@ -36,7 +36,7 @@ from .errors import (
     PropertyViolation,
     SearchBoundError,
 )
-from .spectral import SpectralDecomposition, decay_weights, kernel_eval, spectral_gap
+from .spectral import SpectralDecomposition, decay_weights, kernel_eval
 
 TWIST_CAP = 40.0  # |lambda| * L cap keeping diag(exp(lambda psi)) in double range
 RANGE_CHUNK = 64  # samples per matmul in numerical_range_values
@@ -57,9 +57,11 @@ class TwistSpec:
     lam: float
 
     def __post_init__(self):
-        if abs(abs(self.a) - 1.0) > 1e-14:
+        if not abs(abs(self.a) - 1.0) <= 1e-14:  # also rejects nan
             raise DomainError(f"direction must be a unit vector (+-1 in 1-D), got {self.a}")
-        if abs(self.lam) * self.grid.length > TWIST_CAP:
+        if not math.isfinite(self.x0):
+            raise DomainError(f"twist origin must be finite, got {self.x0}")
+        if not abs(self.lam) * self.grid.length <= TWIST_CAP:  # also rejects nan
             raise ConditioningError(
                 f"|lambda|*L = {abs(self.lam) * self.grid.length} exceeds the cap {TWIST_CAP}"
             )
@@ -87,24 +89,16 @@ class TwistedOperator:
     _ranges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
-    def gap(self) -> float:
-        return spectral_gap(self.base)
-
-    @property
     def unit(self) -> float:
         """Twist growth unit u = (1+s)^{2m} lambda^{2m} of the semigroup estimates."""
-        s, m = self.gap, self.base.m
+        s, m = self.base.gap, self.base.m
         return (1.0 + s) ** (2 * m) * self.twist.lam ** (2 * m)
 
     @cached_property
     def hhat(self) -> np.ndarray:
         """Dense Hhat_lambda = E^{-1} (H - s) E, computed once and read-only."""
         S = self.base.operator_matrix()
-        return freeze(conjugate(S - self.gap * np.eye(S.shape[0]), self.twist))
-
-    def matrix(self) -> np.ndarray:
-        """Dense H_lambda."""
-        return conjugate(self.base.operator_matrix(), self.twist)
+        return freeze(conjugate(S - self.base.gap * np.eye(S.shape[0]), self.twist))
 
     def numerical_range(self, samples: np.ndarray) -> np.ndarray:
         """numerical_range_values of Hhat_lambda over the sample rows.
@@ -243,8 +237,6 @@ def per_lambda(form: FormMatrix, tw: TwistSpec, f: np.ndarray, rel_tol: float = 
     """
     if not np.count_nonzero(f):
         raise DomainError("per_lambda requires a nonzero sample function")
-    if form.spec is None:
-        raise DomainError("per_lambda needs the coefficient table; assemble via assemble_form")
     if tw.grid != form.grid:
         raise DomainError(f"twist grid {tw.grid} differs from the form grid {form.grid}")
     table = form.twist_tables.get(tw)
@@ -425,7 +417,7 @@ def _twisted_norms(d: SpectralDecomposition, tw: TwistSpec, keys) -> list[float]
         e = tw.weights()[:, np.newaxis]
         r_minus = np.linalg.qr(O / e, mode="r")
         r_plus = np.linalg.qr(O * e, mode="r")
-        shifted = d.eigenvalues - spectral_gap(d)
+        shifted = d.eigenvalues - d.gap
         for kind, t in missing:
             w = decay_weights(t * shifted)
             if kind == "HP":
@@ -504,8 +496,7 @@ def evolved_twisted_form_check(
         raise DomainError(f"alpha must lie in (0,1), got {alpha}")
     if form.grid != d.grid:
         raise DomainError(f"form grid {form.grid} differs from the decomposition grid {d.grid}")
-    top = TwistedOperator(base=d, twist=tw)
-    s, unit = top.gap, top.unit
+    s, unit = d.gap, TwistedOperator(base=d, twist=tw).unit
     h = d.grid.h
     t_arr = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if c2 is None:

@@ -193,18 +193,18 @@ class TestEllipticity:
         g = Grid1D(length=1.0, n_interior=20)
         for m in (1, 2):
             form = assemble_form(polyharmonic_spec(m), g)
-            assert measure_ellipticity(form, g, m) == pytest.approx(1.0)
+            assert measure_ellipticity(form) == pytest.approx(1.0)
 
     def test_scaled_coefficient(self):
         g = Grid1D(length=1.0, n_interior=16)
         spec = OperatorSpec(m=1, coefficients={(1, 1): constant_coefficient(3.0)})
         form = assemble_form(spec, g)
-        assert measure_ellipticity(form, g, 1) == pytest.approx(3.0)
+        assert measure_ellipticity(form) == pytest.approx(3.0)
 
     def test_variable_coefficient_bracket(self):
         g = Grid1D(length=1.0, n_interior=24)
         spec = OperatorSpec(m=1, coefficients={(1, 1): lambda x: 1.0 + x})
-        c = measure_ellipticity(assemble_form(spec, g), g, 1)
+        c = measure_ellipticity(assemble_form(spec, g))
         assert 1.0 < c <= 2.0 + 1e-9
 
     def test_general_table_matches_oracle(self):
@@ -220,7 +220,7 @@ class TestEllipticity:
         form = assemble_form(spec, g)
         want = pencil_oracle(form, g, 2)
         assert want > 1.2
-        assert measure_ellipticity(form, g, 2) == pytest.approx(want, rel=1e-10)
+        assert measure_ellipticity(form) == pytest.approx(want, rel=1e-10)
 
     def test_variable_coefficient_matches_oracle(self):
         spec = OperatorSpec(m=1, coefficients={
@@ -229,20 +229,20 @@ class TestEllipticity:
         })
         g = Grid1D(length=1.0, n_interior=60)
         form = assemble_form(spec, g)
-        assert measure_ellipticity(form, g, 1) == pytest.approx(pencil_oracle(form, g, 1), rel=1e-10)
+        assert measure_ellipticity(form) == pytest.approx(pencil_oracle(form, g, 1), rel=1e-10)
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("kappa", [0.25, 40.0])
     def test_scaled_reference_reads_kappa(self, m, kappa):
         g = Grid1D(length=1.0, n_interior=30)
         P = assemble_form(polyharmonic_spec(m), g)
-        form = FormMatrix(matrix=kappa * P.matrix, grid=g, m=m)
-        assert measure_ellipticity(form, g, m) == pytest.approx(max(kappa, 1.0 / kappa), rel=1e-12)
+        form = FormMatrix(matrix=kappa * P.matrix, grid=g, m=m, spec=P.spec)
+        assert measure_ellipticity(form) == pytest.approx(max(kappa, 1.0 / kappa), rel=1e-12)
 
     def test_polyharmonic_m3_reads_one(self):
         g = Grid1D(length=1.0, n_interior=80)
         form = assemble_form(polyharmonic_spec(3), g)
-        assert abs(measure_ellipticity(form, g, 3) - 1.0) <= 1e-12
+        assert abs(measure_ellipticity(form) - 1.0) <= 1e-12
 
     def test_indefinite_form_rejected(self):
         # a_00 = -100 pulls the lowest pencil value below 0 (mu_1 ~ pi^2 at L = 1)
@@ -250,7 +250,7 @@ class TestEllipticity:
                                                (0, 0): constant_coefficient(-100.0)})
         g = Grid1D(length=1.0, n_interior=30)
         with pytest.raises(EllipticityError):
-            measure_ellipticity(assemble_form(spec, g), g, 1)
+            measure_ellipticity(assemble_form(spec, g))
 
 
 class TestFracPower:

@@ -85,6 +85,12 @@ class TestConfigParser:
         assert cfg.seed == 42
         assert cfg.gamma_list == [0.0, 0.4]
 
+    def test_eps_schedule(self, tmp_path):
+        path = tmp_path / "eps.cfg"
+        path.write_text("[operator]\nsource = laplace-pi\nn = 40\n[schedule]\neps = 0.3\n", encoding="utf-8")
+        (schedule,) = load_run_config(str(path)).schedules
+        assert schedule.eps == 0.3 and schedule.gamma == pytest.approx(0.2)
+
     def test_missing_m_for_custom_operator(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[operator]\nsource = polyharmonic\nn = 50\n", encoding="utf-8")
@@ -241,7 +247,7 @@ class TestCliRuns:
     def test_ellipticity_error_is_a_failing_row(self, tmp_path, capsys, monkeypatch):
         from heatgauss import cli
 
-        def reject(form, grid, m):
+        def reject(form):
             raise EllipticityError("form is not positive definite: a pencil extreme is non-positive")
 
         monkeypatch.setattr(cli, "measure_ellipticity", reject)

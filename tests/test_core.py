@@ -11,14 +11,11 @@ from heatgauss import (
     DomainError,
     GammaSchedule,
     Grid1D,
-    GTildeFn,
     ParameterError,
-    epsilon_from_gamma,
-    gamma_from_epsilon,
     gtilde,
     schedule_from_gamma,
 )
-from heatgauss.core import HOLDOUT_SLACK, fit_holdout, holdout_within
+from heatgauss.core import HOLDOUT_SLACK, fit_holdout, holdout_within, log_gtilde
 
 
 class TestGrid:
@@ -27,21 +24,10 @@ class TestGrid:
         assert g.h == pytest.approx(0.25)
         assert np.allclose(g.points, [0.25, 0.5, 0.75])
 
-    def test_inner_product_and_norm(self):
-        g = Grid1D(length=2.0, n_interior=3)
-        u = np.array([1.0, 2.0, 3.0])
-        assert g.inner(u, u) == pytest.approx(0.5 * 14.0)
-        assert g.norm(u) == pytest.approx(math.sqrt(7.0))
-
-    def test_index_of_nearest(self):
-        g = Grid1D(length=1.0, n_interior=9)
-        assert g.index_of(0.5) == 4
-        assert g.index_of(0.0) == 0
-        assert g.index_of(1.0) == 8
-
     def test_invalid_grid(self):
-        with pytest.raises(DomainError):
-            Grid1D(length=-1.0, n_interior=3)
+        for length in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                Grid1D(length=length, n_interior=3)
         with pytest.raises(DomainError):
             Grid1D(length=1.0, n_interior=0)
 
@@ -98,7 +84,7 @@ class TestGammaSchedule:
         for m, gamma in [(1, 0.4), (2, 0.75), (3, 2.0)]:
             sch = schedule_from_gamma(m, 1, gamma)
             assert sch.gamma == pytest.approx(gamma)
-            assert epsilon_from_gamma(m, 1, gamma) == pytest.approx(sch.eps)
+            assert sch.eps == pytest.approx(1.0 - (1 + 2.0 * gamma) / (2.0 * m))
 
     def test_inadmissible(self):
         with pytest.raises(ParameterError):
@@ -106,40 +92,40 @@ class TestGammaSchedule:
         with pytest.raises(ParameterError):
             GammaSchedule(m=1, N=1, eps=0.6)  # eps > 1 - N/(2m)
         with pytest.raises(ParameterError):
-            gamma_from_epsilon(2, 1, 0.0)
+            GammaSchedule(m=2, N=1, eps=0.0)
 
 
 class TestGTilde:
     def test_branches(self):
-        g = GTildeFn(s=2.0)
         # t > 1/s: s * exp(-2 s t)
-        assert gtilde(g, 1.0) == pytest.approx(2.0 * math.exp(-4.0))
+        assert gtilde(2.0, 1.0) == pytest.approx(2.0 * math.exp(-4.0))
         # t <= 1/s: exp(-s t - 1) / t
-        assert gtilde(g, 0.25) == pytest.approx(math.exp(-1.5) / 0.25)
+        assert gtilde(2.0, 0.25) == pytest.approx(math.exp(-1.5) / 0.25)
 
     def test_continuity_at_switch(self):
-        g = GTildeFn(s=3.0)
         t = 1.0 / 3.0
-        left = gtilde(g, t * (1 - 1e-12))
-        right = gtilde(g, t * (1 + 1e-12))
+        left = gtilde(3.0, t * (1 - 1e-12))
+        right = gtilde(3.0, t * (1 + 1e-12))
         assert left == pytest.approx(right, rel=1e-9)
 
     def test_ratio_at_switch_point(self):
         # g~(1/(2s)) = 2 s e^{-3/2} against g~(1/s) = s e^{-2}: ratio 2 e^{1/2}
-        g = GTildeFn(s=1.0)
-        assert gtilde(g, 0.5) / gtilde(g, 1.0) == pytest.approx(2.0 * math.exp(0.5))
+        assert gtilde(1.0, 0.5) / gtilde(1.0, 1.0) == pytest.approx(2.0 * math.exp(0.5))
 
     def test_vector_input(self):
-        g = GTildeFn(s=1.0)
-        out = gtilde(g, np.array([0.5, 2.0]))
+        out = gtilde(1.0, np.array([0.5, 2.0]))
         assert out.shape == (2,)
         assert out[0] == pytest.approx(math.exp(-1.5) / 0.5)
 
     def test_invalid(self):
-        with pytest.raises(DomainError):
-            GTildeFn(s=0.0)
-        with pytest.raises(DomainError):
-            gtilde(GTildeFn(s=1.0), 0.0)
+        for s in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError):
+                gtilde(s, 1.0)
+            with pytest.raises(DomainError):
+                log_gtilde(s, 1.0)
+        for t in (0.0, math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(DomainError):
+                gtilde(1.0, t)
 
 
 def test_version_matches_pyproject():

@@ -21,11 +21,11 @@ from heatgauss.cli import sample_functions
 
 def basic_grid(seed=42):
     return SearchGrid(axes={
-        "a": SearchGrid.log_axis(1e-3, 1e3, 14),
-        "b": SearchGrid.log_axis(1e-3, 1e3, 14),
-        "p": SearchGrid.lin_axis(0.25, 3.0, 7),
-        "q": SearchGrid.lin_axis(0.25, 3.0, 7),
-        "eps": SearchGrid.log_axis(1e-2, 10.0, 12),
+        "a": np.geomspace(1e-3, 1e3, 14),
+        "b": np.geomspace(1e-3, 1e3, 14),
+        "p": np.linspace(0.25, 3.0, 7),
+        "q": np.linspace(0.25, 3.0, 7),
+        "eps": np.geomspace(1e-2, 10.0, 12),
     }, seed=seed)
 
 
@@ -76,8 +76,8 @@ class TestCheckMain:
     def test_sweep(self, laplace200, rng):
         _, d = laplace200
         grid = SearchGrid(axes={
-            "lam": SearchGrid.log_axis(1e-2, 1e2, 30),
-            "eps": SearchGrid.log_axis(1e-2, 1.0, 20),
+            "lam": np.geomspace(1e-2, 1e2, 30),
+            "eps": np.geomspace(1e-2, 1.0, 20),
         }, seed=42)
         out = check_main(d, grid, rng.standard_normal((4, 200)))
         assert out["n_points"] >= 10**5
@@ -87,8 +87,8 @@ class TestCheckEpsilon:
     def test_sweep(self, laplace200, rng):
         _, d = laplace200
         grid = SearchGrid(axes={
-            "lam": SearchGrid.log_axis(1e-2, 1e2, 40),
-            "eps": SearchGrid.log_axis(1e-2, 1.9, 24),
+            "lam": np.geomspace(1e-2, 1e2, 40),
+            "eps": np.geomspace(1e-2, 1.9, 24),
         }, seed=42)
         out = check_epsilon(d, grid, rng.standard_normal((6, 200)))
         assert out["worst_margin"] >= -1e-10
@@ -106,9 +106,9 @@ class TestCheckStephen:
     def test_fit_and_holdout(self, laplace200, rng):
         form, d = laplace200
         grid = SearchGrid(axes={
-            "rho": SearchGrid.log_axis(1e-2, 1e2, 16),
-            "theta": SearchGrid.log_axis(1e-2, 10.0, 16),
-            "lam": SearchGrid.log_axis(1e-2, 1e2, 24),
+            "rho": np.geomspace(1e-2, 1e2, 16),
+            "theta": np.geomspace(1e-2, 10.0, 16),
+            "lam": np.geomspace(1e-2, 1e2, 24),
         }, seed=42)
         f_train = sample_functions(d, rng, 12)
         f_holdout = rng.standard_normal((12, 200))
@@ -121,9 +121,9 @@ class TestCheckStephen:
     def test_beam_fit(self, beam200, rng):
         form, d = beam200
         grid = SearchGrid(axes={
-            "rho": SearchGrid.log_axis(1e-1, 1e3, 6),
-            "theta": SearchGrid.log_axis(1e-2, 10.0, 6),
-            "lam": SearchGrid.log_axis(1e-1, 1e2, 8),
+            "rho": np.geomspace(1e-1, 1e3, 6),
+            "theta": np.geomspace(1e-2, 10.0, 6),
+            "lam": np.geomspace(1e-1, 1e2, 8),
         }, seed=42)
         f_train = sample_functions(d, rng, 8)
         f_holdout = rng.standard_normal((8, 200))
@@ -134,8 +134,8 @@ class TestGTildeMajorant:
     def test_sweep(self):
         s = 1.0
         grid = SearchGrid(axes={
-            "mu": SearchGrid.log_axis(s, 1e4 * s, 400),
-            "t": SearchGrid.log_axis(1e-4, 10.0, 400),
+            "mu": np.geomspace(s, 1e4 * s, 400),
+            "t": np.geomspace(1e-4, 10.0, 400),
         }, seed=42)
         out = gtilde_majorant(s, grid)
         assert out["worst_rel_gap"] >= -1e-12
@@ -176,7 +176,7 @@ class TestViolationsRaise:
     def test_main(self, laplace200, rng):
         _, d = laplace200
         negative = SpectralDecomposition(eigenvalues=-d.eigenvalues, eigenvectors=d.eigenvectors, grid=d.grid, m=d.m)
-        grid = SearchGrid(axes={"lam": SearchGrid.log_axis(1e-2, 1e2, 5), "eps": SearchGrid.log_axis(1e-2, 1.0, 5)})
+        grid = SearchGrid(axes={"lam": np.geomspace(1e-2, 1e2, 5), "eps": np.geomspace(1e-2, 1.0, 5)})
         with pytest.raises(PropertyViolation, match="symbol bound violated"):
             check_main(negative, grid, rng.standard_normal((2, 200)))
 
@@ -185,16 +185,16 @@ class TestViolationsRaise:
 
         sides = inequalities._product_sides
         monkeypatch.setattr(inequalities, "_product_sides", lambda *a: (2.0 * sides(*a)[1], sides(*a)[1]))
-        grid = SearchGrid(axes={"lam": SearchGrid.log_axis(1e-2, 1e2, 5), "eps": SearchGrid.log_axis(1e-2, 1.9, 5)})
+        grid = SearchGrid(axes={"lam": np.geomspace(1e-2, 1e2, 5), "eps": np.geomspace(1e-2, 1.9, 5)})
         with pytest.raises(PropertyViolation, match="product estimate violated"):
             check_epsilon(laplace200[1], grid, rng.standard_normal((2, 200)))
 
     def test_stephen_held_out(self, laplace200):
         form, d = laplace200
         grid = SearchGrid(axes={
-            "rho": SearchGrid.log_axis(1e-2, 1e2, 4),
-            "theta": SearchGrid.log_axis(1e-2, 10.0, 4),
-            "lam": SearchGrid.log_axis(1e-2, 1e2, 4),
+            "rho": np.geomspace(1e-2, 1e2, 4),
+            "theta": np.geomspace(1e-2, 10.0, 4),
+            "lam": np.geomspace(1e-2, 1e2, 4),
         })
         modes = [d.eigenvectors[:, [k]].T for k in (0, 199)]
         lo, hi = sorted(modes, key=lambda f: check_stephen(form, d, grid, f, f)["c1"])
@@ -204,7 +204,8 @@ class TestViolationsRaise:
     def test_gtilde_majorant(self, monkeypatch):
         from heatgauss import inequalities
 
-        monkeypatch.setattr(inequalities, "gtilde", lambda g, t: 0.5 * inequalities.GTildeFn(g.s)(t))
-        grid = SearchGrid(axes={"mu": SearchGrid.log_axis(1.0, 1e2, 10), "t": SearchGrid.log_axis(1e-2, 10.0, 10)})
+        gtilde = inequalities.gtilde
+        monkeypatch.setattr(inequalities, "gtilde", lambda s, t: 0.5 * gtilde(s, t))
+        grid = SearchGrid(axes={"mu": np.geomspace(1.0, 1e2, 10), "t": np.geomspace(1e-2, 10.0, 10)})
         with pytest.raises(PropertyViolation, match="majorant violated"):
             gtilde_majorant(1.0, grid)
