@@ -249,7 +249,7 @@ def run_verify_inequalities(cfg: RunConfig, out: str, refine: bool) -> list[Repo
         "q": np.linspace(0.25, 3.0, 7),
         "eps": np.geomspace(1e-2, 10.0, 12),
     }, seed=cfg.seed)
-    _guarded(rows, "check-basic", {"points": 14 * 14 * 7 * 7 * 12},
+    _guarded(rows, "check-basic", {"points": math.prod(axis.size for axis in basic_grid.axes.values())},
              lambda: ineq.check_basic(basic_grid)["worst_margin"])
 
     _guarded(rows, "check-bond", {"n": cfg.n},

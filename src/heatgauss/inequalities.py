@@ -32,16 +32,48 @@ class SearchGrid:
         self.rng = np.random.default_rng(self.seed)
 
     def perturbations(self, worst: dict[str, float], names: list[str]):
-        """REFINEMENT_SAMPLES random points near `worst`, clipped to the declared axis ranges."""
+        """REFINEMENT_SAMPLES uniform draws per axis on worst[name] +- 5 % of the axis's linear range
+        (max - min), clipped to [min, max]. On a geometric axis they are not near a low `worst`:
+        around a = 1e-3 on [1e-3, 1e3] they cover [1e-3, ~50] and about half sit on the edge."""
         out = {}
         for name in names:
             axis = self.axes[name]
             lo, hi = float(np.min(axis)), float(np.max(axis))
-            center = worst[name]
-            spread = 0.05 * (hi - lo)
-            vals = self.rng.uniform(center - spread, center + spread, size=REFINEMENT_SAMPLES)
-            out[name] = np.clip(vals, lo, hi)
+            center, spread = worst[name], 0.05 * (hi - lo)
+            out[name] = np.clip(self.rng.uniform(center - spread, center + spread, REFINEMENT_SAMPLES), lo, hi)
         return out
+
+
+def _sweep(grid: SearchGrid, axes: dict, blocks, what: str, measure: str, tol: float, cloud) -> dict:
+    """Worst margin, witness and point count over `blocks`, each (labels, margin table over `axes`).
+
+    The first minimum in loop order wins (np.argmin in a table, strict < across tables) and its
+    witness holds the block labels (p, r, s, sample) and axis values; the first table whose
+    minimum is below `tol` raises. `cloud(draws, witness)` maps the perturbations at the witness
+    over the axes the grid declares to (margins, scale); a margin below tol * scale raises.
+    """
+    worst, witness, n_points = math.inf, None, 0
+    for labels, table in blocks:
+        n_points += table.size
+        mn = float(np.min(table))
+        if mn < worst:
+            worst = mn
+            pos = np.unravel_index(int(np.argmin(table)), table.shape)
+            witness = {**labels, **{k: float(v[i]) for (k, v), i in zip(axes.items(), pos)}}
+        if mn < tol:
+            raise PropertyViolation(f"{what} violated, {measure} {mn}", witness=witness)
+    if witness is None:  # every minimum is NaN: nothing was checked
+        raise PropertyViolation(f"{what} violated, {measure} nan")
+    margins, scale = cloud(grid.perturbations(witness, [k for k in axes if k in grid.axes]), witness)
+    if float(np.min(margins)) < tol * scale:
+        raise PropertyViolation(f"{what} violated in refinement cloud", witness=witness)
+    return {"worst_margin": worst, "worst_point": witness, "n_points": n_points}
+
+
+def _moments(d: SpectralDecomposition, f_samples: np.ndarray, powers) -> dict:
+    """||(-L)^{p/2} f||^2 = sum_k mu_k^p <f, phi_k>_h^2 for each sample f (a row), keyed by p."""
+    c2 = [d.coefficients(f) ** 2 for f in np.atleast_2d(f_samples)]
+    return {p: [float(np.sum(d.eigenvalues**p * c)) for c in c2] for p in powers}
 
 
 def young_constant(p: float, q: float) -> float:
@@ -65,36 +97,17 @@ def check_basic(grid: SearchGrid) -> dict:
     grid, then verifies equality at a* = (p b^q / (eps (p+q)))^{1/q} to 1e-8
     relative for every (b, p, q, eps).
     """
-    names = ["a", "b", "p", "q", "eps"]
-    margin = _basic_margin(*np.ix_(*(grid.axes[k] for k in names)))  # open mesh over the five axes
-    worst = float(np.min(margin))
-    pos = np.unravel_index(int(np.argmin(margin)), margin.shape)
-    worst_point = {k: float(grid.axes[k][i]) for k, i in zip(names, pos)}
-    n_points = margin.size
-    if worst < -1e-12:
-        raise PropertyViolation(f"Young inequality violated, margin {worst}", witness=worst_point)
-
-    # randomized refinement near the worst point
-    pert = grid.perturbations(worst_point, names)
-    ref = _basic_margin(pert["a"], pert["b"], pert["p"], np.maximum(pert["q"], 1e-6), pert["eps"])
-    if float(np.min(ref)) < -1e-12:
-        raise PropertyViolation("Young inequality violated in refinement cloud", witness=worst_point)
+    axes = {k: grid.axes[k] for k in ("a", "b", "p", "q", "eps")}
+    out = _sweep(grid, axes, [({}, _basic_margin(*np.ix_(*axes.values())))], "Young inequality", "margin", -1e-12,
+                 lambda pert, at: (_basic_margin(*pert.values()), 1.0))
 
     # tightness: maximizer attains equality
-    b4, p4, q4, e4 = np.ix_(*(grid.axes[k] for k in names[1:]))
+    b4, p4, q4, e4 = np.ix_(*list(axes.values())[1:])
     a_star = (p4 * b4**q4 / (e4 * (p4 + q4))) ** (1.0 / q4)
-    gap = _basic_margin(a_star, b4, p4, q4, e4)
-    scale = a_star**p4 * b4**q4
-    tight = float(np.max(np.abs(gap) / np.maximum(scale, 1e-300)))
+    tight = float(np.max(np.abs(_basic_margin(a_star, b4, p4, q4, e4)) / np.maximum(a_star**p4 * b4**q4, 1e-300)))
     if tight > 1e-8:
         raise PropertyViolation(f"tightness at the analytic maximizer fails: rel gap {tight}")
-    return {"worst_margin": worst, "worst_point": worst_point, "tightness_rel": tight,
-            "n_points": int(n_points)}
-
-
-def _spectral_norm2(d: SpectralDecomposition, c2: np.ndarray, power: float) -> float:
-    """||(-Laplace)^{power/2} f||^2 from modal coefficients squared."""
-    return float(np.sum(d.eigenvalues**power * c2))
+    return {**out, "tightness_rel": tight}
 
 
 def check_bond(d: SpectralDecomposition, pairs, f_samples: np.ndarray) -> dict:
@@ -103,10 +116,10 @@ def check_bond(d: SpectralDecomposition, pairs, f_samples: np.ndarray) -> dict:
     Checked mode by mode over the whole discrete spectrum and on the given
     sample functions; equality is attained on the ground mode.
     """
-    mu = d.eigenvalues
-    mu1 = d.gap
-    worst = math.inf
-    rows = []
+    mu, mu1 = d.eigenvalues, d.gap
+    powers = {k for q, p in pairs if 0 < q < p for k in (q, p)}
+    norm2, ground = _moments(d, f_samples, powers), _moments(d, d.eigenvectors[:, 0], powers)
+    worst, rows = math.inf, []
     for (q, p) in pairs:
         if not (0 < q < p):
             raise DomainError(f"check_bond requires 0 < q < p, got q={q}, p={p}")
@@ -115,24 +128,25 @@ def check_bond(d: SpectralDecomposition, pairs, f_samples: np.ndarray) -> dict:
         scalar_margin = float(np.min(c_qp * mu ** (p / 2.0) - mu ** (q / 2.0)))
         if scalar_margin < -1e-10 * c_qp * float(mu[-1]) ** (p / 2.0):
             raise PropertyViolation(f"spectral bound violated at (q={q}, p={p})")
-        for fi, f in enumerate(np.atleast_2d(f_samples)):
-            c2 = d.coefficients(f) ** 2
-            lhs = math.sqrt(_spectral_norm2(d, c2, q))
-            rhs = c_qp * math.sqrt(_spectral_norm2(d, c2, p))
+        for fi, (norm2_q, norm2_p) in enumerate(zip(norm2[q], norm2[p])):
+            lhs, rhs = math.sqrt(norm2_q), c_qp * math.sqrt(norm2_p)
             ratio = lhs / rhs if rhs > 0 else math.inf
             worst = min(worst, rhs - lhs)
             if ratio > 1.0 + 1e-10:
-                raise PropertyViolation(
-                    f"check_bond violated: ratio {ratio}", witness={"q": q, "p": p, "sample": fi}
-                )
+                raise PropertyViolation(f"check_bond violated: ratio {ratio}", witness={"q": q, "p": p, "sample": fi})
             rows.append({"q": q, "p": p, "sample": fi, "ratio": ratio})
         # ground-mode saturation
-        ground = d.eigenvectors[:, 0]
-        cg = d.coefficients(ground) ** 2
-        sat = math.sqrt(_spectral_norm2(d, cg, q)) / (c_qp * math.sqrt(_spectral_norm2(d, cg, p)))
+        sat = math.sqrt(ground[q][0]) / (c_qp * math.sqrt(ground[p][0]))
         if abs(sat - 1.0) > 1e-8:
             raise PropertyViolation(f"ground-mode saturation off: {sat}")
     return {"worst_margin": worst, "rows": rows}
+
+
+def _symbol_sides(p: int, r: int, lam, eps, mu):
+    """Right side eps mu^p + eps^{-r/(p-r)} lam^{2p} of the symbol bound, and its margin."""
+    expo = -r / (p - r) if r else 0.0
+    rhs = eps * mu**p + eps**expo * lam ** (2 * p)
+    return rhs, rhs - lam ** (2 * (p - r)) * mu**r
 
 
 def check_main(d: SpectralDecomposition, grid: SearchGrid, f_samples: np.ndarray) -> dict:
@@ -142,67 +156,39 @@ def check_main(d: SpectralDecomposition, grid: SearchGrid, f_samples: np.ndarray
     ||lam^{p-r} (-L)^{r/2} f|| <= eps ||(-L)^{p/2} f|| + eps^{-r/(p-r)} |lam|^p ||f||
     is then checked on the sample functions.
     """
-    mu = d.eigenvalues
-    lam_axis = grid.axes["lam"]
-    eps_axis = grid.axes["eps"]
-    n_points = 0
-    worst = math.inf
-    worst_point = None
-    for p in (1, 2, 3):
-        for r in range(0, p):
-            expo = -r / (p - r) if r else 0.0
-            lam = lam_axis[:, None, None]
-            eps = eps_axis[None, :, None]
-            muv = mu[None, None, :]
-            margin = eps * muv**p + eps**expo * lam ** (2 * p) - lam ** (2 * (p - r)) * muv**r
-            scale = np.maximum(eps * muv**p + eps**expo * lam ** (2 * p), 1e-300)
-            rel = margin / scale
-            n_points += margin.size
-            mn = float(np.min(rel))
-            if mn < worst:
-                worst = mn
-                pos = np.unravel_index(int(np.argmin(rel)), rel.shape)
-                worst_point = {"p": p, "r": r, "lam": float(lam_axis[pos[0]]),
-                               "eps": float(eps_axis[pos[1]]), "mu": float(mu[pos[2]])}
-            if mn < -1e-10:
-                raise PropertyViolation(f"scalar symbol bound violated, rel margin {mn}", witness=worst_point)
-            # vector form on samples, coarse sub-grid of (lam, eps)
-            for f in np.atleast_2d(f_samples):
-                c2 = d.coefficients(f) ** 2
-                norm_r = math.sqrt(_spectral_norm2(d, c2, r))
-                norm_p = math.sqrt(_spectral_norm2(d, c2, p))
-                norm_0 = math.sqrt(float(np.sum(c2)))
-                for lv in lam_axis[:: max(len(lam_axis) // 6, 1)]:
-                    for ev_ in eps_axis[:: max(len(eps_axis) // 5, 1)]:
-                        lhs = abs(lv) ** (p - r) * norm_r
-                        rhs = ev_ * norm_p + ev_**expo * abs(lv) ** p * norm_0
-                        if lhs > rhs * (1.0 + 1e-10):
-                            raise PropertyViolation(
-                                f"vector symbol bound violated: {lhs} > {rhs}",
-                                witness={"p": p, "r": r, "lam": float(lv), "eps": float(ev_)},
-                            )
-    # refinement cloud around the scalar worst point
-    pert = grid.perturbations(worst_point, ["lam", "eps"])
-    p, r = worst_point["p"], worst_point["r"]
-    expo = -r / (p - r) if r else 0.0
-    muw = worst_point["mu"]
-    margin = (
-        pert["eps"] * muw**p + pert["eps"] ** expo * pert["lam"] ** (2 * p)
-        - pert["lam"] ** (2 * (p - r)) * muw**r
-    )
-    if float(np.min(margin)) < -1e-10 * max(muw**p, 1.0):
-        raise PropertyViolation("scalar symbol bound violated in refinement cloud", witness=worst_point)
-    return {"worst_margin": worst, "worst_point": worst_point, "n_points": int(n_points)}
+    lam_axis, eps_axis = grid.axes["lam"], grid.axes["eps"]
+    lam_sub, eps_sub = lam_axis[:: max(len(lam_axis) // 6, 1)], eps_axis[:: max(len(eps_axis) // 5, 1)]
+    norm2 = _moments(d, f_samples, range(4))
+
+    def blocks():
+        for p in (1, 2, 3):
+            for r in range(0, p):
+                total, margin = _symbol_sides(p, r, lam_axis[:, None, None], eps_axis[None, :, None], d.eigenvalues)
+                yield {"p": p, "r": r}, margin / np.maximum(total, 1e-300)
+                # vector form on a coarse (lam, eps) sub-grid, axes (sample, lam, eps); the powers are
+                # taken of one numpy scalar at a time, as a loop over points takes them
+                expo = -r / (p - r) if r else 0.0
+                norm = {k: np.array([math.sqrt(v) for v in norm2[k]])[:, None, None] for k in (r, p, 0)}
+                lam_k = {k: np.array([abs(v) ** k for v in lam_sub])[:, None] for k in (p - r, p)}
+                lhs = lam_k[p - r] * norm[r]
+                rhs = eps_sub * norm[p] + np.array([v**expo for v in eps_sub]) * lam_k[p] * norm[0]
+                bad = np.flatnonzero(lhs > rhs * (1.0 + 1e-10))
+                if bad.size:
+                    i, j, k = np.unravel_index(bad[0], rhs.shape)
+                    raise PropertyViolation(f"vector symbol bound violated: {lhs[i, j, 0]} > {rhs[i, j, k]}",
+                                            witness=dict(p=p, r=r, lam=float(lam_sub[j]), eps=float(eps_sub[k])))
+
+    def cloud(pert, at):  # the scalar form at the worst (p, r, mu)
+        return _symbol_sides(at["p"], at["r"], pert["lam"], pert["eps"], at["mu"])[1], max(at["mu"] ** at["p"], 1.0)
+
+    return _sweep(grid, {"lam": lam_axis, "eps": eps_axis, "mu": d.eigenvalues}, blocks(), "scalar symbol bound",
+                  "rel margin", -1e-10, cloud)
 
 
-def _product_sides(d: SpectralDecomposition, c2: np.ndarray, p: int, r: int, s_idx: int, lam, eps):
-    """Left and right sides of the product estimate for modal weights c2 = <f, phi_k>^2."""
-    norm_r = math.sqrt(_spectral_norm2(d, c2, r))
-    norm_s = math.sqrt(_spectral_norm2(d, c2, s_idx))
-    lhs = np.abs(lam) ** (p - r) * norm_r * np.abs(lam) ** (p - s_idx) * norm_s
-    norm_p2 = _spectral_norm2(d, c2, p)
-    norm_02 = float(np.sum(c2))
-    rhs = eps * norm_p2 + 2.0 ** (2 * p - 1) * eps ** (1 - 2 * p) * lam ** (2 * p) * norm_02
+def _product_sides(norm2: dict, fi: int, p: int, r: int, s_idx: int, lam, eps):
+    """Left and right sides of the product estimate for sample fi of the moments norm2 (see _moments)."""
+    lhs = np.abs(lam) ** (p - r) * math.sqrt(norm2[r][fi]) * np.abs(lam) ** (p - s_idx) * math.sqrt(norm2[s_idx][fi])
+    rhs = eps * norm2[p][fi] + 2.0 ** (2 * p - 1) * eps ** (1 - 2 * p) * lam ** (2 * p) * norm2[0][fi]
     return lhs, rhs
 
 
@@ -213,67 +199,44 @@ def check_epsilon(d: SpectralDecomposition, grid: SearchGrid, f_samples: np.ndar
     <= eps ||(-L)^{p/2} f||^2 + 2^{2p-1} eps^{1-2p} lam^{2p} ||f||^2
     over r <= p, s <= p-1.
     """
-    lam_axis = grid.axes["lam"]
-    eps_axis = grid.axes["eps"]
+    lam_axis, eps_axis = grid.axes["lam"], grid.axes["eps"]
     if np.any(eps_axis >= 2.0):
         raise DomainError("check_epsilon requires eps < 2")
-    n_points = 0
-    worst = math.inf
-    worst_point = None
-    samples = np.atleast_2d(f_samples)
-    modal = [d.coefficients(f) ** 2 for f in samples]
-    for p in (1, 2, 3):
-        for r in range(0, p + 1):
-            for s_idx in range(0, p):
-                for fi, c2 in enumerate(modal):
-                    lhs, rhs = _product_sides(d, c2, p, r, s_idx, lam_axis[:, None], eps_axis[None, :])
-                    rel = (rhs - lhs) / np.maximum(rhs, 1e-300)
-                    n_points += rel.size
-                    mn = float(np.min(rel))
-                    if mn < worst:
-                        worst = mn
-                        pos = np.unravel_index(int(np.argmin(rel)), rel.shape)
-                        worst_point = {"p": p, "r": r, "s": s_idx, "sample": fi,
-                                       "lam": float(lam_axis[pos[0]]), "eps": float(eps_axis[pos[1]])}
-                    if mn < -1e-10:
-                        raise PropertyViolation(
-                            f"product estimate violated, rel margin {mn}", witness=worst_point
-                        )
-    pert = grid.perturbations(worst_point, ["lam", "eps"])
-    p, r, s_idx = worst_point["p"], worst_point["r"], worst_point["s"]
-    lhs, rhs = _product_sides(d, modal[worst_point["sample"]], p, r, s_idx, pert["lam"], pert["eps"])
-    if float(np.min(rhs - lhs)) < -1e-10 * float(np.max(rhs)):
-        raise PropertyViolation("product estimate violated in refinement cloud", witness=worst_point)
-    return {"worst_margin": worst, "worst_point": worst_point, "n_points": int(n_points)}
+    norm2 = _moments(d, f_samples, range(4))
+
+    def blocks():
+        for p in (1, 2, 3):
+            for r in range(0, p + 1):
+                for s_idx in range(0, p):
+                    for fi in range(len(norm2[0])):
+                        lhs, rhs = _product_sides(norm2, fi, p, r, s_idx, lam_axis[:, None], eps_axis[None, :])
+                        yield {"p": p, "r": r, "s": s_idx, "sample": fi}, (rhs - lhs) / np.maximum(rhs, 1e-300)
+
+    def cloud(pert, at):
+        lhs, rhs = _product_sides(norm2, at["sample"], at["p"], at["r"], at["s"], pert["lam"], pert["eps"])
+        return rhs - lhs, float(np.max(rhs))
+
+    return _sweep(grid, {"lam": lam_axis, "eps": eps_axis}, blocks(), "product estimate", "rel margin", -1e-10, cloud)
 
 
-def check_stephen(
-    form,
-    d: SpectralDecomposition,
-    grid: SearchGrid,
-    f_train: np.ndarray,
-    f_holdout: np.ndarray,
-) -> dict:
+def check_stephen(form, d: SpectralDecomposition, grid: SearchGrid,
+                  f_train: np.ndarray, f_holdout: np.ndarray) -> dict:
     """Fit c1 in the lower-order absorption estimate against the measured form.
 
     ||(-L)^{p/2} f||^2 + rho lam^{2p} ||f||^2
     <= c1 (1+theta) Q(f) + c1 rho (1 + theta s / rho)^{2m} lam^{2m} ||f||^2.
     Trains on f_train, requires zero violations on f_holdout.
     """
-    s = d.gap
-    m = form.m
+    s, m = d.gap, form.m
     lam_axis, rho_axis, theta_axis = grid.axes["lam"], grid.axes["rho"], grid.axes["theta"]
     lam, rho, theta = lam_axis[:, None, None], rho_axis[None, :, None], theta_axis[None, None, :]
 
     def ratios(fs: np.ndarray):
         """One table per sample, axes (p - 1, lam, rho, theta)."""
-        for f in np.atleast_2d(fs):
-            c2 = d.coefficients(f) ** 2
-            q_f = form(f)
-            norm2 = float(np.sum(c2))
-            rhs_unit = (1.0 + theta) * q_f + rho * (1.0 + theta * s / rho) ** (2 * m) * lam ** (2 * m) * norm2
-            yield np.stack([(_spectral_norm2(d, c2, p) + rho * lam ** (2 * p) * norm2) / rhs_unit
-                            for p in range(1, m + 1)])
+        fs = np.atleast_2d(fs)
+        for f, *norm2 in zip(fs, *_moments(d, fs, range(m + 1)).values()):  # norm2[p] = ||(-L)^{p/2} f||^2
+            rhs_unit = (1.0 + theta) * form(f) + rho * (1.0 + theta * s / rho) ** (2 * m) * lam ** (2 * m) * norm2[0]
+            yield np.stack([(norm2[p] + rho * lam ** (2 * p) * norm2[0]) / rhs_unit for p in range(1, m + 1)])
 
     def point(at):
         if at is None:  # no training sample
@@ -284,9 +247,8 @@ def check_stephen(
 
     fit = fit_holdout(ratios(f_train), ratios(f_holdout))
     if not fit.passed:
-        raise PropertyViolation(
-            f"held-out absorption ratio {fit.held} exceeds fitted c1={fit.fitted}", witness=point(fit.held_at)
-        )
+        raise PropertyViolation(f"held-out absorption ratio {fit.held} exceeds fitted c1={fit.fitted}",
+                                witness=point(fit.held_at))
     n_points = len(np.atleast_2d(f_train)) * m * lam_axis.size * rho_axis.size * theta_axis.size
     return {"c1": fit.fitted, "worst_point": point(fit.fitted_at), "n_points": int(n_points)}
 
@@ -295,23 +257,15 @@ def gtilde_majorant(s: float, grid: SearchGrid) -> dict:
     """mu e^{-2 mu t} <= g~(t) over the (mu, t) grid; reports the minimal gap."""
     if s <= 0:
         raise DomainError(f"spectral gap must be positive, got {s}")
-    mu = grid.axes["mu"][:, None]
-    t = grid.axes["t"][None, :]
-    if np.any(grid.axes["mu"] < s * (1.0 - 1e-12)):
+    axes = {k: grid.axes[k] for k in ("mu", "t")}
+    if np.any(axes["mu"] < s * (1.0 - 1e-12)):
         raise DomainError("mu axis must start at or above the gap s")
-    lhs = mu * np.exp(-2.0 * mu * t)
-    rhs = gtilde(s, grid.axes["t"])[None, :]
-    rel_gap = (rhs - lhs) / rhs
-    mn = float(np.min(rel_gap))
-    pos = np.unravel_index(int(np.argmin(rel_gap)), rel_gap.shape)
-    worst_point = {"mu": float(grid.axes["mu"][pos[0]]), "t": float(grid.axes["t"][pos[1]])}
-    if mn < -1e-12:
-        raise PropertyViolation(f"g~ majorant violated, rel gap {mn}", witness=worst_point)
-    pert = grid.perturbations(worst_point, ["mu", "t"])
-    mu_p = np.maximum(pert["mu"], s)
-    t_p = np.maximum(pert["t"], float(np.min(grid.axes["t"])))
-    lhs_p = mu_p * np.exp(-2.0 * mu_p * t_p)
-    rhs_p = gtilde(s, t_p)
-    if float(np.min(rhs_p - lhs_p)) < -1e-12 * float(np.max(rhs_p)):
-        raise PropertyViolation("g~ majorant violated in refinement cloud", witness=worst_point)
-    return {"worst_rel_gap": mn, "worst_point": worst_point, "n_points": int(rel_gap.size)}
+    lhs = axes["mu"][:, None] * np.exp(-2.0 * axes["mu"][:, None] * axes["t"][None, :])
+    rhs = gtilde(s, axes["t"])[None, :]
+
+    def cloud(pert, at):
+        rhs_p = gtilde(s, pert["t"])
+        return rhs_p - pert["mu"] * np.exp(-2.0 * pert["mu"] * pert["t"]), float(np.max(rhs_p))
+
+    out = _sweep(grid, axes, [({}, (rhs - lhs) / rhs)], "g~ majorant", "rel gap", -1e-12, cloud)
+    return {"worst_rel_gap": out.pop("worst_margin"), **out}

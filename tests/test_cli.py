@@ -229,20 +229,20 @@ class TestCliRuns:
     def test_verify_inequalities_runs_one_eigensolve(self, tmp_path, monkeypatch):
         # the Laplacian has closed-form modes and the ellipticity comes from
         # Cholesky factors: only the configured operator is decomposed
-        from heatgauss import spectral
+        from heatgauss.spectral import SpectralDecomposition
 
         calls = []
-        solve = spectral.jacobi_eigh
+        decompose = SpectralDecomposition.from_form.__func__
 
-        def counted(M):
-            calls.append(M.shape)
-            return solve(M)
+        def counted(cls, form):
+            calls.append(form.grid.n_interior)
+            return decompose(cls, form)
 
-        monkeypatch.setattr(spectral, "jacobi_eigh", counted)
+        monkeypatch.setattr(SpectralDecomposition, "from_form", classmethod(counted))
         cfg = tmp_path / "poly3.cfg"
         cfg.write_text(POLY3_CFG, encoding="utf-8")
         main(["verify-inequalities", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert calls == [(40, 40)]
+        assert calls == [40]
 
     def test_ellipticity_error_is_a_failing_row(self, tmp_path, capsys, monkeypatch):
         from heatgauss import cli

@@ -1,3 +1,5 @@
+import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -209,3 +211,102 @@ class TestViolationsRaise:
         grid = SearchGrid(axes={"mu": np.geomspace(1.0, 1e2, 10), "t": np.geomspace(1e-2, 10.0, 10)})
         with pytest.raises(PropertyViolation, match="majorant violated"):
             gtilde_majorant(1.0, grid)
+
+
+class TestSweepRule:
+    """The worst-point rule every mesh sweep shares: first minimum in loop order, witness, raise, cloud."""
+
+    @staticmethod
+    def sweep(blocks, axes=None, cloud=None):
+        from heatgauss import inequalities
+
+        grid = SearchGrid(axes={"x": np.arange(3.0), "y": np.arange(2.0)})
+        return inequalities._sweep(grid, axes or grid.axes, blocks, "toy bound", "margin", -1.0,
+                                   cloud or (lambda pert, at: (np.zeros(1), 1.0)))
+
+    def test_ties_go_to_first_block_and_first_point(self):
+        table = np.array([[1.0, 0.5], [0.5, 2.0], [0.5, 0.5]])  # 0.5 at (0, 1), (1, 0), (2, 0), (2, 1)
+        out = self.sweep([({"p": 1}, table + 1.0), ({"p": 2}, table), ({"p": 3}, table.copy())])
+        assert out["worst_margin"] == 0.5
+        assert out["worst_point"] == {"p": 2, "x": 0.0, "y": 1.0}
+
+    def test_violation_names_labels_and_axis_values(self):
+        seen = []
+
+        def blocks():
+            for fi in range(3):
+                seen.append(fi)
+                table = np.zeros((3, 2))
+                if fi == 1:
+                    table[2, 1] = table[1, 1] = -3.0
+                yield {"p": 2, "r": 1, "s": 0, "sample": fi}, table
+
+        with pytest.raises(PropertyViolation, match=r"^toy bound violated, margin -3.0$") as err:
+            self.sweep(blocks())
+        assert err.value.witness == {"p": 2, "r": 1, "s": 0, "sample": 1, "x": 1.0, "y": 1.0}
+        assert seen == [0, 1]  # the sweep stops at the first violating block
+
+    def test_cloud_draws_on_grid_axes_at_the_witness(self):
+        drawn = {}
+
+        def cloud(pert, at):
+            drawn.update(pert=pert, at=at)
+            return np.full(3, -5.0), 2.0  # below tol * scale = -2
+
+        axes = {"x": np.arange(3.0), "y": np.arange(2.0), "mu": np.array([7.0, 8.0])}  # mu: not a grid axis
+        with pytest.raises(PropertyViolation, match=r"^toy bound violated in refinement cloud$") as err:
+            self.sweep([({"p": 1}, np.arange(12.0).reshape(3, 2, 2)[::-1].copy())], axes=axes, cloud=cloud)
+        assert err.value.witness == drawn["at"] == {"p": 1, "x": 2.0, "y": 0.0, "mu": 7.0}
+        assert list(drawn["pert"]) == ["x", "y"]
+
+    def test_n_points_sums_mesh_sizes(self, laplace200, rng):
+        assert self.sweep([({}, np.zeros((3, 2))), ({}, np.ones((3, 2)))])["n_points"] == 12
+        _, d = laplace200
+        n, f = len(d.eigenvalues), rng.standard_normal((2, 200))
+        grid = SearchGrid(axes={"lam": np.geomspace(1e-2, 1e2, 7), "eps": np.geomspace(1e-2, 1.0, 5)})
+        assert check_main(d, grid, f)["n_points"] == 6 * 7 * 5 * n  # (p, r) blocks over (lam, eps, mu)
+        assert check_epsilon(d, grid, f)["n_points"] == (2 + 6 + 12) * 2 * 7 * 5  # (p, r, s) blocks per sample
+        assert check_basic(basic_grid())["n_points"] == 14 * 14 * 7 * 7 * 12
+
+    def test_moment_table_is_the_direct_sums(self, laplace200, rng):
+        from heatgauss import inequalities
+
+        _, d = laplace200
+        f = rng.standard_normal((3, 200))
+        table = inequalities._moments(d, f, range(4))
+        for p in range(4):
+            for fi, row in enumerate(f):
+                c2 = d.coefficients(row) ** 2
+                assert table[p][fi] == float(np.sum(d.eigenvalues**p * c2))
+                assert p or table[0][fi] == float(np.sum(c2))
+
+    def test_vector_form_first_violation_as_in_a_loop(self, laplace200, rng, monkeypatch):
+        from heatgauss import inequalities
+
+        _, d = laplace200
+        f = rng.standard_normal((3, 200))
+        grid = SearchGrid(axes={"lam": np.geomspace(1e-2, 1e2, 30), "eps": np.geomspace(1e-2, 1.0, 20)})
+
+        def sqrt(x):  # inflates some norms: the vector form then fails where the scalar form holds
+            return math.sqrt(x) * (3.0 if int(x * 1e3) % 3 == 0 else 1.0)
+
+        def loop():  # the reference: one (p, r, sample, lam, eps) point at a time
+            for p in (1, 2, 3):
+                for r in range(0, p):
+                    expo = -r / (p - r) if r else 0.0
+                    for row in f:
+                        c2 = d.coefficients(row) ** 2
+                        norm_r, norm_p, norm_0 = (sqrt(float(np.sum(d.eigenvalues**k * c2))) for k in (r, p, 0))
+                        for lv in grid.axes["lam"][::5]:
+                            for ev in grid.axes["eps"][::4]:
+                                lhs = abs(lv) ** (p - r) * norm_r
+                                rhs = ev * norm_p + ev**expo * abs(lv) ** p * norm_0
+                                if lhs > rhs * (1.0 + 1e-10):
+                                    yield (f"vector symbol bound violated: {lhs} > {rhs}",
+                                           {"p": p, "r": r, "lam": float(lv), "eps": float(ev)})
+
+        expected = next(loop())
+        monkeypatch.setattr(inequalities, "math", types.SimpleNamespace(inf=math.inf, sqrt=sqrt))
+        with pytest.raises(PropertyViolation, match="vector symbol bound") as err:
+            check_main(d, grid, f)
+        assert (str(err.value), err.value.witness) == expected
