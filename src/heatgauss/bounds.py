@@ -9,7 +9,7 @@ import numpy as np
 
 from .core import GammaSchedule, fit_holdout
 from .errors import ConfigurationError, DomainError, ParameterError
-from .spectral import HeatKernelEvaluator, SpectralDecomposition
+from .spectral import EXP_UNDERFLOW_CAP, HeatKernelEvaluator, SpectralDecomposition
 
 KERNEL_REGRESSION_FLOOR = 1e-300  # values below are excluded from log regressions
 SHORT_TIME_EXCLUSION = 10.0  # multiples of the resolvable floor excluded from fits
@@ -64,8 +64,8 @@ def admissible_times(ev: HeatKernelEvaluator, t_grid) -> list[float]:
 class EnvelopeTable:
     """Envelopes that differ only in c2, over the nodes idx of a grid:
     (c1/eps) t^{-p} (d_x d_y)^gamma exp(-c2 |x-y|^{2m/(2m-1)} / t^{1/(2m-1)} - s t), p = (N + 2 gamma)/(2m),
-    with eps = 1 - p. The distance power and the boundary-decay product are built once, the t factors
-    once per `at`, and only the c2 term per envelope.
+    with eps = 1 - p. The distance power and the boundary-decay product are built once, and each `at`
+    builds the t factors once and every c2 as one (c2, i, j) array.
     """
 
     def __init__(self, envs: list[BoundEnvelope], grid, idx: np.ndarray):
@@ -75,39 +75,37 @@ class EnvelopeTable:
         m, gamma = first.schedule.m, first.schedule.gamma
         xi, di = grid.points[idx], grid.boundary_distances[idx]
         self.envs = envs
+        self.neg_c2 = -np.array([env.c2 for env in envs])[:, None, None]
         self.power = (first.schedule.N + 2.0 * gamma) / (2.0 * m)
         self.dist_power = np.abs(xi[:, None] - xi[None, :]) ** (2 * m / (2 * m - 1))
         self.decay = np.outer(di**gamma, di**gamma) if gamma > 0 else 1.0
 
-    def at(self, t: float, K: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(envelope, |K| / envelope) at t for each envelope, K the kernel block on the nodes. The ratio
-        is 0 where K = 0, taken in log space where only the envelope falls below the normal range
-        (a subnormal envelope has lost digits, a flushed one all of them), and inf past the float
-        range. Raises DomainError unless 0 < t < inf."""
+    def at(self, t: float, K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(envelopes, |K| / envelopes) at t, both (c2, i, j) with one (i, j) table per envelope, K the
+        kernel block on the nodes. The ratio is 0 where K = 0, taken in log space where only the
+        envelope falls below the normal range (a subnormal envelope has lost digits, a flushed one
+        all of them), and inf past the float range. Raises DomainError unless 0 < t < inf."""
         if not (0 < t < math.inf):  # also rejects nan
             raise DomainError(f"envelope time must be positive and finite, got {t}")
         first = self.envs[0]
         prefactor = (first.c1 / first.schedule.eps) * t ** (-self.power) * self.decay
         tq = t ** (1.0 / (2 * first.schedule.m - 1))
+        expo = self.neg_c2 * self.dist_power / tq - first.s * t
+        envelope = prefactor * np.exp(expo)
         absk = np.abs(K)
-        nonzero = absk > 0
-        tables = []
-        for env in self.envs:
-            expo = -env.c2 * self.dist_power / tq - env.s * t
-            envelope = prefactor * np.exp(expo)
-            small = envelope < TINY
-            lost = small & nonzero
-            with np.errstate(over="ignore"):
-                ratio = np.divide(absk, envelope, out=np.zeros_like(absk), where=~small)
-                if np.any(lost):
-                    ratio[lost] = np.exp(np.log(absk[lost]) - (np.log(prefactor) + expo)[lost])
-            tables.append((envelope, ratio))
-        return tables
+        small = envelope < TINY
+        lost = small & (absk > 0)
+        with np.errstate(over="ignore"):
+            ratio = np.divide(absk, envelope, out=np.zeros(envelope.shape), where=~small)
+            if np.any(lost):
+                _, i, j = np.nonzero(lost)
+                ratio[lost] = np.exp(np.log(absk[i, j]) - (np.log(prefactor) + expo)[lost])
+        return envelope, ratio
 
 
 def envelope_ratios(env: BoundEnvelope, grid, idx: np.ndarray, t: float, K: np.ndarray) -> np.ndarray:
     """|K| / envelope(t, x_i, x_j) over the nodes idx, K the kernel block on them, by EnvelopeTable's rule."""
-    return EnvelopeTable([env], grid, idx).at(t, K)[0][1]
+    return EnvelopeTable([env], grid, idx).at(t, K)[1][0]
 
 
 def _sup_ratios(ev: HeatKernelEvaluator, schedule: GammaSchedule, c2s: list[float],
@@ -117,17 +115,24 @@ def _sup_ratios(ev: HeatKernelEvaluator, schedule: GammaSchedule, c2s: list[floa
     xi = ev.grid.points[idx]
     s = ev.decomposition.gap
     table = EnvelopeTable([BoundEnvelope(schedule=schedule, s=s, c1=1.0, c2=c2) for c2 in c2s], ev.grid, idx)
-    sups = [(0.0, None)] * len(c2s)
-    for t in admissible_times(ev, t_grid):
-        for k, (_, ratios) in enumerate(table.at(t, ev.block(t, idx))):
-            pos = int(np.argmax(ratios))
-            r = float(ratios.flat[pos])
-            if r > sups[k][0]:
-                i, j = np.unravel_index(pos, ratios.shape)
-                sups[k] = (r, (t, float(xi[i]), float(xi[j])))
-    if any(where is None for _, where in sups):
+    times = admissible_times(ev, t_grid)
+    if not times:
         raise ConfigurationError("no admissible t slices above the resolvable floor")
-    return sups
+    sups = np.zeros(len(c2s))
+    best = np.full(len(c2s), -1)  # flat (t, i, j) index of each c2's sup; -1 while no ratio is positive
+    for ti, t in enumerate(times):
+        ratios = table.at(t, ev.block(t, idx))[1].reshape(len(c2s), -1)
+        r = ratios.max(axis=1)
+        better = r > sups
+        sups = np.where(better, r, sups)
+        best = np.where(better, ti * ratios.shape[1] + np.argmax(ratios, axis=1), best)  # first maximum
+    if np.any(best < 0):
+        raise ConfigurationError(
+            f"the kernel is exactly 0 on every admissible t slice: mu_1 t >= {s * min(times):.6g}"
+            f" is past the underflow cap {EXP_UNDERFLOW_CAP} of its decay weights exp(-mu t)"
+        )
+    ti, i, j = np.unravel_index(best, (len(times), len(idx), len(idx)))
+    return [(float(r), (times[a], float(xi[b]), float(xi[c]))) for r, a, b, c in zip(sups, ti, i, j)]
 
 
 def envelope_sup_ratio(ev: HeatKernelEvaluator, schedule: GammaSchedule, c2: float, t_grid) -> tuple[float, tuple]:
@@ -186,11 +191,13 @@ def boundary_slope(ev: HeatKernelEvaluator, t: float, j: int) -> float:
 def longtime_rate(ev: HeatKernelEvaluator, t_grid) -> float:
     """Slope of -log sup_{x,y} |k(t,x,y)| over the asymptotic window.
 
-    Raises ConfigurationError when fewer than two distinct t keep the sup
-    above KERNEL_REGRESSION_FLOOR, since no line is determined.
+    The kernel is positive semidefinite, so |k(t,x,y)| <= sqrt(k(t,x,x) k(t,y,y))
+    and the sup is read off the diagonal (`ev.diagonal`). Raises
+    ConfigurationError when fewer than two distinct t keep the sup above
+    KERNEL_REGRESSION_FLOOR, since no line is determined.
     """
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    sups = np.array([np.max(np.abs(ev.matrix(float(t)))) for t in ts])
+    sups = np.array([np.max(ev.diagonal(float(t))) for t in ts])
     keep = sups > KERNEL_REGRESSION_FLOOR
     if np.unique(ts[keep]).size < 2:
         raise ConfigurationError(

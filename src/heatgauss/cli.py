@@ -147,7 +147,8 @@ def run_kernel(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
     def rows():
         for t in bounds_mod.admissible_times(ev, cfg.t_grid):
             K = ev.matrix(t)[np.ix_(idx, idx)]
-            yield from kernel_rows(t, x, dist, K, *table.at(t, K)[0])
+            envelope, ratio = table.at(t, K)
+            yield from kernel_rows(t, x, dist, K, envelope[0], ratio[0])
 
     write_csv(os.path.join(out, "kernel.csv"), KERNEL_HEADER, rows())
     return [_fit_row("kernel-dump", {"n": cfg.n, "gamma": env.schedule.gamma}, fit.constants["c1"], fit)]

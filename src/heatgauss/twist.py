@@ -45,6 +45,7 @@ SHIFT_DOUBLINGS = 40  # doublings of the bracket before sector_shift_search give
 SHIFT_BISECTIONS = 20  # bisection steps of sector_shift_search
 APPENDIX_B_RHS = 10  # seeded right-hand sides of the resolvent identity
 APPENDIX_B_SEED = 42
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ class TwistedOperator:
     @cached_property
     def hhat(self) -> np.ndarray:
         """Dense Hhat_lambda = E^{-1} (H - s) E, computed once and read-only."""
-        S = self.base.operator_matrix()
+        S = self.base.operator
         return freeze(conjugate(S - self.base.gap * np.eye(S.shape[0]), self.twist))
 
     def numerical_range(self, samples: np.ndarray) -> np.ndarray:
@@ -108,22 +109,18 @@ class TwistedOperator:
         change between calls, so it is evaluated on every call.
         """
         if not is_frozen(samples):
-            return numerical_range_values(self.hhat, samples, self.base.grid.h)
+            return numerical_range_values(self.hhat, samples)
         hit = self._ranges.get(id(samples))
         if hit is None:
-            z = freeze(numerical_range_values(self.hhat, samples, self.base.grid.h))
+            z = freeze(numerical_range_values(self.hhat, samples))
             hit = self._ranges[id(samples)] = (samples, z)
         return hit[1]
 
-    def propagator(self, t: float) -> np.ndarray:
-        """exp(-H_lambda t) through the exact similarity path."""
-        return conjugate(self.base.propagator(t), self.twist)
 
-
-def conjugate(M: np.ndarray, tw: TwistSpec) -> np.ndarray:
-    """E^{-1} M E for the interior-node twist diagonal E."""
+def conjugate(M: np.ndarray, tw: TwistSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """E^{-1} M E for the interior-node twist diagonal E, written into out when given."""
     e = tw.weights()
-    return (M * e[np.newaxis, :]) / e[:, np.newaxis]
+    return np.divide(np.multiply(M, e[np.newaxis, :], out=out), e[:, np.newaxis], out=out)
 
 
 def _twisted_factor_terms(i: int, level: int, lam: float, a: float, h: float) -> dict[tuple[int, int], float]:
@@ -180,21 +177,24 @@ class PerLambdaTable:
 
     Both paths read a sample f zero-padded by m on each side, fp, through
     index tables. Direct path: E^{-1} Q E - Q has entries Q_kl expm1(lambda a
-    (l - k) h), and pairing (k, l) with (l, k) gives f^T (E^{-1} Q E - Q) f =
-    sum_b w_b f[:-b] . (Q_b f[b:]) with w_b = 4 sinh^2(lambda a b h / 2), free
-    of the cancellation of f^T (E^{-1} Q E) f - f^T Q f. bands[0, b] is w_b
-    Q_b and bands[1, b] is Q_b (2 Q_b for b > 0), the upper diagonals
-    zero-padded to n, so that with fp[band_index][b, i] = f[i + b] they give
-    per(lambda) and Q(f). Leibniz path: fp[window_index][j, k] = f[k - j], so
-    taps @ windows is the stack of images D^d M^{level-d} f, d = 0..level (one
-    convolution each); per level, terms holds each coefficient's staggered
-    samples and Leibniz matrix.
+    (l - k) h), and pairing (k, l) with (l, k) gives f^T (E^{-1} Q E) f -
+    f^T Q f = sum_b w_b f[:-b] . (Q_b f[b:]) with w_b = 4 sinh^2(lambda a b h
+    / 2), free of the cancellation of the difference. With fp[band_index][b,
+    i] = f[i + b], bands @ (fp[band_index] * f).ravel() gives per(lambda) and
+    Q(f): bands[0, b n + i] is w_b Q_b[i] and bands[1, b n + i] is Q_b[i]
+    (2 Q_b[i] for b > 0), the upper diagonals zero-padded to n. Leibniz path:
+    fp[window_index][j, k] = f[k - j], so taps @ windows stacks the images
+    D^d M^{level-d} f of every level (one convolution each, zero past column
+    n + level); leibniz[p, q, k] sums a_ij(x_k) C_ij[d, e] over the
+    coefficients of a level, p and q its rows d and e in the stack, and
+    h leibniz . (U_p U_q)_k is the Leibniz value.
     """
 
     bands: np.ndarray
     band_index: np.ndarray
     window_index: np.ndarray
-    levels: tuple[tuple[int, np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]], ...]
+    taps: np.ndarray
+    leibniz: np.ndarray
 
 
 def per_lambda_table(form: FormMatrix, tw: TwistSpec) -> PerLambdaTable:
@@ -206,22 +206,24 @@ def per_lambda_table(form: FormMatrix, tw: TwistSpec) -> PerLambdaTable:
     for k in b:
         q_k = np.diagonal(form.matrix, k)
         bands[k, : len(q_k)] = q_k
-    terms: dict[int, list] = {}
+    # one image-stack row per (level, d), each level's d = 0..level in turn
+    stack = [(level, d) for level in sorted({max(ij) for ij in form.spec.coefficients}) for d in range(level + 1)]
+    taps = np.zeros((len(stack), m + 1))
+    for row, (level, d) in enumerate(stack):
+        taps[row, : level + 1] = form.taps[(d, level - d)]
+    leibniz = np.zeros((len(stack), len(stack), n + m))
     for (i, j) in sorted(form.spec.coefficients):
         level = max(i, j)
+        rows = slice(stack.index((level, 0)), stack.index((level, level)) + 1)
         samples = form.spec.sample(i, j, level_positions(grid, level))
-        leibniz = _leibniz_matrix(i, j, level, tw.lam, tw.a, h)
-        terms.setdefault(level, []).append((freeze(samples), freeze(leibniz)))
-    levels = tuple(
-        (level, freeze(np.array([form.taps[(d, level - d)] for d in range(level + 1)])), tuple(terms[level]))
-        for level in sorted(terms)
-    )
+        leibniz[rows, rows, : n + level] += _leibniz_matrix(i, j, level, tw.lam, tw.a, h)[:, :, np.newaxis] * samples
     weights = np.array([4.0 * np.sinh(tw.lam * tw.a * b * h / 2.0) ** 2, np.minimum(b, 1) + 1.0])
     return PerLambdaTable(
-        bands=freeze(weights[:, :, np.newaxis] * bands),
+        bands=freeze((weights[:, :, np.newaxis] * bands).reshape(2, -1)),
         band_index=freeze(m + np.add.outer(b, np.arange(n))),
         window_index=freeze(m - np.subtract.outer(b, np.arange(n + m))),
-        levels=levels,
+        taps=freeze(taps),
+        leibniz=freeze(leibniz.ravel()),
     )
 
 
@@ -232,35 +234,31 @@ def per_lambda(form: FormMatrix, tw: TwistSpec, f: np.ndarray, rel_tol: float = 
     the band diagonals of the form matrix, and by the exact discrete Leibniz
     expansion keeping only terms that differ from the untwisted top
     contribution. Disagreement beyond rel_tol raises. The form keeps its
-    table per twist in form.twist_tables, so the table is built once per
-    (form, tw) and each call costs O(n m).
+    table per twist in form.twist_tables, so the table is built (and the
+    twist's grid checked) once per (form, tw), and each call is a few array
+    steps of O(n m).
     """
     if not np.count_nonzero(f):
         raise DomainError("per_lambda requires a nonzero sample function")
-    if tw.grid != form.grid:
-        raise DomainError(f"twist grid {tw.grid} differs from the form grid {form.grid}")
     table = form.twist_tables.get(tw)
     if table is None:
+        if tw.grid != form.grid:
+            raise DomainError(f"twist grid {tw.grid} differs from the form grid {form.grid}")
         table = form.twist_tables[tw] = per_lambda_table(form, tw)
     n, m = len(f), form.m
     fp = np.zeros(n + 2 * m)
     fp[m : m + n] = f
 
     # direct path: the band sums f[:-b] . (Q_b f[b:]), weighted for the twist
-    direct, plain_q = map(float, np.sum(table.bands * fp[table.band_index], axis=1) @ f)
+    direct, plain_q = (table.bands @ (fp[table.band_index] * f).ravel()).tolist()
 
-    # Leibniz path: h sum(U a (C U)) over the image stack U of each level
-    windows = fp[table.window_index]
-    leib = 0.0
-    for level, taps, terms in table.levels:
-        U = taps @ windows[: level + 1, : n + level]
-        for a_samples, C in terms:
-            leib += float(np.vdot(U, a_samples * (C @ U)))
-    leib *= form.grid.h
+    # Leibniz path: h sum_k leibniz[p, q, k] U[p, k] U[q, k] over the image stack U
+    U = table.taps @ fp[table.window_index]
+    leib = form.grid.h * float(table.leibniz @ (U[:, np.newaxis] * U).ravel())
 
     # when per(lambda) cancels to round-off, the achievable agreement is set
     # by the cancellation noise of the terms being subtracted, not by per itself
-    noise_floor = n * np.finfo(float).eps * (abs(plain_q + direct) + abs(plain_q))
+    noise_floor = n * EPS * (abs(plain_q + direct) + abs(plain_q))
     tolerance = max(rel_tol * max(abs(direct), abs(leib)), noise_floor)
     if abs(direct - leib) > tolerance:
         raise ConsistencyError(
@@ -269,19 +267,27 @@ def per_lambda(form: FormMatrix, tw: TwistSpec, f: np.ndarray, rel_tol: float = 
     return direct
 
 
-def numerical_range_values(Hhat: np.ndarray, samples: np.ndarray, h: float) -> np.ndarray:
-    """Numerical-range points <f, Hhat f>_h / <f, f>_h of each sample row.
+def numerical_range_values(Hhat: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Numerical-range points <f, Hhat f>_h / <f, f>_h of each sample row (h cancels).
 
-    One matmul per chunk of at most RANGE_CHUNK samples; the sector search and
-    the sector verdict both read these values, so they see the same points.
+    Hhat is real, so with f = u + i v the point is (u.Hu + v.Hv + i (u.Hv -
+    v.Hu)) / (u.u + v.v): one real matmul per chunk of at most RANGE_CHUNK
+    samples over their stacked real and imaginary parts. The sector search
+    and the sector verdict both read these values, so they see the same points.
     """
+
+    def dot(a, b):  # a_i . b_i of each row pair
+        return np.einsum("ij,ij->i", a, b)
+
     fs = np.atleast_2d(samples)
     z = np.empty(len(fs), dtype=complex)
     for k in range(0, len(fs), RANGE_CHUNK):
         block = fs[k : k + RANGE_CHUNK]
-        num = h * np.einsum("ij,ij->i", block.conj(), block @ Hhat.T)
-        den = h * np.einsum("ij,ij->i", block.conj(), block).real
-        z[k : k + RANGE_CHUNK] = num / den
+        r = len(block)
+        uv = np.concatenate([block.real, block.imag])
+        image = uv @ Hhat.T
+        u, v, Hu, Hv = uv[:r], uv[r:], image[:r], image[r:]
+        z[k : k + r] = (dot(u, Hu) + dot(v, Hv) + 1j * (dot(u, Hv) - dot(v, Hu))) / (dot(u, u) + dot(v, v))
     return z
 
 
@@ -343,13 +349,18 @@ def sector_shift_search(
         raise DomainError(f"sector parameter p must lie in (0,1), got {p}")
     unit = (1.0 + p) * top.unit
     z0 = top.numerical_range(samples)
+    re, im = z0.real, np.abs(z0.imag)
+    # every c tried is >= 0 and a sample's test only gets easier as c grows, so
+    # the samples that pass at c = 0 pass at every c: the search reads the rest
+    failing = ~((re >= -1e-12) & (im <= re / p + 1e-12))
+    if not failing.any():
+        return 0.0
+    re, im = re[failing], im[failing]
 
     def passes(c: float) -> bool:
-        z = z0 + c * unit
-        return bool(np.all(z.real >= -1e-12) and np.all(np.abs(z.imag) <= z.real / p + 1e-12))
+        x = re + c * unit
+        return bool((x >= -1e-12).all() and (im <= x / p + 1e-12).all())
 
-    if passes(0.0):
-        return 0.0
     hi = SHIFT_START
     for _ in range(SHIFT_DOUBLINGS):
         if passes(hi):
@@ -370,19 +381,21 @@ def sector_shift_search(
 def twisted_kernel(ev, tw: TwistSpec, t: float, i: int, j: int) -> float:
     """Kernel of the twisted semigroup: e^{-lam psi(x)} k(t,x,y) e^{lam psi(y)}.
 
-    Cross-checked against the matrix-similarity propagator applied to
-    coordinate vectors; the two routes must agree to 1e-10 relative.
+    Cross-checked against row i of the similarity route E^{-1} K(t) E, K(t)
+    the kernel table (the propagator over h), one vector-matrix product; the
+    two routes must agree to 1e-10 relative.
     """
     x = ev.grid.points
     base = kernel_eval(ev, t, i, j)
     value = math.exp(-tw.lam * float(tw.psi(x[i]))) * base * math.exp(tw.lam * float(tw.psi(x[j])))
-    top = TwistedOperator(base=ev.decomposition, twist=tw)
-    via_matrix = top.propagator(t)[i, j] / ev.grid.h
+    d, e = ev.decomposition, tw.weights()
+    row = (d.eigenvectors[i] * decay_weights(t * d.eigenvalues)) @ d.eigenvectors.T
+    via_matrix = row[j] * e[j] / e[i]
     # the two routes sum the same modal series in different orders; their
     # agreement floor in the Gaussian tail is set by round-off against the
     # diagonal kernel scale, on which the twist weights cancel
     diag_scale = max(kernel_eval(ev, t, i, i), kernel_eval(ev, t, j, j))
-    noise = len(ev.decomposition.eigenvalues) * np.finfo(float).eps * diag_scale
+    noise = len(ev.decomposition.eigenvalues) * EPS * diag_scale
     if abs(value - via_matrix) > 1e-10 * max(abs(value), abs(via_matrix)) + noise:
         raise ConsistencyError(
             f"twisted kernel mismatch: direct={value}, similarity={via_matrix}"
@@ -541,20 +554,28 @@ def appendix_b_identities(d: SpectralDecomposition, tw: TwistSpec, z: complex) -
     mu = d.eigenvalues
     if np.min(np.abs(z - mu)) < 1e-6 * (abs(z) + mu[0]):
         raise ConditioningError(f"z={z} within 1e-6*(|z|+mu_1) of the spectrum")
-    S = d.operator_matrix()
+    S = d.operator
     n = S.shape[0]
-    e = tw.weights()
-    H_lam = conjugate(S, tw)
-    eye = np.eye(n)
-    # columns are the right-hand sides, drawn in the same order as one at a time
-    G = np.random.default_rng(APPENDIX_B_SEED).standard_normal((APPENDIX_B_RHS, n)).T
-    X1 = np.linalg.solve(z * eye - H_lam, G.astype(complex))
-    X2 = np.linalg.solve(z * eye - S, (e[:, np.newaxis] * G).astype(complex)) / e[:, np.newaxis]
-    rel = np.linalg.norm(X1 - X2, axis=0) / np.maximum(np.linalg.norm(X2, axis=0), 1e-300)
-    worst_resolvent = float(np.max(rel, initial=0.0))
+    e = tw.weights()[:, np.newaxis]
+    # one batched solve: (z - H_lam) X1 = G and (z - H) Y = E G, X2 = E^{-1} Y; both
+    # matrices are built in place, as fresh n x n temporaries page-fault on every call
+    A = np.empty((2, n, n), dtype=complex)
+    H_lam = conjugate(S, tw, out=A.real[0])
     spec_tw = d.twisted_spectra.get(tw)
     if spec_tw is None:
         spec_tw = d.twisted_spectra[tw] = freeze(np.sort(np.linalg.eigvals(H_lam).real))
+    A.real[1] = S
+    np.negative(A.real, out=A.real)
+    A.imag[...] = 0.0
+    A.reshape(2, -1)[:, :: n + 1] += z
+    # columns are the right-hand sides, drawn in the same order as one at a time
+    B = np.empty((2, n, APPENDIX_B_RHS), dtype=complex)
+    B[0] = G = np.random.default_rng(APPENDIX_B_SEED).standard_normal((APPENDIX_B_RHS, n)).T
+    B[1] = e * G
+    X1, Y = np.linalg.solve(A, B)
+    X2 = Y / e
+    rel = np.linalg.norm(X1 - X2, axis=0) / np.maximum(np.linalg.norm(X2, axis=0), 1e-300)
+    worst_resolvent = float(np.max(rel, initial=0.0))
     worst_spectrum = float(np.max(np.abs(spec_tw - mu)) / mu[-1])
     ok = worst_resolvent <= 1e-8 and worst_spectrum <= 1e-8
     return {

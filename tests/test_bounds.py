@@ -249,6 +249,16 @@ class TestFitAgainstPerC2Loop:
         with pytest.raises(ConfigurationError, match="no admissible t slices"):
             fit_envelope_constants(ev, schedule, self.C2_GRID, [ev.t_floor, 5.0 * ev.t_floor])
 
+    def test_every_admissible_slice_flushed_names_the_cap(self, evaluator40):
+        # admissible t whose mu_1 t passes the 700 cap: every kernel block is exactly 0
+        ev = evaluator40
+        s = ev.decomposition.gap
+        schedule = schedule_from_gamma(ev.decomposition.m, 1, 0.0)
+        ts = [750.0 / s, 2000.0 / s]
+        assert all(not np.any(ev.block(t, np.arange(40))) for t in ts)
+        with pytest.raises(ConfigurationError, match="exactly 0 on every admissible t slice: mu_1 t >= 750 "):
+            fit_envelope_constants(ev, schedule, self.C2_GRID, ts)
+
 
 class TestEnvelopeRatios:
     def test_rule_entry_by_entry(self, poly3_40):
@@ -301,7 +311,7 @@ class TestEnvelopeRatios:
         table = EnvelopeTable(envs, ev.grid, idx)
         for t in np.geomspace(0.05, 700.0, 6) / s:
             K = ev.block(t, idx)
-            for env, (envelope, ratios) in zip(envs, table.at(t, K)):
+            for env, envelope, ratios in zip(envs, *table.at(t, K)):
                 decay = np.outer(di**gamma, di**gamma) if gamma > 0 else 1.0
                 expo = -env.c2 * r ** (2 * m / (2 * m - 1)) / t ** (1.0 / (2 * m - 1)) - s * t
                 prefactor = (1.5 / schedule.eps) * t ** (-(1 + 2.0 * gamma) / (2.0 * m)) * decay
@@ -322,7 +332,7 @@ class TestEnvelopeRatios:
         assert ratio == math.inf
         env = BoundEnvelope(schedule=lap_schedule(0.0), s=float(ev.decomposition.eigenvalues[0]), c1=1.0, c2=c2)
         idx = sample_indices(40, 4)
-        envelope, ratios = EnvelopeTable([env], ev.grid, idx).at(1.0, ev.block(1.0, idx))[0]
+        envelope, ratios = (a[0] for a in EnvelopeTable([env], ev.grid, idx).at(1.0, ev.block(1.0, idx)))
         assert np.any(np.isinf(ratios) & (envelope > 0)) == (c2 == 100.0)
         assert np.any(np.isinf(ratios) & (envelope == 0))
 
@@ -335,7 +345,7 @@ class TestEnvelopeRatios:
         s, idx, x = ev.decomposition.gap, np.arange(40), ev.grid.points
         env = BoundEnvelope(schedule=lap_schedule(0.0), s=s, c1=1.0, c2=100.0)
         K = 1e-20 * ev.block(1.0, idx)
-        envelope, ratios = EnvelopeTable([env], ev.grid, idx).at(1.0, K)[0]
+        envelope, ratios = (a[0] for a in EnvelopeTable([env], ev.grid, idx).at(1.0, K))
         subnormal = (envelope > 0) & (envelope < np.finfo(float).tiny) & (K != 0) & np.isfinite(ratios)
         assert np.count_nonzero(subnormal) == 10
         for i, j in zip(*np.nonzero(subnormal)):
@@ -379,6 +389,30 @@ class TestDecayExtractors:
                 warnings.simplefilter("error")  # no RankWarning from a one-point fit
                 with pytest.raises(ConfigurationError, match="two distinct t"):
                     longtime_rate(ev, ts)
+
+    def test_longtime_sup_is_the_largest_diagonal_entry(self, evaluator40):
+        # the kernel is positive semidefinite, so sup |k| sits on the diagonal; the default grid
+        # flushes every t past mu_1 t = 700 at m >= 2, where both read exactly 0
+        ev = evaluator40
+        ts = np.concatenate([np.geomspace(0.01, 5.0, 25), np.geomspace(0.5, 800.0, 9) / ev.decomposition.gap])
+        sups = []
+        for t in ts:
+            full = np.max(np.abs(ev.matrix(float(t))))
+            assert abs(np.max(ev.diagonal(float(t))) - full) <= 1e-14 * full
+            sups.append(full)
+        sups = np.array(sups)
+        assert np.any(sups == 0.0)  # mu_1 t = 800 at the least
+        # the rate is the line through the sups of the full tables
+        keep = sups > 1e-300
+        want, _ = np.polyfit(ts[keep], -np.log(sups[keep]), 1)
+        assert longtime_rate(ev, ts) == pytest.approx(want, rel=1e-12)
+
+    def test_longtime_rate_keeps_the_floor_warning(self, evaluator40):
+        ev = evaluator40
+        with pytest.warns(ResolutionWarning):
+            longtime_rate(ev, [ev.t_floor / 2.0, 2.0 * ev.t_floor, 4.0 * ev.t_floor])
+        with pytest.raises(DomainError):
+            longtime_rate(ev, [0.0, 1.0])
 
     def test_boundary_slope_nonnegative(self, laplace200):
         ev = HeatKernelEvaluator(laplace200[1])

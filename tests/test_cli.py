@@ -219,6 +219,18 @@ class TestCliRuns:
         both_zero = (rows[:, 5] == 0.0) & (rows[:, 6] == 0.0)
         assert np.any(both_zero) and np.all(rows[both_zero, 7] == 0.0)
 
+    def test_kernel_with_every_slice_flushed_exits_2_naming_the_cap(self, tmp_path, capsys):
+        # m = 3, n = 40 (mu_1 = 4.6e4): every t of the grid is admissible, but mu_1 t > 700 flushes
+        # each kernel block to exactly 0, so no envelope constant can be fitted
+        cfg = tmp_path / "poly3.cfg"
+        cfg.write_text(POLY3_CFG.replace("[sweep]\n", "[sweep]\nt_grid = 0.05 0.1 0.2\n"), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["kernel", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the kernel is exactly 0 on every admissible t slice: mu_1 t >= ")
+        assert "past the underflow cap 700.0" in err and "resolvable floor" not in err
+        assert not out.exists()
+
     def test_verify_inequalities_passes(self, laplace_cfg, tmp_path):
         out = tmp_path / "out"
         code = main(["verify-inequalities", "--config", laplace_cfg, "--out", str(out)])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -110,6 +111,24 @@ class TestDecomposition:
     def test_operator_matrix_roundtrip(self, laplace200):
         form, d = laplace200
         assert np.max(np.abs(d.operator_matrix() - form.operator)) < 1e-8
+
+    def test_operator_is_built_once_and_read_only(self, laplace200, monkeypatch):
+        _, d = laplace200
+        cold = dataclasses.replace(d)  # same frozen arrays, nothing stored yet
+        calls = []
+        original = SpectralDecomposition.operator_matrix
+
+        def counting(self, weights=None):
+            calls.append(weights)
+            return original(self, weights)
+
+        monkeypatch.setattr(SpectralDecomposition, "operator_matrix", counting)
+        H = cold.operator
+        assert cold.operator is H and calls == [None]
+        assert np.array_equal(H, original(cold))  # bit for bit
+        with pytest.raises(ValueError):
+            H[0, 0] = 1.0
+        assert dataclasses.replace(d).operator is not H and len(calls) == 2
 
 
 class TestSemigroup:

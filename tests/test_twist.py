@@ -349,7 +349,7 @@ class TestBatchedAgainstLoops:
         h = d.grid.h
         samples = sector_samples(d, seed=5, count=150)  # crosses several chunks
         want = np.array([h * np.vdot(f, Hhat @ f) / (h * np.vdot(f, f).real) for f in samples])
-        got = numerical_range_values(Hhat, samples, h)
+        got = numerical_range_values(Hhat, samples)
         assert got.shape == want.shape
         # the 150 random samples come first: relative to the value itself
         assert np.all(np.abs(got - want)[:150] <= 1e-12 * np.abs(want[:150]))
@@ -363,12 +363,11 @@ class TestBatchedAgainstLoops:
         Hhat = TwistedOperator(base=d, twist=make_twist(d.grid, 0.5)).hhat
         f = np.random.default_rng(2).standard_normal((3, d.grid.n_interior))
         want = [float(g @ Hhat @ g) / float(g @ g) for g in f]
-        assert np.allclose(numerical_range_values(Hhat, f, d.grid.h), want, rtol=1e-12, atol=0.0)
+        assert np.allclose(numerical_range_values(Hhat, f), want, rtol=1e-12, atol=0.0)
 
     def test_evolved_form_c1(self, laplace200, rng):
         form, d = laplace200
         tw = make_twist(d.grid, 1.0)
-        top = TwistedOperator(base=d, twist=tw)
         ts = np.geomspace(0.05, 2.0, 5)
         f_train = np.vstack([d.eigenvectors[:, [0, 199]].T, rng.standard_normal((4, 200))])
         f_holdout = rng.standard_normal((4, 200))
@@ -378,7 +377,7 @@ class TestBatchedAgainstLoops:
         c1 = 0.0
         for f in f_train:
             for t in ts:
-                g = top.propagator(t) @ f
+                g = conjugate(d.propagator(t), tw) @ f  # exp(-H_lambda t) by similarity
                 env = math.exp(c2 * unit * t - 2.0 * d.gap * t) / (0.5 * t)
                 c1 = max(c1, float(g @ (form.matrix @ g)) / (d.grid.h * float(f @ f) * env))
         assert out["c1"] == pytest.approx(c1, rel=1e-10)
@@ -480,7 +479,7 @@ class TestPerTwistMemo:
         samples[0] *= np.arange(1, d.grid.n_interior + 1)
         after = top.numerical_range(samples)
         assert after[0] != before[0] and np.array_equal(after[1:], before[1:])
-        assert np.array_equal(after, numerical_range_values(top.hhat, samples, d.grid.h))
+        assert np.array_equal(after, numerical_range_values(top.hhat, samples))
         assert np.array_equal(top.numerical_range(view), after)
         assert np.array_equal(before_view, before)
 
@@ -604,3 +603,85 @@ class TestPerTwistMemo:
         with pytest.raises(ValueError):
             d.eigenvectors[:, 0] *= 2.0
         assert top.hhat is top.hhat
+
+
+class TestPlantedErrors:
+    """A small error planted in the data each array step reads must fail that step's check."""
+
+    @staticmethod
+    def rough_samples(d):
+        """Samples whose top Leibniz term carries per(lambda): the last eigenmode, the alternating
+        sign vector and seeded noise (on the ground mode it carries below 1e-2 of it)."""
+        n = d.grid.n_interior
+        return [d.eigenvectors[:, -1], (-1.0) ** np.arange(n), np.random.default_rng(11).standard_normal(n)]
+
+    @pytest.mark.parametrize("case", ["laplace200", "poly3_40"])
+    def test_leibniz_entry_error_raises(self, case, request, monkeypatch):
+        form, d = request.getfixturevalue(case)
+        tw = make_twist(d.grid, 1.0)
+        fs = self.rough_samples(d)
+        clean = [per_lambda(dataclasses.replace(form), tw, f) for f in fs]  # a fresh table passes
+        original = twist_mod._leibniz_matrix
+
+        def planted(i, j, level, lam, a, h):
+            C = original(i, j, level, lam, a, h).copy()
+            C[i, j] *= 1.0 + 1e-6  # the top entry, one entry only
+            return C
+
+        monkeypatch.setattr(twist_mod, "_leibniz_matrix", planted)
+        for f, value in zip(fs, clean):
+            with pytest.raises(ConsistencyError, match=f"direct={value!r}"):
+                per_lambda(dataclasses.replace(form), tw, f)
+
+    @pytest.mark.parametrize("case", ["laplace200", "poly3_40"])
+    def test_band_weight_error_raises(self, case, request):
+        form, d = request.getfixturevalue(case)
+        tw = make_twist(d.grid, 1.0)
+        n, m = d.grid.n_interior, form.m
+        table = twist_mod.per_lambda_table(form, tw)
+        # not the middle eigenmode: for it sum_i f_i f_{i+1} and hence per(lambda) vanish at m = 1
+        fs = [d.eigenvectors[:, 0], d.eigenvectors[:, 1], *self.rough_samples(d)]
+        for f in fs:
+            per_lambda(dataclasses.replace(form), tw, f)  # a fresh table passes
+        for b in range(1, m + 1):  # w_0 = 0
+            bands = table.bands.reshape(2, m + 1, n).copy()
+            bands[0, b] *= 1.0 + 1e-6  # the weight w_b of band b
+            cold = dataclasses.replace(form)
+            cold.twist_tables[tw] = dataclasses.replace(table, bands=bands.reshape(2, -1))
+            for f in fs:
+                with pytest.raises(ConsistencyError):
+                    per_lambda(cold, tw, f)
+
+    @pytest.mark.parametrize("case", ["laplace200", "poly3_40"])
+    def test_twisted_operator_entry_error_fails_appendix_b(self, case, request, monkeypatch):
+        _, d = request.getfixturevalue(case)
+        tw, z = make_twist(d.grid, 1.0), complex(-1.0, 1.0)
+        assert appendix_b_identities(dataclasses.replace(d), tw, z)["ok"]
+        original, k = twist_mod.conjugate, d.grid.n_interior // 2
+
+        def planted(M, twist, out=None):
+            out = original(M, twist, out=out)
+            out[k, k] *= 1.0 + 1e-6  # one entry of H_lambda
+            return out
+
+        monkeypatch.setattr(twist_mod, "conjugate", planted)
+        out = appendix_b_identities(dataclasses.replace(d), tw, z)
+        assert not out["ok"] and out["resolvent_rel_err"] > 1e-8
+
+    @pytest.mark.parametrize("case", ["laplace200", "poly3_40"])
+    def test_numerical_range_against_the_complex_formula(self, case, request):
+        # <f, Hhat f>_h / <f, f>_h summed in complex arithmetic, one sample at a time
+        _, d = request.getfixturevalue(case)
+        Hhat, h, n = TwistedOperator(base=d, twist=make_twist(d.grid, 1.0)).hhat, d.grid.h, d.grid.n_interior
+        u, v = np.random.default_rng(13).standard_normal((2, 2 * twist_mod.RANGE_CHUNK + 5, n))
+        complex_H = Hhat.astype(complex)
+        for kind, samples in (("real", u + 0j), ("imaginary", 1j * v), ("mixed", u + 1j * v)):
+            want = np.array([(h * np.vdot(f, complex_H @ f)) / (h * np.vdot(f, f).real) for f in samples])
+            got = numerical_range_values(Hhat, samples)
+            # relative to the size of the terms summed: the imaginary part is the antisymmetric
+            # part of Hhat, O(lambda h) against Hhat itself
+            terms = np.array([np.abs(f) @ np.abs(Hhat) @ np.abs(f) / np.vdot(f, f).real for f in samples])
+            assert np.all(np.abs(got.real - want.real) <= 1e-13 * terms), kind
+            assert np.all(np.abs(got.imag - want.imag) <= 1e-13 * terms), kind
+            if kind != "mixed":
+                assert np.all(got.imag == 0.0) and np.all(want.imag == 0.0), kind
