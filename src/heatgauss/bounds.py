@@ -111,6 +111,8 @@ def envelope_ratios(env: BoundEnvelope, grid, idx: np.ndarray, t: float, K: np.n
 def _sup_ratios(ev: HeatKernelEvaluator, schedule: GammaSchedule, c2s: list[float],
                 t_grid) -> list[tuple[float, tuple]]:
     """envelope_sup_ratio at each c2 of c2s from one envelope table, reading one kernel block per admissible t."""
+    if not c2s:
+        raise ConfigurationError("empty c2 grid: no envelope to fit")
     idx = sample_indices(ev.grid.n_interior, SAMPLE_STRIDE)
     xi = ev.grid.points[idx]
     s = ev.decomposition.gap
@@ -121,7 +123,7 @@ def _sup_ratios(ev: HeatKernelEvaluator, schedule: GammaSchedule, c2s: list[floa
     sups = np.zeros(len(c2s))
     best = np.full(len(c2s), -1)  # flat (t, i, j) index of each c2's sup; -1 while no ratio is positive
     for ti, t in enumerate(times):
-        ratios = table.at(t, ev.block(t, idx))[1].reshape(len(c2s), -1)
+        ratios = table.at(t, ev.block(t, idx, idx))[1].reshape(len(c2s), -1)
         r = ratios.max(axis=1)
         better = r > sups
         sups = np.where(better, r, sups)
@@ -174,13 +176,11 @@ def fit_envelope_constants(
 
 def boundary_slope(ev: HeatKernelEvaluator, t: float, j: int) -> float:
     """Least-squares slope of log|k(t, x, y_j)| against log d_x over the first
-    BOUNDARY_FRACTION of the nodes (at least 3)."""
-    grid = ev.grid
-    n = grid.n_interior
-    count = max(int(n * BOUNDARY_FRACTION), 3)
-    K = ev.matrix(t)
-    vals = np.abs(K[:count, j])
-    d = grid.points[:count]
+    BOUNDARY_FRACTION of the nodes (at least 3), reading that window of column j."""
+    n = ev.grid.n_interior
+    window = np.arange(min(max(int(n * BOUNDARY_FRACTION), 3), n))
+    vals = np.abs(ev.block(t, window, [j])[:, 0])
+    d = ev.grid.points[window]
     keep = vals > KERNEL_REGRESSION_FLOOR
     if np.count_nonzero(keep) < 2:
         raise ConfigurationError("kernel underflows everywhere in the boundary window")

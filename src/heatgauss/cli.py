@@ -146,7 +146,7 @@ def run_kernel(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
 
     def rows():
         for t in bounds_mod.admissible_times(ev, cfg.t_grid):
-            K = ev.matrix(t)[np.ix_(idx, idx)]
+            K = ev.block(t, idx, idx)
             envelope, ratio = table.at(t, K)
             yield from kernel_rows(t, x, dist, K, envelope[0], ratio[0])
 
@@ -293,9 +293,8 @@ def run_report(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
     _, d, ev = _decompose(cfg)
     half = cfg.n // 2
     t_mid = float(np.median(cfg.t_grid))
-    left = slice(0, max(cfg.n // 5, 3))
-    K = ev.matrix(t_mid)
-    vals = np.abs(K[left, half])
+    left = np.arange(max(cfg.n // 5, 3))
+    vals = np.abs(ev.block(t_mid, left, [half])[:, 0])
     keep = vals > 0
     line_plot_svg(
         os.path.join(out, "kernel_boundary.svg"),
@@ -303,7 +302,8 @@ def run_report(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
         "kernel decay at the boundary", "log d_x", "log |k|",
     )
     ts = np.asarray(cfg.t_grid, dtype=float)
-    sups = np.array([np.max(np.abs(ev.matrix(float(t)))) for t in ts])
+    # a positive semidefinite kernel's sup |k| sits on its diagonal, as longtime_rate reads it
+    sups = np.array([np.max(ev.diagonal(float(t))) for t in ts])
     line_plot_svg(
         os.path.join(out, "longtime_norm.svg"),
         [("log sup|k|", ts, np.log(np.maximum(sups, 1e-300)))],
@@ -311,13 +311,13 @@ def run_report(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
     )
     _, env = _fitted_envelope(cfg, ev)
     idx = bounds_mod.sample_indices(cfg.n, max(cfg.n // 40, 1))
-    ratios = bounds_mod.envelope_ratios(env, d.grid, idx, t_mid, K[np.ix_(idx, idx)])
+    ratios = bounds_mod.envelope_ratios(env, d.grid, idx, t_mid, ev.block(t_mid, idx, idx))
     ratio_table_svg(os.path.join(out, "envelope_ratio.svg"), ratios,
                     "kernel / envelope ratio")
     rows = [ReportRow("report", {"t": t_mid}, float(np.max(ratios)), True)]
     if not np.any(keep):  # the boundary plot has no point to draw
         rows.append(ReportRow("report-boundary", {"t": t_mid}, 0.0, False,
-                              {"t": t_mid, "column": half, "window": left.stop,
+                              {"t": t_mid, "column": half, "window": left.size,
                                "error": "kernel underflows in the boundary window"}))
     return rows
 

@@ -142,10 +142,6 @@ class SpectralDecomposition:
         w = self.eigenvalues if weights is None else weights
         return self.grid.h * (self.eigenvectors * w) @ self.eigenvectors.T
 
-    def propagator(self, t: float) -> np.ndarray:
-        """Matrix of exp(-H t) with underflowing modes dropped."""
-        return self.operator_matrix(decay_weights(t * self.eigenvalues))
-
 
 def dirichlet_laplacian(grid: Grid1D) -> SpectralDecomposition:
     """Read-only decomposition of the difference Laplacian H = D^T D from its sine modes.
@@ -180,27 +176,8 @@ class HeatKernelEvaluator:
         return self.grid.h ** (2 * self.decomposition.m)
 
     def _weights(self, t: float) -> np.ndarray:
-        return decay_weights(t * self.decomposition.eigenvalues)
-
-    def matrix(self, t: float) -> np.ndarray:
-        """Full kernel table k(t, x_i, x_j) over the grid."""
-        self._check_floor(t)
-        phi = self.decomposition.eigenvectors
-        return (phi * self._weights(t)) @ phi.T
-
-    def diagonal(self, t: float) -> np.ndarray:
-        """Diagonal k(t, x_i, x_i) of the kernel table, in O(n^2) against matrix(t)'s O(n^3)."""
-        self._check_floor(t)
-        phi = self.decomposition.eigenvectors
-        return np.einsum("ij,ij->i", phi * self._weights(t), phi)
-
-    def block(self, t: float, idx: np.ndarray) -> np.ndarray:
-        """Kernel table restricted to the sampled nodes: ev.matrix(t)[np.ix_(idx, idx)]."""
-        self._check_floor(t)
-        phi = self.decomposition.eigenvectors[idx]
-        return (phi * self._weights(t)) @ phi.T
-
-    def _check_floor(self, t: float) -> None:
+        """decay_weights(t mu), the modal weights of every kernel read; DomainError unless
+        0 < t < inf, and a ResolutionWarning below the resolvable floor."""
         if not (0 < t < math.inf):  # also rejects nan
             raise DomainError(f"kernel time must be positive and finite, got {t}")
         if t < self.t_floor:
@@ -209,13 +186,38 @@ class HeatKernelEvaluator:
                 ResolutionWarning,
                 stacklevel=3,
             )
+        return decay_weights(t * self.decomposition.eigenvalues)
+
+    def matrix(self, t: float) -> np.ndarray:
+        """Full kernel table k(t, x_i, x_j) over the grid: the block over every node."""
+        nodes = np.arange(self.grid.n_interior)
+        return self.block(t, nodes, nodes)
+
+    def diagonal(self, t: float) -> np.ndarray:
+        """Diagonal k(t, x_i, x_i) of the kernel table, in O(n^2) against matrix(t)'s O(n^3)."""
+        phi = self.decomposition.eigenvectors
+        return np.einsum("ij,ij->i", phi * self._weights(t), phi)
+
+    def block(self, t: float, rows, cols) -> np.ndarray:
+        """Kernel entries k(t, x_i, x_j) for i in rows and j in cols: the one modal product
+        (Phi[rows] w) Phi[cols]^T."""
+        w, phi = self._weights(t), self.decomposition.eigenvectors
+        return (phi[self._nodes(rows)] * w) @ phi[self._nodes(cols)].T
+
+    def _nodes(self, idx) -> np.ndarray:
+        """idx as node indices; DomainError outside 0..n-1, where numpy would wrap or raise IndexError."""
+        idx, n = np.asarray(idx), self.grid.n_interior
+        outside = idx[(idx < 0) | (idx >= n)]
+        if outside.size:
+            raise DomainError(f"node index {outside[0]} outside 0..{n - 1}")
+        return idx
 
 
 def kernel_eval(ev: HeatKernelEvaluator, t: float, i: int, j: int) -> float:
-    """Kernel value at grid indices (i, j); symmetric in (i, j) by construction."""
-    ev._check_floor(t)
-    phi = ev.decomposition.eigenvectors
-    return float(np.sum(ev._weights(t) * phi[i] * phi[j]))
+    """Kernel value at grid indices (i, j) by a scalar sum apart from `block`; symmetric in (i, j)."""
+    w = ev._weights(t)
+    phi_i, phi_j = ev.decomposition.eigenvectors[ev._nodes([i, j])]
+    return float(np.sum(w * phi_i * phi_j))
 
 
 def evolved_form_bound_check(

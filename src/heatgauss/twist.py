@@ -381,16 +381,13 @@ def sector_shift_search(
 def twisted_kernel(ev, tw: TwistSpec, t: float, i: int, j: int) -> float:
     """Kernel of the twisted semigroup: e^{-lam psi(x)} k(t,x,y) e^{lam psi(y)}.
 
-    Cross-checked against row i of the similarity route E^{-1} K(t) E, K(t)
-    the kernel table (the propagator over h), one vector-matrix product; the
-    two routes must agree to 1e-10 relative.
+    Cross-checked against entry (i, j) of the similarity route E^{-1} K(t) E, K(t)
+    the kernel table read by `ev.block`; the two routes must agree to 1e-10 relative.
     """
-    x = ev.grid.points
+    x, e = ev.grid.points, tw.weights()
     base = kernel_eval(ev, t, i, j)
     value = math.exp(-tw.lam * float(tw.psi(x[i]))) * base * math.exp(tw.lam * float(tw.psi(x[j])))
-    d, e = ev.decomposition, tw.weights()
-    row = (d.eigenvectors[i] * decay_weights(t * d.eigenvalues)) @ d.eigenvectors.T
-    via_matrix = row[j] * e[j] / e[i]
+    via_matrix = ev.block(t, [i], [j])[0, 0] * e[j] / e[i]
     # the two routes sum the same modal series in different orders; their
     # agreement floor in the Gaussian tail is set by round-off against the
     # diagonal kernel scale, on which the twist weights cancel

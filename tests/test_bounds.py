@@ -116,6 +116,11 @@ class TestEnvelopeFit:
         t, x, y = where
         assert t == 0.5 and 0 < x < math.pi and 0 < y < math.pi
 
+    def test_empty_c2_grid_is_a_configuration_error(self, laplace200):
+        ev = HeatKernelEvaluator(laplace200[1])
+        with pytest.raises(ConfigurationError, match="empty c2 grid"):
+            fit_envelope_constants(ev, lap_schedule(0.0), [], np.geomspace(0.02, 3.0, 10))
+
     def test_no_admissible_slices(self, laplace200):
         ev = HeatKernelEvaluator(laplace200[1])
         with pytest.raises(ConfigurationError):
@@ -133,7 +138,7 @@ def loop_sup_ratio(ev, schedule, c2, t_grid, stride=4):
     for t in t_grid:
         if t < 10.0 * ev.t_floor:
             continue
-        K = ev.block(t, idx)
+        K = ev.block(t, idx, idx)
         for a, i in enumerate(idx):
             for b, j in enumerate(idx):
                 x, y = grid.points[i], grid.points[j]
@@ -222,9 +227,9 @@ class TestFitAgainstPerC2Loop:
         c1, c2, where = self.per_c2_fit(ev, schedule, self.C2_GRID, t_grid)
         blocks, block = [], HeatKernelEvaluator.block
 
-        def counted(self, t, idx):
+        def counted(self, t, rows, cols):
             blocks.append(t)
-            return block(self, t, idx)
+            return block(self, t, rows, cols)
 
         monkeypatch.setattr(HeatKernelEvaluator, "block", counted)
         fit = fit_envelope_constants(ev, schedule, self.C2_GRID, t_grid)
@@ -255,7 +260,7 @@ class TestFitAgainstPerC2Loop:
         s = ev.decomposition.gap
         schedule = schedule_from_gamma(ev.decomposition.m, 1, 0.0)
         ts = [750.0 / s, 2000.0 / s]
-        assert all(not np.any(ev.block(t, np.arange(40))) for t in ts)
+        assert all(not np.any(ev.block(t, np.arange(40), np.arange(40))) for t in ts)
         with pytest.raises(ConfigurationError, match="exactly 0 on every admissible t slice: mu_1 t >= 750 "):
             fit_envelope_constants(ev, schedule, self.C2_GRID, ts)
 
@@ -310,7 +315,7 @@ class TestEnvelopeRatios:
         envs = [BoundEnvelope(schedule=schedule, s=s, c1=1.5, c2=c2) for c2 in (1e-3, 0.1, 50.0)]
         table = EnvelopeTable(envs, ev.grid, idx)
         for t in np.geomspace(0.05, 700.0, 6) / s:
-            K = ev.block(t, idx)
+            K = ev.block(t, idx, idx)
             for env, envelope, ratios in zip(envs, *table.at(t, K)):
                 decay = np.outer(di**gamma, di**gamma) if gamma > 0 else 1.0
                 expo = -env.c2 * r ** (2 * m / (2 * m - 1)) / t ** (1.0 / (2 * m - 1)) - s * t
@@ -332,7 +337,7 @@ class TestEnvelopeRatios:
         assert ratio == math.inf
         env = BoundEnvelope(schedule=lap_schedule(0.0), s=float(ev.decomposition.eigenvalues[0]), c1=1.0, c2=c2)
         idx = sample_indices(40, 4)
-        envelope, ratios = (a[0] for a in EnvelopeTable([env], ev.grid, idx).at(1.0, ev.block(1.0, idx)))
+        envelope, ratios = (a[0] for a in EnvelopeTable([env], ev.grid, idx).at(1.0, ev.block(1.0, idx, idx)))
         assert np.any(np.isinf(ratios) & (envelope > 0)) == (c2 == 100.0)
         assert np.any(np.isinf(ratios) & (envelope == 0))
 
@@ -344,7 +349,7 @@ class TestEnvelopeRatios:
         ev = HeatKernelEvaluator(SpectralDecomposition.from_form(form))
         s, idx, x = ev.decomposition.gap, np.arange(40), ev.grid.points
         env = BoundEnvelope(schedule=lap_schedule(0.0), s=s, c1=1.0, c2=100.0)
-        K = 1e-20 * ev.block(1.0, idx)
+        K = 1e-20 * ev.block(1.0, idx, idx)
         envelope, ratios = (a[0] for a in EnvelopeTable([env], ev.grid, idx).at(1.0, K))
         subnormal = (envelope > 0) & (envelope < np.finfo(float).tiny) & (K != 0) & np.isfinite(ratios)
         assert np.count_nonzero(subnormal) == 10
@@ -354,22 +359,27 @@ class TestEnvelopeRatios:
 
 
 class TestKernelBlock:
-    def test_block_matches_full_table(self, laplace200, beam200):
-        for _, d in (laplace200, beam200):
-            ev = HeatKernelEvaluator(d)
-            idx = sample_indices(d.grid.n_interior, 4)
+    def test_block_matches_full_table(self, laplace200, beam200, poly3_40):
+        # the sampled block, a boundary column and a row against the sliced full table, relative to
+        # the table's largest entry: the products differ in summation order, not in the rule
+        for _, d in (laplace200, beam200, poly3_40):
+            ev, n = HeatKernelEvaluator(d), d.grid.n_interior
+            idx = sample_indices(n, 4)
+            reads = [(idx, idx), (np.arange(n // 5), [n // 2]), ([n // 3], np.arange(n))]
             for t in (0.1 / d.gap, 1.0 / d.gap):
-                want = ev.matrix(t)[np.ix_(idx, idx)]
-                got = ev.block(t, idx)
-                assert got.shape == want.shape
-                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+                K = ev.matrix(t)
+                assert np.array_equal(K, ev.block(t, np.arange(n), np.arange(n)))
+                for rows, cols in reads:
+                    want, got = K[np.ix_(rows, cols)], ev.block(t, rows, cols)
+                    assert got.shape == want.shape
+                    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(K))
 
     def test_block_keeps_floor_warning(self, laplace200):
         ev = HeatKernelEvaluator(laplace200[1])
         with pytest.warns(ResolutionWarning):
-            ev.block(ev.t_floor / 2.0, np.array([0, 5]))
+            ev.block(ev.t_floor / 2.0, [0, 5], [0, 5])
         with pytest.raises(DomainError):
-            ev.block(0.0, np.array([0, 5]))
+            ev.block(0.0, [0, 5], [0, 5])
 
 
 class TestDecayExtractors:
@@ -419,6 +429,23 @@ class TestDecayExtractors:
         slope = boundary_slope(ev, 0.5, laplace200[1].grid.n_interior // 2)
         # Dirichlet kernel vanishes linearly at the wall
         assert slope == pytest.approx(1.0, abs=0.1)
+
+    def test_boundary_slope_reads_one_column(self, laplace200, monkeypatch):
+        # the slope of the window of column j, with no full table built
+        ev = HeatKernelEvaluator(laplace200[1])
+        col = np.abs(ev.matrix(0.5)[:20, 100])
+        want, _ = np.polyfit(np.log(ev.grid.points[:20]), np.log(col), 1)
+
+        def no_table(self, t):
+            raise AssertionError("full kernel table built")
+
+        monkeypatch.setattr(HeatKernelEvaluator, "matrix", no_table)
+        assert boundary_slope(ev, 0.5, 100) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("j", [-1, 200])
+    def test_boundary_slope_rejects_a_column_outside_the_grid(self, laplace200, j):
+        with pytest.raises(DomainError, match=f"node index {j} outside 0..199"):
+            boundary_slope(HeatKernelEvaluator(laplace200[1]), 0.5, j)
 
     def test_beam_boundary_slope_steeper(self, beam200):
         # clamped conditions force a quadratic zero

@@ -213,7 +213,7 @@ class TestCliRuns:
         ts = bounds_mod.admissible_times(ev, cfg.t_grid)
         assert rows.shape == (len(ts) * idx.size**2, 8)
         for t, block in zip(ts, rows.reshape(len(ts), idx.size**2, 8)):
-            K = ev.matrix(t)[np.ix_(idx, idx)]
+            K = ev.block(t, idx, idx)
             assert np.all(block[:, 0] == t) and np.array_equal(block[:, 5], K.ravel())
             assert np.array_equal(block[:, 7], bounds_mod.envelope_ratios(env, ev.grid, idx, t, K).ravel())
         both_zero = (rows[:, 5] == 0.0) & (rows[:, 6] == 0.0)
@@ -398,6 +398,54 @@ class TestCliRuns:
         for name in ("kernel_boundary.svg", "longtime_norm.svg", "envelope_ratio.svg"):
             assert (out / name).read_text().startswith("<?xml")
         assert "<polyline" not in (out / "kernel_boundary.svg").read_text()
+
+    @pytest.mark.parametrize("sub", ["kernel", "report"])
+    def test_kernel_and_report_build_no_full_table(self, laplace_cfg, tmp_path, monkeypatch, sub):
+        # each reads the block, column or diagonal it uses; an n x n kernel table would raise here
+        from heatgauss.spectral import HeatKernelEvaluator
+
+        def no_table(self, t):
+            raise AssertionError("full kernel table built")
+
+        monkeypatch.setattr(HeatKernelEvaluator, "matrix", no_table)
+        out = tmp_path / "out"
+        assert main([sub, "--config", laplace_cfg, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir() if p.stat().st_size > 0) == sorted(
+            ["kernel.csv"] if sub == "kernel" else ["envelope_ratio.svg", "kernel_boundary.svg", "longtime_norm.svg"])
+
+    @pytest.mark.parametrize("text", [
+        "[operator]\nsource = laplace-pi\nn = 40\n",
+        "[operator]\nsource = beam-1\nn = 40\n",
+        POLY3_CFG,
+    ], ids=["laplace-pi", "beam-1", "m3"])
+    def test_report_longtime_sups_are_the_full_tables_sups(self, tmp_path, monkeypatch, text):
+        # report plots log sup|k| from the largest diagonal entry of each t slice (the kernel is
+        # positive semidefinite); it equals the full table's sup, and both read 0 where mu_1 t > 700
+        from heatgauss import cli
+        from heatgauss.spectral import HeatKernelEvaluator
+
+        diagonal, sups, plots = HeatKernelEvaluator.diagonal, [], {}
+
+        def recorded(self, t):
+            k = diagonal(self, t)
+            sups.append((t, float(np.max(k))))
+            return k
+
+        monkeypatch.setattr(HeatKernelEvaluator, "diagonal", recorded)
+        monkeypatch.setattr(cli, "line_plot_svg", lambda path, series, *labels: plots.update({path: series}))
+        path = tmp_path / "run.cfg"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        main(["report", "--config", str(path), "--out", str(out)])
+        cfg = load_run_config(str(path))
+        assert [t for t, _ in sups] == [float(t) for t in cfg.t_grid]
+        got = np.array([s for _, s in sups])
+        ((_, _, logs),) = plots[str(out / "longtime_norm.svg")]
+        assert np.array_equal(logs, np.log(np.maximum(got, 1e-300)))
+        ev = cli._decompose(cfg)[2]
+        full = np.array([np.max(np.abs(ev.matrix(float(t)))) for t in cfg.t_grid])
+        assert np.all(np.abs(got - full) <= 1e-14 * full)
+        assert np.any(full == 0.0) == (cfg.m > 1)  # flushed slices on the default grid
 
     def test_verify_bounds_m3_unresolved_longtime_rate_is_a_failing_row(self, tmp_path, capsys):
         # at m = 3, n = 40, only t = 0.0129 keeps sup|k| above the regression floor

@@ -147,8 +147,8 @@ class TestSemigroup:
 
     def test_propagator_composition(self, laplace200):
         _, d = laplace200
-        P = d.propagator(0.25)
-        assert np.max(np.abs(P @ P - d.propagator(0.5))) < 1e-10
+        P = d.operator_matrix(decay_weights(0.25 * d.eigenvalues))
+        assert np.max(np.abs(P @ P - d.operator_matrix(decay_weights(0.5 * d.eigenvalues)))) < 1e-10
 
     def test_contraction_in_h_norm(self, laplace200, rng):
         _, d = laplace200
@@ -198,6 +198,27 @@ class TestHeatKernel:
         for t in (0.0, math.nan):
             with pytest.raises(DomainError):
                 ev.matrix(t)
+
+
+class TestNodeIndices:
+    """Indices outside 0..n-1 raise DomainError: numpy would wrap -1 to the last node and raise a
+    bare IndexError at n."""
+
+    EV = HeatKernelEvaluator(dirichlet_laplacian(Grid1D(length=1.0, n_interior=20)))
+
+    @pytest.mark.parametrize("bad", [-1, 20])
+    def test_block_rejects_rows_and_columns(self, bad):
+        for rows, cols in (([0, bad], [1]), ([1], [bad, 0])):
+            with pytest.raises(DomainError, match=f"node index {bad} outside 0..19"):
+                self.EV.block(0.1, rows, cols)
+
+    @pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (20, 0), (0, 20)])
+    def test_kernel_eval_rejects(self, i, j):
+        with pytest.raises(DomainError, match="outside 0..19"):
+            kernel_eval(self.EV, 0.1, i, j)
+
+    def test_edge_nodes_are_read(self):
+        assert kernel_eval(self.EV, 0.1, 19, 0) == pytest.approx(self.EV.block(0.1, [19], [0])[0, 0], rel=1e-13)
 
 
 class TestEvolvedFormBound:

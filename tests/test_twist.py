@@ -83,6 +83,12 @@ class TestSimilarity:
         with pytest.raises(ConsistencyError, match="twisted kernel mismatch"):
             twisted_kernel(ev, make_twist(d.grid, 1.0), 0.2, 40, 150)
 
+    @pytest.mark.parametrize("i, j", [(-1, 150), (40, -1), (200, 150), (40, 200)])
+    def test_twisted_kernel_rejects_nodes_outside_the_grid(self, laplace200, i, j):
+        _, d = laplace200
+        with pytest.raises(DomainError, match="outside 0..199"):
+            twisted_kernel(HeatKernelEvaluator(d), make_twist(d.grid, 1.0), 0.2, i, j)
+
     def test_zero_twist_is_plain_kernel(self, laplace200):
         from heatgauss import kernel_eval
 
@@ -377,7 +383,8 @@ class TestBatchedAgainstLoops:
         c1 = 0.0
         for f in f_train:
             for t in ts:
-                g = conjugate(d.propagator(t), tw) @ f  # exp(-H_lambda t) by similarity
+                # exp(-H_lambda t) by similarity
+                g = conjugate(d.operator_matrix(decay_weights(t * d.eigenvalues)), tw) @ f
                 env = math.exp(c2 * unit * t - 2.0 * d.gap * t) / (0.5 * t)
                 c1 = max(c1, float(g @ (form.matrix @ g)) / (d.grid.h * float(f @ f) * env))
         assert out["c1"] == pytest.approx(c1, rel=1e-10)
