@@ -1,5 +1,10 @@
-"""Symmetric eigendecomposition (cyclic Jacobi; the Dirichlet Laplacian in closed
-form) and heat kernel."""
+"""Symmetric eigendecomposition and heat kernel.
+
+A form whose coefficient table holds only diagonal entries a_ii is decomposed by
+cyclic Jacobi (jacobi_eigh); a table with any off-diagonal entry a_ij, i != j,
+takes LAPACK's np.linalg.eigh. The Dirichlet Laplacian has its modes in closed
+form (dirichlet_laplacian).
+"""
 
 from __future__ import annotations
 
@@ -115,7 +120,15 @@ class SpectralDecomposition:
 
     @classmethod
     def from_form(cls, form: FormMatrix) -> "SpectralDecomposition":
-        w, v = jacobi_eigh(form.operator)
+        """Decompose H = form.operator: jacobi_eigh for a diagonal coefficient table, else
+        np.linalg.eigh with each eigenvector's first entry above 1e-8 of its largest positive."""
+        if all(i == j for i, j in form.spec.coefficients):
+            w, v = jacobi_eigh(form.operator)
+        else:
+            w, v = np.linalg.eigh(form.operator)
+            mag = np.abs(v)
+            first = np.argmax(mag > 1e-8 * mag.max(axis=0), axis=0)
+            v *= np.where(v[first, np.arange(v.shape[1])] < 0.0, -1.0, 1.0)
         phi = v / math.sqrt(form.grid.h)
         return cls(eigenvalues=freeze(w), eigenvectors=freeze(phi), grid=form.grid, m=form.m)
 

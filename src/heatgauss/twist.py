@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -538,15 +538,22 @@ def evolved_twisted_form_check(
     return {"c1": fit.fitted, "c2": c2}
 
 
+@lru_cache(maxsize=8)  # a few grid sizes per process; each entry is n x APPENDIX_B_RHS floats
+def _appendix_b_rhs(n: int) -> np.ndarray:
+    """The APPENDIX_B_RHS seeded right-hand sides of length n as columns, in the order one-at-a-time
+    draws give them; drawn once per n and read-only."""
+    return freeze(np.random.default_rng(APPENDIX_B_SEED).standard_normal((APPENDIX_B_RHS, n))).T
+
+
 def appendix_b_identities(d: SpectralDecomposition, tw: TwistSpec, z: complex) -> dict:
     """Exact conjugation identities: resolvent similarity and spectrum equality.
 
     Verifies (z - H_lam)^{-1} = E^{-1} (z - H)^{-1} E on APPENDIX_B_RHS
-    seeded right-hand sides and that the sorted spectra of H and H_lam agree.
-    z is rejected only when it lies within 1e-6 (|z| + mu_1) of the spectrum,
-    a relative distance that does not grow with mu_n. The spectrum of H_lam
-    does not depend on z: the decomposition keeps it per twist in
-    d.twisted_spectra, so the eigensolve runs once per (d, tw).
+    seeded right-hand sides (drawn once per n) and that the sorted spectra of
+    H and H_lam agree. z is rejected only when it lies within 1e-6 (|z| + mu_1)
+    of the spectrum, a relative distance that does not grow with mu_n. The
+    spectrum of H_lam does not depend on z: the decomposition keeps it per
+    twist in d.twisted_spectra, so the eigensolve runs once per (d, tw).
     """
     mu = d.eigenvalues
     if np.min(np.abs(z - mu)) < 1e-6 * (abs(z) + mu[0]):
@@ -565,9 +572,8 @@ def appendix_b_identities(d: SpectralDecomposition, tw: TwistSpec, z: complex) -
     np.negative(A.real, out=A.real)
     A.imag[...] = 0.0
     A.reshape(2, -1)[:, :: n + 1] += z
-    # columns are the right-hand sides, drawn in the same order as one at a time
     B = np.empty((2, n, APPENDIX_B_RHS), dtype=complex)
-    B[0] = G = np.random.default_rng(APPENDIX_B_SEED).standard_normal((APPENDIX_B_RHS, n)).T
+    B[0] = G = _appendix_b_rhs(n)
     B[1] = e * G
     X1, Y = np.linalg.solve(A, B)
     X2 = Y / e

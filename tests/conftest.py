@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from heatgauss import SpectralDecomposition, assemble_form, polyharmonic_spec
+from heatgauss import OperatorSpec, SpectralDecomposition, assemble_form, polyharmonic_spec
 from heatgauss.core import Grid1D
 from heatgauss.profiles import get_profile
 from heatgauss.spectral import decay_weights
@@ -23,6 +23,17 @@ def envelope_eval(env, t: float, x: float, y: float, d_x: float, d_y: float) -> 
     decay = d_x**gamma * d_y**gamma if gamma > 0 else 1.0
     expo = -env.c2 * abs(x - y) ** (2 * m / (2 * m - 1)) / t ** (1.0 / (2 * m - 1)) - env.s * t
     return env.c1 / sch.eps * t ** (-power) * decay * math.exp(expo)
+
+
+def general_m2_spec() -> OperatorSpec:
+    """Non-diagonal m = 2 table: a_12 = a_21 != 0 with |a_12|^2 < a_11 a_22."""
+    return OperatorSpec(m=2, coefficients={
+        (0, 0): lambda x: 0.3 + 0.2 * np.sin(5.0 * x),
+        (1, 1): lambda x: 0.4 + 0.3 * x,
+        (2, 2): lambda x: 1.0 + 0.5 * x**2,
+        (1, 2): lambda x: 0.05 * np.cos(3.0 * x),
+        (2, 1): lambda x: 0.05 * np.cos(3.0 * x),
+    })
 
 
 def _decomp(name: str, n: int):

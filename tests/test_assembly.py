@@ -18,6 +18,7 @@ from heatgauss import (
 )
 from heatgauss.assembly import FormMatrix, level_positions, staggered_operator
 from heatgauss.core import Grid1D
+from conftest import general_m2_spec
 
 
 def unit_grid(n):
@@ -208,16 +209,8 @@ class TestEllipticity:
         assert 1.0 < c <= 2.0 + 1e-9
 
     def test_general_table_matches_oracle(self):
-        # non-diagonal m = 2 table: a_12 = a_21 != 0 with |a_12|^2 < a_11 a_22
-        spec = OperatorSpec(m=2, coefficients={
-            (0, 0): lambda x: 0.3 + 0.2 * np.sin(5.0 * x),
-            (1, 1): lambda x: 0.4 + 0.3 * x,
-            (2, 2): lambda x: 1.0 + 0.5 * x**2,
-            (1, 2): lambda x: 0.05 * np.cos(3.0 * x),
-            (2, 1): lambda x: 0.05 * np.cos(3.0 * x),
-        })
         g = Grid1D(length=1.0, n_interior=40)
-        form = assemble_form(spec, g)
+        form = assemble_form(general_m2_spec(), g)
         want = pencil_oracle(form, g, 2)
         assert want > 1.2
         assert measure_ellipticity(form) == pytest.approx(want, rel=1e-10)

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from heatgauss import bounds as bounds_mod
 from heatgauss import twist as twist_mod
+from heatgauss.assembly import OperatorSpec, assemble_form, load_coefficients_csv
 from heatgauss.cli import main
 from heatgauss.config import RunConfig, load_run_config, parse_config_text
+from heatgauss.core import Grid1D
 from heatgauss.errors import ConfigurationError, EllipticityError, PropertyViolation
 from heatgauss.reporting import format_value, line_plot_svg, ratio_table_svg, witness_text, write_csv
 
@@ -45,6 +47,23 @@ gamma = 0.0 0.4
 [sweep]
 seed = 3
 """
+
+
+def general_csv_config(tmp_path, n: int):
+    """Config for a csv: source holding a seeded non-diagonal m = 2 table on (0, 1) at n nodes:
+    a_12 = a_21 != 0 with |a_12|^2 < a_11 a_22, so the operator is uniformly elliptic."""
+    xs = np.linspace(0.0, 1.0, 9)
+    u = np.random.default_rng(5).uniform(0.0, 1.0, size=(4, xs.size))
+    a12 = 0.1 * (2.0 * u[3] - 1.0)
+    table = {(0, 0): 0.5 * u[0], (1, 1): 0.2 + 0.5 * u[1], (2, 2): 1.0 + 0.5 * u[2], (1, 2): a12, (2, 1): a12}
+    lines = ["i,j,x,value"] + [f"{i},{j},{float(x)!r},{float(v)!r}"
+                               for (i, j), vals in sorted(table.items()) for x, v in zip(xs, vals)]
+    coeffs = tmp_path / "general.csv"
+    coeffs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = tmp_path / "general.cfg"
+    cfg.write_text(f"[operator]\nsource = csv:{coeffs}\nm = 2\nL = 1.0\nn = {n}\n\n[sweep]\nseed = 3\n",
+                   encoding="utf-8")
+    return cfg
 
 
 @pytest.fixture()
@@ -350,20 +369,25 @@ class TestCliRuns:
     @pytest.mark.parametrize("sub", ["spectrum", "kernel", "verify-bounds", "verify-twist",
                                      "verify-inequalities", "report"])
     def test_general_csv_table_runs_every_subcommand(self, sub, tmp_path, capsys):
-        # m = 2 on (0, 1) with a_12 = a_21 != 0 and |a_12|^2 < a_11 a_22: uniformly elliptic
-        xs = np.linspace(0.0, 1.0, 9)
-        u = np.random.default_rng(5).uniform(0.0, 1.0, size=(4, xs.size))
-        a12 = 0.1 * (2.0 * u[3] - 1.0)
-        table = {(0, 0): 0.5 * u[0], (1, 1): 0.2 + 0.5 * u[1], (2, 2): 1.0 + 0.5 * u[2], (1, 2): a12, (2, 1): a12}
-        lines = ["i,j,x,value"] + [f"{i},{j},{float(x)!r},{float(v)!r}"
-                                   for (i, j), vals in sorted(table.items()) for x, v in zip(xs, vals)]
-        coeffs = tmp_path / "general.csv"
-        coeffs.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        cfg = tmp_path / "general.cfg"
-        cfg.write_text(f"[operator]\nsource = csv:{coeffs}\nm = 2\nL = 1.0\nn = 40\n\n[sweep]\nseed = 3\n",
-                       encoding="utf-8")
+        cfg = general_csv_config(tmp_path, 40)
         assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_general_csv_table_at_the_largest_n(self, tmp_path):
+        # n = 800 tops the config's range; the non-diagonal table is decomposed by LAPACK eigh
+        cfg = general_csv_config(tmp_path, 800)
+        spectra = []
+        for out in (tmp_path / "first", tmp_path / "second"):
+            assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+            spectra.append((out / "spectrum.csv").read_bytes())
+        assert spectra[0] == spectra[1]
+        mu1 = float(spectra[0].decode().splitlines()[1].split(",")[1])
+        spec = OperatorSpec(m=2, coefficients=load_coefficients_csv(str(tmp_path / "general.csv")))
+        want = float(np.linalg.eigvalsh(assemble_form(spec, Grid1D(length=1.0, n_interior=800)).operator)[0])
+        # eigh and eigvalsh share LAPACK's Householder reduction and differ only in the tridiagonal
+        # solver; they agree to 1.6e-12 here. Both sit about 6.8e-7 below the exact mu_1 of this
+        # stored matrix (bisection on 40-digit inertia counts): eigh's error is about eps ||H|| / mu_1
+        assert abs(mu1 - want) <= 1e-11 * want
 
     def test_verify_twist_passes(self, laplace_cfg, tmp_path):
         out = tmp_path / "out"

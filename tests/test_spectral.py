@@ -19,7 +19,7 @@ from heatgauss import (
     kernel_eval,
     polyharmonic_spec,
 )
-from conftest import semigroup_apply
+from conftest import general_m2_spec, semigroup_apply
 from heatgauss.cli import sample_functions
 from heatgauss import assembly, spectral
 from heatgauss.core import Grid1D, is_frozen
@@ -55,8 +55,45 @@ class TestDirichletLaplacian:
             monkeypatch.setattr(module, "read_only", lambda a: handed.append(is_frozen(a)) or a)
         g = Grid1D(length=1.0, n_interior=12)
         SpectralDecomposition.from_form(assemble_form(polyharmonic_spec(2), g))
+        SpectralDecomposition.from_form(assemble_form(general_m2_spec(), g))  # the eigh route
         dirichlet_laplacian(g)
-        assert handed == [True] * 5
+        assert handed == [True] * 8
+
+
+class TestGeneralTable:
+    """A table with an off-diagonal entry is decomposed by LAPACK eigh, not Jacobi."""
+
+    @pytest.fixture(scope="class")
+    def general40(self):
+        form = assemble_form(general_m2_spec(), Grid1D(length=1.0, n_interior=40))
+        return form, SpectralDecomposition.from_form(form)
+
+    def test_route_follows_the_table(self, monkeypatch):
+        calls = []
+        solve = spectral.jacobi_eigh
+        monkeypatch.setattr(spectral, "jacobi_eigh", lambda M: calls.append(M.shape) or solve(M))
+        g = Grid1D(length=1.0, n_interior=40)
+        SpectralDecomposition.from_form(assemble_form(general_m2_spec(), g))
+        assert calls == []
+        SpectralDecomposition.from_form(assemble_form(polyharmonic_spec(2), g))
+        assert calls == [(40, 40)]
+
+    def test_eigenvalues_match_jacobi(self, general40):
+        form, d = general40
+        w, _ = jacobi_eigh(form.operator)
+        assert np.max(np.abs(d.eigenvalues - w) / w) <= 1e-10
+
+    def test_residual_and_orthonormality(self, general40):
+        form, d = general40
+        phi, mu = d.eigenvectors, d.eigenvalues
+        assert np.max(np.abs(form.operator @ phi - phi * mu)) <= 1e-13 * mu[-1]
+        assert np.max(np.abs(d.grid.h * phi.T @ phi - np.eye(mu.size))) <= 1e-12
+
+    def test_first_entry_above_round_off_is_positive(self, general40):
+        _, d = general40
+        for col in d.eigenvectors.T:
+            big = np.flatnonzero(np.abs(col) > 1e-8 * np.max(np.abs(col)))
+            assert col[big[0]] > 0
 
 
 class TestJacobi:

@@ -29,7 +29,7 @@ from heatgauss import (
 from heatgauss import twist as twist_mod
 from heatgauss.assembly import FormMatrix
 from heatgauss.cli import sample_functions
-from heatgauss.core import Grid1D
+from heatgauss.core import Grid1D, is_frozen
 from heatgauss.spectral import decay_weights
 from heatgauss.twist import conjugate, mixed_norm_bound_fit, numerical_range_values
 
@@ -423,6 +423,12 @@ class TestBatchedAgainstLoops:
         one_by_one = np.random.default_rng(4)
         rows = [one_by_one.standard_normal(30) for _ in range(5)]
         assert np.array_equal(np.random.default_rng(4).standard_normal((5, 30)), np.array(rows))
+
+    def test_right_hand_sides_drawn_once_per_size(self):
+        G = twist_mod._appendix_b_rhs(30)
+        assert twist_mod._appendix_b_rhs(30) is G and is_frozen(G)
+        fresh = np.random.default_rng(twist_mod.APPENDIX_B_SEED).standard_normal((twist_mod.APPENDIX_B_RHS, 30))
+        assert G.shape == (30, twist_mod.APPENDIX_B_RHS) and G.tobytes() == fresh.T.tobytes()
 
     @pytest.mark.parametrize("case", ["laplace200", "beam200", "poly3_40"])
     def test_searched_shift_passes_sector_check(self, case, request):
