@@ -153,9 +153,10 @@ def fit_envelope_constants(
 
     For each candidate c2 the smallest admissible c1 is the sup ratio against
     the unit-constant envelope; every c2 reads the same kernel block per t.
-    When a refined evaluator is given, the chosen pair is re-checked there and
-    the relative drift recorded; the fit passes only if c1 rises there by at
-    most DRIFT_BUDGET.
+    When a refined evaluator is given, the chosen pair is re-checked there on
+    the t slices the fit read (the finer mesh admits shorter t, which the fit
+    never saw) and the relative drift recorded; the fit passes only if c1
+    rises there by at most DRIFT_BUDGET.
     """
     m, N = schedule.m, schedule.N
     c2s = [float(c2) for c2 in np.atleast_1d(c2_grid)]
@@ -167,7 +168,7 @@ def fit_envelope_constants(
     _, c1, c2, where = best
     result = FitResult(constants={"c1": c1, "c2": c2}, worst_location=where)
     if refined is not None:
-        c1_ref, _ = envelope_sup_ratio(refined, schedule, c2, t_grid)
+        c1_ref, _ = envelope_sup_ratio(refined, schedule, c2, admissible_times(ev, t_grid))
         result.drift = abs(c1_ref - c1) / c1
         if c1_ref > c1 * (1.0 + DRIFT_BUDGET):
             result.failure = f"refined sup ratio {c1_ref} outside drift budget of c1={c1}"

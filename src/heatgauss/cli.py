@@ -24,7 +24,7 @@ from .assembly import (
     measure_ellipticity,
     polyharmonic_spec,
 )
-from .config import RunConfig, load_run_config
+from .config import N_MAX, RunConfig, load_run_config
 from .core import Grid1D
 from .errors import ConfigurationError, HeatGaussError, UnsupportedError
 from .profiles import BUILTIN_PROFILES, get_profile
@@ -155,6 +155,8 @@ def run_kernel(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
 
 
 def run_verify_bounds(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
+    if refine and 2 * cfg.n > N_MAX:
+        raise ConfigurationError(f"--refine decomposes at 2n = {2 * cfg.n}, above n = {N_MAX}; use n <= {N_MAX // 2}")
     form, d, ev = _decompose(cfg)
     refined_ev = HeatKernelEvaluator(SpectralDecomposition.from_form(_build_form(cfg, 2 * cfg.n))) \
         if refine else None

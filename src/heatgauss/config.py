@@ -17,6 +17,15 @@ from .profiles import BUILTIN_PROFILES, get_profile
 from .twist import TWIST_CAP
 
 
+N_MAX = 800  # largest grid a run decomposes, --refine's 2n included
+# the sections load_run_config reads and the keys it reads in each
+KNOWN_KEYS = {
+    "operator": ("source", "m", "L", "n"),
+    "schedule": ("gamma", "eps"),
+    "sweep": ("t_grid", "lam_grid", "c2_grid", "samples", "seed"),
+}
+
+
 def _strip_comment(line: str) -> str:
     pos = line.find("#")
     return line if pos < 0 else line[:pos]
@@ -95,8 +104,8 @@ class RunConfig:
     def __post_init__(self):
         if not (1 <= self.m <= 3):
             raise ConfigurationError(f"m must be 1..3, got {self.m}")
-        if not (16 <= self.n <= 800):
-            raise ConfigurationError(f"n must be 16..800, got {self.n}")
+        if not (16 <= self.n <= N_MAX):
+            raise ConfigurationError(f"n must be 16..{N_MAX}, got {self.n}")
         if not (0 < self.length < math.inf):
             raise ConfigurationError(f"L must be positive and finite, got {self.length}")
         for name in ("gamma_list", "t_grid", "lam_grid", "c2_grid"):
@@ -121,8 +130,15 @@ class RunConfig:
 
 
 def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
-    """Build a RunConfig from a parsed file, applying profile defaults."""
+    """Build a RunConfig from a parsed file, applying profile defaults; a section or key outside
+    KNOWN_KEYS, or both gamma and eps, raises ConfigurationError naming it."""
     sections = parse_config_file(path)
+    for name, body in sections.items():
+        if name not in KNOWN_KEYS:
+            raise ConfigurationError(f"unknown section [{name}]; known sections: {', '.join(KNOWN_KEYS)}")
+        for key in body:
+            if key not in KNOWN_KEYS[name]:
+                raise ConfigurationError(f"[{name}] unknown key `{key}`; known keys: {', '.join(KNOWN_KEYS[name])}")
     op = sections.get("operator", {})
     sched = sections.get("schedule", {})
     sweep = sections.get("sweep", {})
@@ -144,6 +160,8 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     n = _parse_number(op.get("n", "200"), "[operator] n", int)
 
     eps_schedules = None
+    if "gamma" in sched and "eps" in sched:
+        raise ConfigurationError("[schedule] gives both `gamma` and `eps`; give one of them")
     if "gamma" in sched:
         gamma_list = _parse_floats(sched["gamma"], "[schedule] gamma")
     elif "eps" in sched:

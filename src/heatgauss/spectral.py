@@ -99,7 +99,7 @@ class SpectralDecomposition:
 
     Both arrays are read-only by construction (a writable one is copied), so
     quantities derived from them are kept on the decomposition (operator,
-    twisted_spectra, twisted_norms).
+    twisted_spectra, twisted_norms, numerical_ranges).
     """
 
     eigenvalues: np.ndarray
@@ -113,6 +113,9 @@ class SpectralDecomposition:
     # keyed by (TwistSpec, kind, t): floats only, filled by twist._twisted_norms;
     # a hit needs the same decomposition asked twice for one (twist, kind, t)
     twisted_norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (TwistSpec, id(samples)) -> (samples, read-only numerical-range points), filled by
+    # TwistedOperator.numerical_range; holding samples keeps its id from reuse
+    numerical_ranges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", read_only(self.eigenvalues))

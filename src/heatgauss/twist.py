@@ -22,7 +22,7 @@ twisted form Q(e^{-H_lambda t} f) is summed over modes, sum_k mu_k
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -79,15 +79,14 @@ class TwistSpec:
 class TwistedOperator:
     """Similarity conjugation H_lambda = E^{-1} H E of a decomposed operator.
 
-    Owns what depends only on (base, twist): the shifted matrix Hhat_lambda and
-    the numerical-range points of read-only sample sets, each computed on first
-    use and kept as long as the operator. The base is taken as unchanging.
+    Owns the shifted matrix Hhat_lambda, computed on first use and kept as long
+    as the operator. The numerical-range points of read-only sample sets are
+    kept on the base decomposition (numerical_ranges), so every operator over
+    one (base, twist) reads them. The base is taken as unchanging.
     """
 
     base: SpectralDecomposition
     twist: TwistSpec
-    # id(samples) -> (samples, points); holding samples keeps its id from reuse
-    _ranges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def unit(self) -> float:
@@ -104,17 +103,18 @@ class TwistedOperator:
     def numerical_range(self, samples: np.ndarray) -> np.ndarray:
         """numerical_range_values of Hhat_lambda over the sample rows.
 
-        A read-only sample array is evaluated once; later calls with the same
-        array object return the stored read-only values. A writable array can
-        change between calls, so it is evaluated on every call.
+        A read-only sample array is evaluated once per (base, twist); later
+        calls with the same array object, through this or any other operator
+        over the same base and an equal twist, return the stored read-only
+        values. A writable array can change between calls, so it is evaluated
+        on every call.
         """
         if not is_frozen(samples):
             return numerical_range_values(self.hhat, samples)
-        hit = self._ranges.get(id(samples))
-        if hit is None:
-            z = freeze(numerical_range_values(self.hhat, samples))
-            hit = self._ranges[id(samples)] = (samples, z)
-        return hit[1]
+        memo, key = self.base.numerical_ranges, (self.twist, id(samples))
+        if key not in memo:
+            memo[key] = (samples, freeze(numerical_range_values(self.hhat, samples)))
+        return memo[key][1]
 
 
 def conjugate(M: np.ndarray, tw: TwistSpec, out: np.ndarray | None = None) -> np.ndarray:
@@ -314,7 +314,7 @@ def sector_samples(d: SpectralDecomposition, seed: int = 42, count: int = 1000) 
     """Deterministic sample set: seeded complex vectors plus pairwise eigenvector sums.
 
     Returned read-only, so TwistedOperator.numerical_range evaluates it once
-    per operator.
+    per (decomposition, twist).
     """
     rng = np.random.default_rng(seed)
     n = d.grid.n_interior

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heatgauss import bounds as bounds_mod
+from heatgauss import cli as cli_mod
 from heatgauss import twist as twist_mod
 from heatgauss.assembly import OperatorSpec, assemble_form, load_coefficients_csv
 from heatgauss.cli import main
@@ -214,6 +215,49 @@ class TestCliRuns:
         assert code == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("section, named", [
+        pytest.param("[sweep]\nt-grid = 0.1 0.2\n", "[sweep] unknown key `t-grid`", id="t-grid"),
+        pytest.param("[sweep]\nsamles = 8\n", "[sweep] unknown key `samles`", id="samles"),
+        pytest.param("[sweep]\nn = 80\n", "[sweep] unknown key `n`", id="key-in-another-section"),
+        pytest.param("[sweeep]\nseed = 3\n", "unknown section [sweeep]", id="sweeep"),
+        pytest.param("[schedule]\ngamma = 0.4\neps = 0.3\n", "both `gamma` and `eps`", id="gamma-and-eps"),
+    ])
+    def test_unknown_or_doubled_entry_exits_2_naming_it(self, tmp_path, capsys, section, named):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("[operator]\nsource = laplace-pi\nn = 40\n" + section, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["verify-bounds", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_refine_past_the_largest_grid_exits_2_before_decomposing(self, tmp_path, capsys, monkeypatch):
+        built = []
+
+        def build_form(cfg, n):
+            built.append(n)
+            raise ConfigurationError("stopped before the decomposition")
+
+        monkeypatch.setattr(cli_mod, "_build_form", build_form)
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        cfg.write_text("[operator]\nsource = laplace-pi\nn = 401\n", encoding="utf-8")
+        assert main(["verify-bounds", "--config", str(cfg), "--out", str(out), "--refine"]) == 2
+        err = capsys.readouterr().err
+        assert built == [] and err.startswith("config error: --refine") and "2n = 802" in err
+        cfg.write_text("[operator]\nsource = laplace-pi\nn = 400\n", encoding="utf-8")
+        assert main(["verify-bounds", "--config", str(cfg), "--out", str(out), "--refine"]) == 2
+        assert built == [400] and "stopped before" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_bounds_refine_passes(self, tmp_path):
+        # the default grids, on which the refined mesh admits t slices below the ones the fit reads
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        cfg.write_text("[operator]\nsource = laplace-pi\nn = 40\n", encoding="utf-8")
+        assert main(["verify-bounds", "--config", str(cfg), "--out", str(out), "--refine"]) == 0
+        rows = list(csv.DictReader((out / "verify_bounds.csv").open(encoding="utf-8")))
+        assert [r["check"] for r in rows][:2] == ["fit-envelope", "sobolev-pointwise"]
+        assert all(r["passed"] == "true" for r in rows)
 
     def test_kernel_dump_reads_zero_over_zero_as_zero(self, tmp_path):
         # every row's k and ratio are the kernel block and envelope_ratios on it, exactly; the

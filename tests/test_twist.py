@@ -508,6 +508,29 @@ class TestPerTwistMemo:
         with pytest.raises(ValueError):
             z[0] = 0.0
 
+    def test_operators_over_one_decomposition_share_the_points(self, laplace200, monkeypatch):
+        _, d = laplace200
+        base = dataclasses.replace(d)  # same frozen arrays, nothing stored yet
+        tw = make_twist(d.grid, 1.0)
+        samples = sector_samples(d, seed=5, count=20)
+        calls = self.counting(monkeypatch, twist_mod, "numerical_range_values")
+        z = TwistedOperator(base=base, twist=tw).numerical_range(samples)
+        # a second operator with an equal twist built apart reads the stored points, building no Hhat_lambda
+        again = TwistedOperator(base=base, twist=make_twist(d.grid, 1.0))
+        assert again.numerical_range(samples) is z and len(calls) == 1
+        assert "hhat" not in vars(again)
+        assert np.array_equal(z, numerical_range_values(again.hhat, samples))
+        calls.clear()
+        # another twist, another (equal) sample set, writable samples and another decomposition all miss
+        TwistedOperator(base=base, twist=make_twist(d.grid, 0.5)).numerical_range(samples)
+        other = sector_samples(d, seed=5, count=20)
+        again.numerical_range(other)
+        again.numerical_range(samples.copy())
+        TwistedOperator(base=dataclasses.replace(d), twist=tw).numerical_range(samples)
+        assert len(calls) == 4
+        assert set(base.numerical_ranges) == {(tw, id(samples)), (make_twist(d.grid, 0.5), id(samples)),
+                                              (tw, id(other))}
+
     def test_appendix_b_solves_the_spectrum_once_per_twist(self, laplace200, monkeypatch):
         _, d = laplace200
         cold = dataclasses.replace(d)  # same frozen arrays, nothing stored yet
