@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -117,27 +116,21 @@ class FormMatrix:
     """Assembled symmetric form matrix Q_h with Q(f) = f^T Q_h f.
 
     The matrix is read-only by construction (a writable one is copied), so
-    quantities derived from it are kept on the form (twist_tables).
+    quantities derived from it are kept on the form (derived).
     """
 
     matrix: np.ndarray
     grid: Grid1D
     m: int
     spec: OperatorSpec = field(compare=False)
-    # per(lambda) tables keyed by TwistSpec: O(n m) per twist, filled by twist.per_lambda
-    twist_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # what other modules compute from the matrix, under keys each module chooses
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", read_only(self.matrix))
 
     def __call__(self, f: np.ndarray) -> float:
         return float(np.dot(np.conj(f), self.matrix @ f).real)
-
-    @cached_property
-    def taps(self) -> dict[tuple[int, int], np.ndarray]:
-        """staggered_taps of D^d M^a for every d + a <= m, computed once per form."""
-        return {(d, a): staggered_taps(self.grid.h, d, a)
-                for d in range(self.m + 1) for a in range(self.m + 1 - d)}
 
     @property
     def operator(self) -> np.ndarray:

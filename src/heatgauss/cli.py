@@ -125,7 +125,7 @@ def _guarded(rows: list, name: str, params: dict, outcome) -> None:
         rows.append(ReportRow(name, params, math.nan, False, getattr(exc, "witness", None) or {"error": str(exc)}))
 
 
-def run_spectrum(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
+def run_spectrum(cfg: RunConfig, out: str) -> list[ReportRow]:
     _, d, _ = _decompose(cfg)
     write_csv(
         os.path.join(out, "spectrum.csv"),
@@ -137,7 +137,7 @@ def run_spectrum(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
                       None if d.gap > 0 else {"gap": d.gap})]
 
 
-def run_kernel(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
+def run_kernel(cfg: RunConfig, out: str) -> list[ReportRow]:
     _, _, ev = _decompose(cfg)
     fit, env = _fitted_envelope(cfg, ev)
     idx = bounds_mod.sample_indices(cfg.n, max(cfg.n // 24, 1))
@@ -190,7 +190,7 @@ def run_verify_bounds(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]
     return rows
 
 
-def run_verify_twist(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
+def run_verify_twist(cfg: RunConfig, out: str) -> list[ReportRow]:
     form, d, ev = _decompose(cfg)
     f_train, f_holdout = _train_holdout(d, cfg.seed, min(cfg.sample_count, 12))
     x0 = cfg.length / 2.0
@@ -239,7 +239,7 @@ def run_verify_twist(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
     return rows
 
 
-def run_verify_inequalities(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
+def run_verify_inequalities(cfg: RunConfig, out: str) -> list[ReportRow]:
     form, d_form, _ = _decompose(cfg)
     d_lap = dirichlet_laplacian(form.grid)
     f_train, f_holdout = _train_holdout(d_form, cfg.seed, cfg.sample_count)
@@ -291,7 +291,7 @@ def run_verify_inequalities(cfg: RunConfig, out: str, refine: bool) -> list[Repo
     return rows
 
 
-def run_report(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]:
+def run_report(cfg: RunConfig, out: str) -> list[ReportRow]:
     _, d, ev = _decompose(cfg)
     half = cfg.n // 2
     t_mid = float(np.median(cfg.t_grid))
@@ -344,8 +344,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.refine and args.subcommand != "verify-bounds":
+            raise ConfigurationError(f"--refine applies to verify-bounds only, not to {args.subcommand}")
         cfg = load_run_config(args.config, seed_override=args.seed)
-        rows = RUNNERS[args.subcommand](cfg, args.out, args.refine)
+        runner = RUNNERS[args.subcommand]
+        rows = runner(cfg, args.out, args.refine) if args.subcommand == "verify-bounds" else runner(cfg, args.out)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -18,6 +18,7 @@ from .twist import TWIST_CAP
 
 
 N_MAX = 800  # largest grid a run decomposes, --refine's 2n included
+SCALE_DIGITS = 200  # log10 cap on the spectrum's top (2/h)^2m to the power 2m the twisted estimates take
 # the sections load_run_config reads and the keys it reads in each
 KNOWN_KEYS = {
     "operator": ("source", "m", "L", "n"),
@@ -95,7 +96,7 @@ class RunConfig:
     source: str  # `polyharmonic`, `csv:<path>` or a built-in profile name
     gamma_list: list[float]
     t_grid: list[float] = field(default_factory=lambda: list(np.geomspace(0.01, 5.0, 25)))
-    lam_grid: list[float] = field(default_factory=lambda: [0.0, 0.5, 1.0, 2.0])
+    lam_grid: list[float] | None = None  # None: the twists 0 0.5 1 2 that L admits
     c2_grid: list[float] = field(default_factory=lambda: list(np.geomspace(1e-3, 1.0, 7)))
     sample_count: int = 24
     seed: int = 42
@@ -108,6 +109,12 @@ class RunConfig:
             raise ConfigurationError(f"n must be 16..{N_MAX}, got {self.n}")
         if not (0 < self.length < math.inf):
             raise ConfigurationError(f"L must be positive and finite, got {self.length}")
+        digits = 4 * self.m**2 * math.log10(2.0 * (self.n + 1) / self.length)
+        if digits > SCALE_DIGITS:
+            raise ConfigurationError(f"L = {self.length} is too small for m = {self.m}, n = {self.n}: "
+                                     f"(2/h)^(4 m^2) = 10^{digits:.1f} is past 10^{SCALE_DIGITS}")
+        if self.lam_grid is None:
+            self.lam_grid = [lam for lam in (0.0, 0.5, 1.0, 2.0) if lam * self.length <= TWIST_CAP]
         for name in ("gamma_list", "t_grid", "lam_grid", "c2_grid"):
             if not getattr(self, name):
                 raise ConfigurationError(f"{name} must be non-empty")

@@ -99,23 +99,15 @@ class SpectralDecomposition:
 
     Both arrays are read-only by construction (a writable one is copied), so
     quantities derived from them are kept on the decomposition (operator,
-    twisted_spectra, twisted_norms, numerical_ranges).
+    derived).
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns phi_k with <phi_k, phi_l>_h = delta_kl
     grid: Grid1D
     m: int
-    # sorted real spectra of twisted conjugates E^{-1} H E, keyed by TwistSpec:
-    # O(n) per twist, filled by twist.appendix_b_identities
-    twisted_spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # 2-norms of the twisted semigroup P_t ("P") and of Hhat_lambda P_t ("HP"),
-    # keyed by (TwistSpec, kind, t): floats only, filled by twist._twisted_norms;
-    # a hit needs the same decomposition asked twice for one (twist, kind, t)
-    twisted_norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (TwistSpec, id(samples)) -> (samples, read-only numerical-range points), filled by
-    # TwistedOperator.numerical_range; holding samples keeps its id from reuse
-    numerical_ranges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # what other modules compute from the arrays, under keys each module chooses
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", read_only(self.eigenvalues))

@@ -10,8 +10,10 @@ cosh(c) M + (h sinh(c)/2) D, where c = lambda * a * h / 2 and M is the
 adjacent-value average. This makes the Leibniz route to per(lambda) an exact
 second evaluation path rather than an O(h) approximation.
 
-per_lambda reads a PerLambdaTable built once per (form, twist) and kept on
-the (read-only) form: the direct path sums the m band diagonals of the form matrix
+Everything this module keeps of a decomposition or a form sits in the owner's
+`derived` store, filled through _kept (the twisted norms through their batch
+fill in _twisted_norms). per_lambda reads a PerLambdaTable built once per
+(form, twist): the direct path sums the m band diagonals of the form matrix
 with weights 4 sinh^2(lambda a b h / 2), so it never subtracts Q(f) from
 Q_{lambda psi}(f), and the Leibniz path contracts one stack of staggered
 images per level with a precomputed matrix, O(n m) per sample. The evolved
@@ -23,11 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .assembly import FormMatrix, level_positions
+from .assembly import FormMatrix, level_positions, staggered_taps
 from .core import Grid1D, fit_holdout, freeze, is_frozen
 from .errors import (
     ConditioningError,
@@ -46,6 +48,14 @@ SHIFT_BISECTIONS = 20  # bisection steps of sector_shift_search
 APPENDIX_B_RHS = 10  # seeded right-hand sides of the resolvent identity
 APPENDIX_B_SEED = 42
 EPS = np.finfo(float).eps
+
+
+def _kept(owner, key, make):
+    """owner.derived[key], filled by make() on a miss; the read-only owner keeps it as long as it lives."""
+    value = owner.derived.get(key)
+    if value is None:
+        value = owner.derived[key] = make()
+    return value
 
 
 @dataclass(frozen=True)
@@ -81,8 +91,8 @@ class TwistedOperator:
 
     Owns the shifted matrix Hhat_lambda, computed on first use and kept as long
     as the operator. The numerical-range points of read-only sample sets are
-    kept on the base decomposition (numerical_ranges), so every operator over
-    one (base, twist) reads them. The base is taken as unchanging.
+    kept on the base decomposition, so every operator over one (base, twist)
+    reads them. The base is taken as unchanging.
     """
 
     base: SpectralDecomposition
@@ -111,10 +121,9 @@ class TwistedOperator:
         """
         if not is_frozen(samples):
             return numerical_range_values(self.hhat, samples)
-        memo, key = self.base.numerical_ranges, (self.twist, id(samples))
-        if key not in memo:
-            memo[key] = (samples, freeze(numerical_range_values(self.hhat, samples)))
-        return memo[key][1]
+        # holding samples keeps its id from reuse while the entry lives
+        return _kept(self.base, (self.twist, "range", id(samples)),
+                     lambda: (samples, freeze(numerical_range_values(self.hhat, samples))))[1]
 
 
 def conjugate(M: np.ndarray, tw: TwistSpec, out: np.ndarray | None = None) -> np.ndarray:
@@ -199,6 +208,8 @@ class PerLambdaTable:
 
 def per_lambda_table(form: FormMatrix, tw: TwistSpec) -> PerLambdaTable:
     """Build the PerLambdaTable of (form, tw); per_lambda keeps it on the form."""
+    if tw.grid != form.grid:
+        raise DomainError(f"twist grid {tw.grid} differs from the form grid {form.grid}")
     grid, h, m = form.grid, form.grid.h, form.m
     n = grid.n_interior
     b = np.arange(m + 1)
@@ -210,7 +221,7 @@ def per_lambda_table(form: FormMatrix, tw: TwistSpec) -> PerLambdaTable:
     stack = [(level, d) for level in sorted({max(ij) for ij in form.spec.coefficients}) for d in range(level + 1)]
     taps = np.zeros((len(stack), m + 1))
     for row, (level, d) in enumerate(stack):
-        taps[row, : level + 1] = form.taps[(d, level - d)]
+        taps[row, : level + 1] = staggered_taps(h, d, level - d)
     leibniz = np.zeros((len(stack), len(stack), n + m))
     for (i, j) in sorted(form.spec.coefficients):
         level = max(i, j)
@@ -234,17 +245,12 @@ def per_lambda(form: FormMatrix, tw: TwistSpec, f: np.ndarray, rel_tol: float = 
     the band diagonals of the form matrix, and by the exact discrete Leibniz
     expansion keeping only terms that differ from the untwisted top
     contribution. Disagreement beyond rel_tol raises. The form keeps its
-    table per twist in form.twist_tables, so the table is built (and the
-    twist's grid checked) once per (form, tw), and each call is a few array
-    steps of O(n m).
+    table per twist, so the table is built (and the twist's grid checked)
+    once per (form, tw), and each call is a few array steps of O(n m).
     """
     if not np.count_nonzero(f):
         raise DomainError("per_lambda requires a nonzero sample function")
-    table = form.twist_tables.get(tw)
-    if table is None:
-        if tw.grid != form.grid:
-            raise DomainError(f"twist grid {tw.grid} differs from the form grid {form.grid}")
-        table = form.twist_tables[tw] = per_lambda_table(form, tw)
+    table = _kept(form, tw, lambda: per_lambda_table(form, tw))
     n, m = len(f), form.m
     fp = np.zeros(n + 2 * m)
     fp[m : m + n] = f
@@ -405,7 +411,7 @@ def _twisted_norms(d: SpectralDecomposition, tw: TwistSpec, keys) -> list[float]
 
     The weights are w = decay_weights(t (mu - s)) for kind "P", the twisted
     semigroup, and (mu - s) w for kind "HP", Hhat_lambda times it. Each norm
-    is kept in d.twisted_norms under (tw, kind, t); only the missing ones are
+    is kept in d.derived under (tw, kind, t); only the missing ones are
     computed, all from one QR pair. The memo pays only where one decomposition
     is asked for the same (twist, kind, t) again: the norm fit, the P half of
     the mixed fit and the default c2 of the evolved-form check share the P
@@ -420,7 +426,7 @@ def _twisted_norms(d: SpectralDecomposition, tw: TwistSpec, keys) -> list[float]
     an exact SVD of a k x k matrix. Never forming the n x n product keeps
     ||Hhat_lambda P|| free of the eps ||Hhat|| ||P|| round-off floor.
     """
-    memo = d.twisted_norms
+    memo = d.derived
     missing = [key for key in dict.fromkeys(keys) if (tw, *key) not in memo]
     if missing:
         O = math.sqrt(d.grid.h) * d.eigenvectors
@@ -538,22 +544,15 @@ def evolved_twisted_form_check(
     return {"c1": fit.fitted, "c2": c2}
 
 
-@lru_cache(maxsize=8)  # a few grid sizes per process; each entry is n x APPENDIX_B_RHS floats
-def _appendix_b_rhs(n: int) -> np.ndarray:
-    """The APPENDIX_B_RHS seeded right-hand sides of length n as columns, in the order one-at-a-time
-    draws give them; drawn once per n and read-only."""
-    return freeze(np.random.default_rng(APPENDIX_B_SEED).standard_normal((APPENDIX_B_RHS, n))).T
-
-
 def appendix_b_identities(d: SpectralDecomposition, tw: TwistSpec, z: complex) -> dict:
     """Exact conjugation identities: resolvent similarity and spectrum equality.
 
     Verifies (z - H_lam)^{-1} = E^{-1} (z - H)^{-1} E on APPENDIX_B_RHS
-    seeded right-hand sides (drawn once per n) and that the sorted spectra of
-    H and H_lam agree. z is rejected only when it lies within 1e-6 (|z| + mu_1)
-    of the spectrum, a relative distance that does not grow with mu_n. The
-    spectrum of H_lam does not depend on z: the decomposition keeps it per
-    twist in d.twisted_spectra, so the eigensolve runs once per (d, tw).
+    seeded right-hand sides and that the sorted spectra of H and H_lam agree.
+    z is rejected only when it lies within 1e-6 (|z| + mu_1) of the spectrum,
+    a relative distance that does not grow with mu_n. Neither the right-hand
+    sides nor the spectrum of H_lam depend on z: the decomposition keeps the
+    former once and the latter per twist, so the eigensolve runs once per (d, tw).
     """
     mu = d.eigenvalues
     if np.min(np.abs(z - mu)) < 1e-6 * (abs(z) + mu[0]):
@@ -565,15 +564,15 @@ def appendix_b_identities(d: SpectralDecomposition, tw: TwistSpec, z: complex) -
     # matrices are built in place, as fresh n x n temporaries page-fault on every call
     A = np.empty((2, n, n), dtype=complex)
     H_lam = conjugate(S, tw, out=A.real[0])
-    spec_tw = d.twisted_spectra.get(tw)
-    if spec_tw is None:
-        spec_tw = d.twisted_spectra[tw] = freeze(np.sort(np.linalg.eigvals(H_lam).real))
+    spec_tw = _kept(d, (tw, "spectrum"), lambda: freeze(np.sort(np.linalg.eigvals(H_lam).real)))
     A.real[1] = S
     np.negative(A.real, out=A.real)
     A.imag[...] = 0.0
     A.reshape(2, -1)[:, :: n + 1] += z
     B = np.empty((2, n, APPENDIX_B_RHS), dtype=complex)
-    B[0] = G = _appendix_b_rhs(n)
+    # the columns in the order one-at-a-time draws give them
+    B[0] = G = _kept(d, "appendix-b rhs", lambda: freeze(
+        np.random.default_rng(APPENDIX_B_SEED).standard_normal((APPENDIX_B_RHS, n))).T)
     B[1] = e * G
     X1, Y = np.linalg.solve(A, B)
     X2 = Y / e

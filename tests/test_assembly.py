@@ -16,7 +16,7 @@ from heatgauss import (
     measure_ellipticity,
     polyharmonic_spec,
 )
-from heatgauss.assembly import FormMatrix, level_positions, staggered_operator
+from heatgauss.assembly import FormMatrix, level_positions, staggered_operator, staggered_taps
 from heatgauss.core import Grid1D
 from conftest import general_m2_spec
 
@@ -103,11 +103,9 @@ class TestDifferenceOperators:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_form_taps_give_the_staggered_images(self, m):
         g = Grid1D(length=1.0, n_interior=30)
-        form = assemble_form(polyharmonic_spec(m), g)
         f = np.random.default_rng(m).standard_normal(g.n_interior)
-        assert sorted(form.taps) == [(d, a) for d in range(m + 1) for a in range(m + 1 - d)]
-        assert form.taps is form.taps  # computed once per form
-        for (d, a), taps in form.taps.items():
+        for d, a in [(d, a) for d in range(m + 1) for a in range(m + 1 - d)]:
+            taps = staggered_taps(g.h, d, a)
             B = staggered_operator(g, d, a)
             assert np.array_equal(B[: len(taps), 0], taps)
             want = B @ f

@@ -14,7 +14,7 @@ from heatgauss.assembly import OperatorSpec, assemble_form, load_coefficients_cs
 from heatgauss.cli import main
 from heatgauss.config import RunConfig, load_run_config, parse_config_text
 from heatgauss.core import Grid1D
-from heatgauss.errors import ConfigurationError, EllipticityError, PropertyViolation
+from heatgauss.errors import ConfigurationError, EllipticityError, PropertyViolation, ResolutionWarning
 from heatgauss.reporting import format_value, line_plot_svg, ratio_table_svg, witness_text, write_csv
 
 LAPLACE_CFG = """
@@ -197,6 +197,9 @@ class TestCliRuns:
                      id="lam-grid-infinite"),
         pytest.param("[operator]\nsource = laplace-pi\nn = 40\n[sweep]\nlam_grid = nan\n", None,
                      id="lam-grid-nan"),
+        # the m = 3 diagonal entry 20/h^6 is 4.8e248, whose square overflows; at m = 1, 1/h^2 itself does
+        pytest.param("[operator]\nsource = polyharmonic\nm = 3\nL = 1e-40\nn = 16\n", None, id="scale-overflow-m3"),
+        pytest.param("[operator]\nsource = polyharmonic\nm = 1\nL = 1e-200\nn = 16\n", None, id="scale-overflow-m1"),
         pytest.param("[operator]\nsource = csv:{csv}\nm = 1\nL = 1\nn = 40\n",
                      "i,j,x,value\n1,1,0.0,1.0\n0,0,0.0,-50\n", id="csv-not-positive"),
         pytest.param("[operator]\nsource = csv:{csv}\nm = 1\nL = 1\nn = 20\n",
@@ -258,6 +261,37 @@ class TestCliRuns:
         rows = list(csv.DictReader((out / "verify_bounds.csv").open(encoding="utf-8")))
         assert [r["check"] for r in rows][:2] == ["fit-envelope", "sobolev-pointwise"]
         assert all(r["passed"] == "true" for r in rows)
+
+    def test_default_lam_grid_keeps_the_twists_a_long_interval_admits(self, tmp_path, capsys):
+        # 2 * 30 is past the twist cap of 40: the default grid drops lam = 2 instead of exiting 2
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("[operator]\nsource = polyharmonic\nm = 1\nL = 30\nn = 40\n", encoding="utf-8")
+        assert load_run_config(str(cfg)).lam_grid == [0.0, 0.5, 1.0]
+        at_20 = RunConfig(m=1, length=20.0, n=40, source="polyharmonic", gamma_list=[0.0])
+        assert at_20.lam_grid == [0.0, 0.5, 1.0, 2.0]
+        codes = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)  # the default t grid starts below h^2 here
+            for sub in cli_mod.SUBCOMMANDS:
+                codes[sub] = main([sub, "--config", str(cfg), "--out", str(tmp_path / sub)])
+                assert "lam_grid" not in capsys.readouterr().err
+        assert codes["spectrum"] == codes["verify-inequalities"] == 0
+        rows = list(csv.DictReader((tmp_path / "verify-twist" / "verify_twist.csv").open(encoding="utf-8")))
+        fits = [r["params"] for r in rows if r["check"] == "twisted-norm-fit"]
+        assert fits == ["lam=0;n=40", "lam=0.5;n=40", "lam=1;n=40"]
+        # an explicit entry past the cap still exits 2
+        cfg.write_text("[operator]\nsource = polyharmonic\nm = 1\nL = 30\nn = 40\n[sweep]\nlam_grid = 0 2\n",
+                       encoding="utf-8")
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "explicit")]) == 2
+        assert "lam_grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", [s for s in cli_mod.SUBCOMMANDS if s != "verify-bounds"])
+    def test_refine_outside_verify_bounds_exits_2(self, tmp_path, capsys, sub):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        cfg.write_text("[operator]\nsource = laplace-pi\nn = 40\n", encoding="utf-8")
+        assert main([sub, "--config", str(cfg), "--out", str(out), "--refine"]) == 2
+        assert capsys.readouterr().err == f"config error: --refine applies to verify-bounds only, not to {sub}\n"
+        assert not out.exists()
 
     def test_kernel_dump_reads_zero_over_zero_as_zero(self, tmp_path):
         # every row's k and ratio are the kernel block and envelope_ratios on it, exactly; the
@@ -379,7 +413,7 @@ class TestCliRuns:
         norms, factor = twist_mod._twisted_norms, twist_mod.np.linalg.qr
 
         def counted_norms(d, tw, keys):
-            requests.extend((tw, *key) in d.twisted_norms for key in keys)
+            requests.extend((tw, *key) in d.derived for key in keys)
             return norms(d, tw, keys)
 
         def counted_qr(*args, **kwargs):

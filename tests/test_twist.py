@@ -424,11 +424,22 @@ class TestBatchedAgainstLoops:
         rows = [one_by_one.standard_normal(30) for _ in range(5)]
         assert np.array_equal(np.random.default_rng(4).standard_normal((5, 30)), np.array(rows))
 
-    def test_right_hand_sides_drawn_once_per_size(self):
-        G = twist_mod._appendix_b_rhs(30)
-        assert twist_mod._appendix_b_rhs(30) is G and is_frozen(G)
-        fresh = np.random.default_rng(twist_mod.APPENDIX_B_SEED).standard_normal((twist_mod.APPENDIX_B_RHS, 30))
-        assert G.shape == (30, twist_mod.APPENDIX_B_RHS) and G.tobytes() == fresh.T.tobytes()
+    def test_right_hand_sides_drawn_once_per_decomposition(self, laplace200, monkeypatch):
+        _, d = laplace200
+        cold = dataclasses.replace(d)  # same frozen arrays, nothing stored yet
+        tw, z = make_twist(d.grid, 1.0), complex(-1.0, 1.0)
+        n = d.grid.n_interior
+        fresh = np.random.default_rng(twist_mod.APPENDIX_B_SEED).standard_normal((twist_mod.APPENDIX_B_RHS, n))
+        draws = TestPerTwistMemo.counting(monkeypatch, np.random, "default_rng")
+        first = appendix_b_identities(cold, tw, z)
+        G = cold.derived["appendix-b rhs"]
+        # another twist and another z read the same right-hand sides
+        appendix_b_identities(cold, make_twist(d.grid, 0.5), complex(-2.0, 3.0))
+        assert appendix_b_identities(cold, tw, z) == first
+        assert len(draws) == 1 and cold.derived["appendix-b rhs"] is G and is_frozen(G)
+        assert G.shape == (n, twist_mod.APPENDIX_B_RHS) and G.tobytes() == fresh.T.tobytes()
+        # another decomposition draws its own, equal bit for bit
+        assert appendix_b_identities(dataclasses.replace(d), tw, z) == first and len(draws) == 2
 
     @pytest.mark.parametrize("case", ["laplace200", "beam200", "poly3_40"])
     def test_searched_shift_passes_sector_check(self, case, request):
@@ -528,8 +539,8 @@ class TestPerTwistMemo:
         again.numerical_range(samples.copy())
         TwistedOperator(base=dataclasses.replace(d), twist=tw).numerical_range(samples)
         assert len(calls) == 4
-        assert set(base.numerical_ranges) == {(tw, id(samples)), (make_twist(d.grid, 0.5), id(samples)),
-                                              (tw, id(other))}
+        assert set(base.derived) == {(tw, "range", id(samples)), (make_twist(d.grid, 0.5), "range", id(samples)),
+                                     (tw, "range", id(other))}
 
     def test_appendix_b_solves_the_spectrum_once_per_twist(self, laplace200, monkeypatch):
         _, d = laplace200
@@ -542,7 +553,8 @@ class TestPerTwistMemo:
             fresh = [appendix_b_identities(dataclasses.replace(d), make_twist(d.grid, lam), z) for z in zs]
             assert results == fresh
         assert len(calls) == 2 + 2 * len(zs)
-        assert set(cold.twisted_spectra) == {make_twist(d.grid, 0.5), make_twist(d.grid, 1.0)}
+        spectra = {key for key in cold.derived if isinstance(key, tuple) and key[1:] == ("spectrum",)}
+        assert spectra == {(make_twist(d.grid, 0.5), "spectrum"), (make_twist(d.grid, 1.0), "spectrum")}
 
     @staticmethod
     def factored_norms(d, tw, weights):
@@ -584,13 +596,13 @@ class TestPerTwistMemo:
         assert fits(cold, 1.0) == fresh and len(qr) == 4
         twisted_semigroup_norm_fit(cold, tw, [2.0 * ts[-1]])
         assert len(qr) == 6  # a new t misses
-        assert len(cold.twisted_norms) == 2 * len(ts) + 1
-        assert all(type(v) is float for v in cold.twisted_norms.values())
+        assert len(cold.derived) == 2 * len(ts) + 1
+        assert all(kind in ("P", "HP") and type(v) is float for (_, kind, _), v in cold.derived.items())
 
         shifted = d.eigenvalues - d.gap
         w = [decay_weights(t * shifted) for t in ts]
         want = self.factored_norms(d, tw, w + [shifted * wt for wt in w])
-        got = [cold.twisted_norms[(tw, kind, float(t))] for kind in ("P", "HP") for t in ts]
+        got = [cold.derived[(tw, kind, float(t))] for kind in ("P", "HP") for t in ts]
         assert got == want
 
     def test_per_lambda_builds_one_table_per_twist(self, laplace200, monkeypatch):
@@ -605,7 +617,7 @@ class TestPerTwistMemo:
         # an equal twist built apart finds the same table
         again = [per_lambda(cold, make_twist(d.grid, 1.0), f) for f in fs]
         assert len(calls) == 1 and again == first
-        assert set(cold.twist_tables) == {make_twist(d.grid, 1.0)}
+        assert set(cold.derived) == {make_twist(d.grid, 1.0)}
 
     def test_writable_arrays_are_copied_read_only(self, laplace200, monkeypatch):
         # an owner built from writable arrays keeps read-only copies of them,
@@ -683,7 +695,7 @@ class TestPlantedErrors:
             bands = table.bands.reshape(2, m + 1, n).copy()
             bands[0, b] *= 1.0 + 1e-6  # the weight w_b of band b
             cold = dataclasses.replace(form)
-            cold.twist_tables[tw] = dataclasses.replace(table, bands=bands.reshape(2, -1))
+            cold.derived[tw] = dataclasses.replace(table, bands=bands.reshape(2, -1))
             for f in fs:
                 with pytest.raises(ConsistencyError):
                     per_lambda(cold, tw, f)
