@@ -40,7 +40,6 @@ from .errors import (
     ParameterError,
     PropertyViolation,
     ResolutionWarning,
-    SearchBoundError,
     UnsupportedError,
 )
 from .inequalities import (

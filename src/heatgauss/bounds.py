@@ -156,7 +156,8 @@ def fit_envelope_constants(
     When a refined evaluator is given, the chosen pair is re-checked there on
     the t slices the fit read (the finer mesh admits shorter t, which the fit
     never saw) and the relative drift recorded; the fit passes only if c1
-    rises there by at most DRIFT_BUDGET.
+    rises there by at most DRIFT_BUDGET. Raises ConfigurationError when no c2
+    of the grid gives a finite c1.
     """
     m, N = schedule.m, schedule.N
     c2s = [float(c2) for c2 in np.atleast_1d(c2_grid)]
@@ -166,6 +167,9 @@ def fit_envelope_constants(
         if best is None or score < best[0]:
             best = (score, c1, c2, where)
     _, c1, c2, where = best
+    if not math.isfinite(c1):
+        raise ConfigurationError(f"no c2 in the c2 grid {c2s} gives a finite c1: every envelope underflows "
+                                 "where the kernel does not")
     result = FitResult(constants={"c1": c1, "c2": c2}, worst_location=where)
     if refined is not None:
         c1_ref, _ = envelope_sup_ratio(refined, schedule, c2, admissible_times(ev, t_grid))

@@ -229,9 +229,8 @@ def run_verify_twist(cfg: RunConfig, out: str) -> list[ReportRow]:
             shift = twist_mod.sector_shift_search(top, 0.5, samples)
             shift_applied = shift * ((1.0 + 0.5) * top.unit)
             angle, violations = twist_mod.numerical_range_sector(top, 0.5, shift_applied, samples)
-            ok = not violations and angle <= math.atan(2.0) + 1e-12
-            return ReportRow("sector", dict(params, p=0.5, shift=shift), angle, ok,
-                             None if ok else {"violations": len(violations)})
+            return ReportRow("sector", dict(params, p=0.5, shift=shift), angle, not violations,
+                             {"violations": len(violations)} if violations else None)
 
         _guarded(rows, "appendix-b", params, appendix_b)
         _guarded(rows, "sector", dict(params, p=0.5), sector)
@@ -293,6 +292,7 @@ def run_verify_inequalities(cfg: RunConfig, out: str) -> list[ReportRow]:
 
 def run_report(cfg: RunConfig, out: str) -> list[ReportRow]:
     _, d, ev = _decompose(cfg)
+    _, env = _fitted_envelope(cfg, ev)  # before any file: a config error leaves no output directory
     half = cfg.n // 2
     t_mid = float(np.median(cfg.t_grid))
     left = np.arange(max(cfg.n // 5, 3))
@@ -311,7 +311,6 @@ def run_report(cfg: RunConfig, out: str) -> list[ReportRow]:
         [("log sup|k|", ts, np.log(np.maximum(sups, 1e-300)))],
         "long-time kernel decay", "t", "log sup |k|",
     )
-    _, env = _fitted_envelope(cfg, ev)
     idx = bounds_mod.sample_indices(cfg.n, max(cfg.n // 40, 1))
     ratios = bounds_mod.envelope_ratios(env, d.grid, idx, t_mid, ev.block(t_mid, idx, idx))
     ratio_table_svg(os.path.join(out, "envelope_ratio.svg"), ratios,

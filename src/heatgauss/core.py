@@ -151,10 +151,3 @@ def gtilde(s: float, t):
                    s * np.exp(-2.0 * s * t_arr),
                    np.exp(-s * t_arr - 1.0) / t_arr)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
-
-
-def log_gtilde(s: float, t: float) -> float:
-    """log g~(t) at gap s for scalar t > 0, finite where g~(t) underflows to 0."""
-    if not (0 < s < math.inf):
-        raise DomainError(f"spectral gap must be positive and finite, got {s}")
-    return math.log(s) - 2.0 * s * t if t > 1.0 / s else -s * t - 1.0 - math.log(t)

@@ -37,10 +37,6 @@ class ConditioningError(HeatGaussError, ValueError):
     """Request would leave the well-conditioned regime (twist cap, resolvent near spectrum)."""
 
 
-class SearchBoundError(HeatGaussError, RuntimeError):
-    """A bracketing search exhausted its upper bound."""
-
-
 class ConsistencyError(HeatGaussError, RuntimeError):
     """Two redundant computation paths disagreed beyond tolerance."""
 

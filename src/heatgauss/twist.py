@@ -31,20 +31,12 @@ import numpy as np
 
 from .assembly import FormMatrix, level_positions, staggered_taps
 from .core import Grid1D, fit_holdout, freeze, is_frozen
-from .errors import (
-    ConditioningError,
-    ConsistencyError,
-    DomainError,
-    PropertyViolation,
-    SearchBoundError,
-)
-from .spectral import SpectralDecomposition, decay_weights, kernel_eval
+from .errors import ConditioningError, ConsistencyError, DomainError, PropertyViolation
+from .spectral import SpectralDecomposition, decay_weights, evolved_forms, kernel_eval
 
 TWIST_CAP = 40.0  # |lambda| * L cap keeping diag(exp(lambda psi)) in double range
 RANGE_CHUNK = 64  # samples per matmul in numerical_range_values
-SHIFT_START = 1.0  # first upper bracket of sector_shift_search, doubled until it passes
-SHIFT_DOUBLINGS = 40  # doublings of the bracket before sector_shift_search gives up
-SHIFT_BISECTIONS = 20  # bisection steps of sector_shift_search
+SECTOR_SLACK = 1e-12  # round-off allowed outside the sector, relative to max(|z|, 1)
 APPENDIX_B_RHS = 10  # seeded right-hand sides of the resolvent identity
 APPENDIX_B_SEED = 42
 EPS = np.finfo(float).eps
@@ -278,7 +270,7 @@ def numerical_range_values(Hhat: np.ndarray, samples: np.ndarray) -> np.ndarray:
 
     Hhat is real, so with f = u + i v the point is (u.Hu + v.Hv + i (u.Hv -
     v.Hu)) / (u.u + v.v): one real matmul per chunk of at most RANGE_CHUNK
-    samples over their stacked real and imaginary parts. The sector search
+    samples over their stacked real and imaginary parts. The sector shift
     and the sector verdict both read these values, so they see the same points.
     """
 
@@ -297,19 +289,27 @@ def numerical_range_values(Hhat: np.ndarray, samples: np.ndarray) -> np.ndarray:
     return z
 
 
+def _sector_excess(z: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The one sector rule: p |Im z| - Re z of each point, and where it exceeds the round-off
+    slack SECTOR_SLACK max(|z|, 1), which puts the point outside the sector |arg z| <= atan(1/p)."""
+    if not (0.0 < p < 1.0):
+        raise DomainError(f"sector parameter p must lie in (0,1), got {p}")
+    excess = p * np.abs(z.imag) - z.real
+    return excess, excess > SECTOR_SLACK * np.maximum(np.abs(z), 1.0)
+
+
 def numerical_range_sector(
     top: TwistedOperator, p: float, shift: float, samples: np.ndarray
 ) -> tuple[float, list[dict]]:
     """Numerical-range points of the shifted twisted form against the sector |arg| <= atan(1/p).
 
     Returns the maximum observed angle and the list of violating samples
-    (violations are data, not exceptions).
+    (violations are data, not exceptions). A point within the slack of the
+    origin is inside and reads angle 0.
     """
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"sector parameter p must lie in (0,1), got {p}")
     z = top.numerical_range(samples) + shift
-    angles = np.abs(np.arctan2(z.imag, z.real))
-    bad = (z.real < -1e-12 * np.maximum(np.abs(z), 1.0)) | (angles > math.atan(1.0 / p) + 1e-12)
+    _, bad = _sector_excess(z, p)
+    angles = np.where(np.abs(z) <= SECTOR_SLACK, 0.0, np.abs(np.arctan2(z.imag, z.real)))
     violations = [
         {"sample": int(si), "z": complex(z[si]), "angle": float(angles[si])} for si in np.flatnonzero(bad)
     ]
@@ -346,42 +346,24 @@ def sector_shift_search(
     p: float,
     samples: np.ndarray,
 ) -> float:
-    """Smallest shift multiplier c passing the sector check, by bisection.
+    """Least shift multiplier c that puts every sample's numerical-range point in the sector.
 
-    The shift applied is c * (1+p) * (1+s)^{2m} * lambda^{2m}; at lambda = 0
-    the operator is already sectorial and c = 0 is returned.
+    The shift applied is c (1+p) u, u = (1+s)^{2m} lambda^{2m}, and it lowers p |Im z| - Re z by as
+    much: c = max_i (p |Im z_i| - Re z_i) / ((1+p) u), or 0 when every point is inside unshifted. At
+    u = 0 (lambda = 0) a point outside raises PropertyViolation with its sample as witness.
     """
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"sector parameter p must lie in (0,1), got {p}")
-    unit = (1.0 + p) * top.unit
-    z0 = top.numerical_range(samples)
-    re, im = z0.real, np.abs(z0.imag)
-    # every c tried is >= 0 and a sample's test only gets easier as c grows, so
-    # the samples that pass at c = 0 pass at every c: the search reads the rest
-    failing = ~((re >= -1e-12) & (im <= re / p + 1e-12))
-    if not failing.any():
+    z = top.numerical_range(samples)
+    excess, bad = _sector_excess(z, p)
+    if not bad.any():
         return 0.0
-    re, im = re[failing], im[failing]
-
-    def passes(c: float) -> bool:
-        x = re + c * unit
-        return bool((x >= -1e-12).all() and (im <= x / p + 1e-12).all())
-
-    hi = SHIFT_START
-    for _ in range(SHIFT_DOUBLINGS):
-        if passes(hi):
-            break
-        hi *= 2.0
-    else:
-        raise SearchBoundError(f"no admissible shift found below c_hi={hi}")
-    lo = 0.0
-    for _ in range(SHIFT_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    unit = (1.0 + p) * top.unit
+    worst = int(np.argmax(excess))
+    if unit == 0.0:
+        raise PropertyViolation(
+            f"numerical-range point {complex(z[worst])} outside the sector at lambda = {top.twist.lam}",
+            witness={"sample": worst, "z": complex(z[worst]), "p": p},
+        )
+    return float(excess[worst]) / unit
 
 
 def twisted_kernel(ev, tw: TwistSpec, t: float, i: int, j: int) -> float:
@@ -512,7 +494,7 @@ def evolved_twisted_form_check(
         raise DomainError(f"alpha must lie in (0,1), got {alpha}")
     if form.grid != d.grid:
         raise DomainError(f"form grid {form.grid} differs from the decomposition grid {d.grid}")
-    s, unit = d.gap, TwistedOperator(base=d, twist=tw).unit
+    unit = TwistedOperator(base=d, twist=tw).unit
     h = d.grid.h
     t_arr = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if c2 is None:
@@ -523,15 +505,11 @@ def evolved_twisted_form_check(
     # Q(g) for g = e^{-H_lam t} f = E^{-1} sum_k w_k <E f, phi_k>_h phi_k, in
     # modes: Q phi_k = h mu_k phi_k gives Q(g) = sum_k mu_k <g, phi_k>_h^2, a
     # sum of non-negative terms, where g^T (Q g) cancels at large m
-    phi, mu, e = d.eigenvectors, d.eigenvalues, tw.weights()
+    phi, e = d.eigenvectors, tw.weights()
     A = h * (fs * e) @ phi  # <E f, phi_k>_h, one row per sample
     B = h * phi.T @ (phi / e[:, np.newaxis])  # <E^{-1} phi_l, phi_k>_h
-    # e^{-2st} is factored out of both sides: vals holds e^{2st} Q(g), whose
-    # ground-mode weight is 1 at every t, so no ratio is read off flushed zeros
-    vals = np.empty((len(fs), len(t_arr)))
-    for ti, t in enumerate(t_arr):
-        beta = (A * decay_weights(t * (mu - s))) @ B.T
-        vals[:, ti] = (beta**2) @ mu
+    # e^{-2st} is factored out of both sides: vals holds e^{2st} Q(g)
+    vals = evolved_forms(d, A, t_arr, mixing=B)
     norms2 = h * np.sum(fs**2, axis=1)
     env_inv = alpha * t_arr * np.exp(-c2 * unit * t_arr)  # underflows only where the ratio is negligible
     ratios = vals * env_inv[None, :] / norms2[:, None]

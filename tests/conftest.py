@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +26,27 @@ def envelope_eval(env, t: float, x: float, y: float, d_x: float, d_y: float) -> 
     return env.c1 / sch.eps * t ** (-power) * decay * math.exp(expo)
 
 
+def evolved_form_ratio_oracle(d, t_grid, f_samples) -> np.ndarray:
+    """Oracle (sample, t) table of Q(e^{-Ht} f) / (g~(t) ||f||^2) in log space over the modes with c_k != 0:
+    log sum_k mu_k e^{-2 t mu_k} c_k^2 - log g~(t) - log sum_k c_k^2, with log g~(t) = log s - 2 s t for
+    t > 1/s and -s t - 1 - log t before, so neither side flushes; a sample with every c_k = 0 reads 0.
+    Summed in long double: 2 t mu reaches 4.6e5 at m = 3 on the default t grid, where its rounding to a
+    double alone moves the ratio by 5e-11."""
+    s, mu = np.longdouble(d.gap), d.eigenvalues.astype(np.longdouble)
+    c = np.array([d.coefficients(f) for f in np.atleast_2d(f_samples)])
+    out = np.zeros((len(c), len(t_grid)))
+    for fi, ck in enumerate(c):
+        live = ck != 0
+        if not live.any():
+            continue
+        log_c2 = 2.0 * np.log(np.abs(ck[live]).astype(np.longdouble))
+        for ti, t in enumerate(np.asarray(t_grid, dtype=np.longdouble)):
+            log_g = np.log(s) - 2 * s * t if t > 1 / s else -s * t - 1 - np.log(t)
+            log_q = np.logaddexp.reduce(np.log(mu[live]) - 2 * t * mu[live] + log_c2)
+            out[fi, ti] = np.exp(log_q - log_g - np.logaddexp.reduce(log_c2))
+    return out
+
+
 def general_m2_spec() -> OperatorSpec:
     """Non-diagonal m = 2 table: a_12 = a_21 != 0 with |a_12|^2 < a_11 a_22."""
     return OperatorSpec(m=2, coefficients={
@@ -36,10 +58,18 @@ def general_m2_spec() -> OperatorSpec:
     })
 
 
+# wall time of each profile decomposition's assembly and solve, by (profile, n): a test with a time
+# budget adds it, so the budget still covers the solve its session fixture did
+BUILD_SECONDS = {}
+
+
 def _decomp(name: str, n: int):
+    start = time.perf_counter()
     profile = get_profile(name)
     form = assemble_form(profile.spec, profile.grid(n))
-    return form, SpectralDecomposition.from_form(form)
+    out = form, SpectralDecomposition.from_form(form)
+    BUILD_SECONDS[(name, n)] = time.perf_counter() - start
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -9,11 +9,9 @@ import pytest
 
 from heatgauss import (
     HeatKernelEvaluator,
-    SpectralDecomposition,
     TwistSpec,
     TwistedOperator,
     appendix_b_identities,
-    assemble_form,
     check_basic,
     check_bond,
     check_epsilon,
@@ -37,8 +35,9 @@ from heatgauss.cli import main as cli_main
 from heatgauss.cli import sample_functions
 from heatgauss.core import schedule_from_gamma
 from heatgauss.inequalities import SearchGrid
-from heatgauss.profiles import get_profile
 from heatgauss.twist import conjugate, mixed_norm_bound_fit
+
+from conftest import BUILD_SECONDS
 
 
 _CAPTURE = None
@@ -69,13 +68,12 @@ def _drift(a: float, b: float) -> float:
     return abs(b - a) / max(abs(a), 1e-12)
 
 
-def test_criterion_1_laplace_oracle():
-    """Sine-series kernel and unit gap on laplace-pi at n = 400 within 60 s."""
+def test_criterion_1_laplace_oracle(laplace400):
+    """Sine-series kernel and unit gap on laplace-pi at n = 400 within 60 s, the fixture's solve included."""
     start = time.perf_counter()
     ok = True
     try:
-        profile = get_profile("laplace-pi")
-        d = SpectralDecomposition.from_form(assemble_form(profile.spec, profile.grid(400)))
+        _, d = laplace400
         ev = HeatKernelEvaluator(d)
         gap_rel = abs(d.gap - 1.0)
         ok &= gap_rel <= 5e-3
@@ -101,7 +99,7 @@ def test_criterion_1_laplace_oracle():
         point = kernel_eval(ev, 1.0, round(1.0 / d.grid.h) - 1, round(2.0 / d.grid.h) - 1)  # nodes nearest 1, 2
         ok &= math.isfinite(point)
         ok &= worst_sup <= 1e-3 and worst_diag <= 1e-3
-        elapsed = time.perf_counter() - start
+        elapsed = time.perf_counter() - start + BUILD_SECONDS[("laplace-pi", 400)]
         ok &= elapsed <= 60.0
     except Exception:
         ok = False
@@ -128,19 +126,18 @@ def _beam_root_oracle() -> float:
     return 0.5 * (lo + hi)
 
 
-def test_criterion_2_beam_oracle():
-    """Smallest beam-1 eigenvalue within 1% of beta_1^4 within 120 s."""
+def test_criterion_2_beam_oracle(beam400):
+    """Smallest beam-1 eigenvalue within 1% of beta_1^4 within 120 s, the fixture's solve included."""
     start = time.perf_counter()
     ok = True
     try:
         beta = _beam_root_oracle()
         assert beta == pytest.approx(4.7300407448627040, abs=1e-10)
         mu_star = beta**4
-        profile = get_profile("beam-1")
-        d = SpectralDecomposition.from_form(assemble_form(profile.spec, profile.grid(400)))
+        _, d = beam400
         rel = abs(d.gap - mu_star) / mu_star
         ok &= rel <= 0.01
-        elapsed = time.perf_counter() - start
+        elapsed = time.perf_counter() - start + BUILD_SECONDS[("beam-1", 400)]
         ok &= elapsed <= 120.0
     except Exception:
         ok = False

@@ -328,6 +328,24 @@ class TestCliRuns:
         assert "past the underflow cap 700.0" in err and "resolvable floor" not in err
         assert not out.exists()
 
+    def test_infinite_c1_fails_verify_bounds_and_exits_2_elsewhere(self, tmp_path, capsys):
+        # c2 = 10 drives every envelope past the float range where the kernel is not 0, so the sup
+        # ratio reads inf at the only c2: a failing fit-envelope row, and no envelope for kernel or report
+        cfg = tmp_path / "steep.cfg"
+        cfg.write_text("[operator]\nsource = laplace-pi\nn = 40\n\n[sweep]\nc2_grid = 10\n", encoding="utf-8")
+        message = "no c2 in the c2 grid [10.0] gives a finite c1"
+        assert main(["verify-bounds", "--config", str(cfg), "--out", str(tmp_path / "bounds")]) == 1
+        rows = list(csv.DictReader((tmp_path / "bounds" / "verify_bounds.csv").open()))
+        fit = [r for r in rows if r["check"] == "fit-envelope"]
+        assert fit and all(r["passed"] == "false" and message in r["witness"] for r in fit)
+        capsys.readouterr()
+        for sub in ("kernel", "report"):
+            out = tmp_path / sub
+            assert main([sub, "--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+            assert not out.exists()
+
     def test_verify_inequalities_passes(self, laplace_cfg, tmp_path):
         out = tmp_path / "out"
         code = main(["verify-inequalities", "--config", laplace_cfg, "--out", str(out)])

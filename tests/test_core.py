@@ -15,7 +15,7 @@ from heatgauss import (
     gtilde,
     schedule_from_gamma,
 )
-from heatgauss.core import HOLDOUT_SLACK, fit_holdout, holdout_within, log_gtilde
+from heatgauss.core import HOLDOUT_SLACK, fit_holdout, holdout_within
 
 
 class TestGrid:
@@ -121,8 +121,6 @@ class TestGTilde:
         for s in (0.0, -1.0, math.nan):
             with pytest.raises(DomainError):
                 gtilde(s, 1.0)
-            with pytest.raises(DomainError):
-                log_gtilde(s, 1.0)
         for t in (0.0, math.nan, np.array([1.0, math.nan])):
             with pytest.raises(DomainError):
                 gtilde(1.0, t)

@@ -19,7 +19,7 @@ from heatgauss import (
     kernel_eval,
     polyharmonic_spec,
 )
-from conftest import general_m2_spec, semigroup_apply
+from conftest import evolved_form_ratio_oracle, general_m2_spec, semigroup_apply
 from heatgauss.cli import sample_functions
 from heatgauss import assembly, spectral
 from heatgauss.core import Grid1D, is_frozen
@@ -275,7 +275,8 @@ class TestEvolvedFormBound:
     @pytest.mark.parametrize("fixture", ["beam200", "poly3_40"])
     def test_underflowed_bound_compared_in_log_space(self, fixture, request):
         # the default t grid drives g~(t) ||f||^2 to 0 (2 s t > 745); the
-        # runner's samples must still pass, with no 0/0 read as inf
+        # runner's samples must still pass, with no 0/0 read as inf, and every
+        # factored ratio matches the log-space oracle wherever that reads a normal float
         _, d = request.getfixturevalue(fixture)
         s = d.eigenvalues[0]
         t_grid = np.geomspace(0.01, 5.0, 25)
@@ -284,14 +285,20 @@ class TestEvolvedFormBound:
         rows = evolved_form_bound_check(d, t_grid, f)
         assert len(rows) == 8 * 25
         assert all(math.isfinite(r["ratio"]) for r in rows)
+        got = np.array([r["ratio"] for r in rows]).reshape(8, 25)
+        want = evolved_form_ratio_oracle(d, t_grid, f)
+        normal = want >= np.finfo(float).tiny
+        assert normal[:, -1].any()  # the flushed end of the grid is compared
+        assert np.all(np.abs(got - want)[normal] <= 1e-12 * want[normal])
         # the ground mode saturates the bound: ratio 1 in log space as well
         rows = evolved_form_bound_check(d, t_grid[t_grid > 1.0 / s], d.eigenvectors[:, 0])
         assert [r["ratio"] for r in rows] == pytest.approx([1.0] * len(rows), rel=1e-12)
 
     def test_capped_weights_compared_in_log_space(self):
-        # past 2 t mu_1 = 700 every decay weight is capped to exactly 0 while
-        # g~(t) ||f||^2 is still positive (it underflows near 745): Q(e^{-Ht} f)
-        # must not read 0 there. For f = phi_1 the bound is an equality
+        # past 2 t mu_1 = 700 every decay weight e^{-2 t mu_k} is capped to exactly 0
+        # while g~(t) ||f||^2 is still positive (it underflows near 745): with
+        # e^{-2st} factored out Q(e^{-Ht} f) must not read 0 there. For f = phi_1
+        # the bound is an equality
         form = assemble_form(polyharmonic_spec(1), Grid1D(length=math.pi, n_interior=40))
         d = SpectralDecomposition.from_form(form)
         mu1 = d.eigenvalues[0]

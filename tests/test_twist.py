@@ -252,6 +252,31 @@ class TestSector:
         with pytest.raises(DomainError):
             sector_shift_search(top, 1.5, sector_samples(d, count=5))
 
+    def test_point_within_the_slack_of_the_origin_is_inside(self, laplace200):
+        # the least shift can land a real point on the origin up to round-off, at z = -1e-16,
+        # where atan2 reads the angle pi
+        _, d = laplace200
+        top = TwistedOperator(base=d, twist=make_twist(d.grid, 0.0))
+        f = d.eigenvectors[:, [0]].T.copy()  # a real sample: its point is real
+        z0 = float(top.numerical_range(f)[0].real)
+        angle, violations = numerical_range_sector(top, 0.5, -z0 - 1e-13, f)
+        assert violations == [] and angle == 0.0
+        angle, violations = numerical_range_sector(top, 0.5, -z0 - 2e-12, f)
+        assert len(violations) == 1 and angle == math.pi
+
+    def test_untwisted_point_outside_raises(self, laplace200):
+        # with the spectrum reversed, H - mu_1 reads the largest eigenvalue as the gap and is
+        # negative: at lambda = 0 no shift is applied, so the outside sample is the witness
+        _, d = laplace200
+        bad = SpectralDecomposition(eigenvalues=d.eigenvalues[::-1], eigenvectors=d.eigenvectors, grid=d.grid, m=d.m)
+        top = TwistedOperator(base=bad, twist=make_twist(d.grid, 0.0))
+        samples = sector_samples(d, seed=1, count=20)
+        with pytest.raises(PropertyViolation, match="outside the sector at lambda = 0.0") as info:
+            sector_shift_search(top, 0.5, samples)
+        z = top.numerical_range(samples)
+        worst = int(np.argmax(0.5 * np.abs(z.imag) - z.real))
+        assert info.value.witness == {"sample": worst, "z": complex(z[worst]), "p": 0.5} and z[worst].real < 0.0
+
 
 class TestSemigroupFits:
     def test_zero_twist_contraction(self, laplace200):
@@ -443,16 +468,20 @@ class TestBatchedAgainstLoops:
 
     @pytest.mark.parametrize("case", ["laplace200", "beam200", "poly3_40"])
     def test_searched_shift_passes_sector_check(self, case, request):
+        # the returned c is the least multiplier: the verdict passes at c and flags a sample
+        # 1e-6 below it, where a bisection floor of 2^-20 would pass far below (m >= 2)
         _, d = request.getfixturevalue(case)
         tw = make_twist(d.grid, 1.0)
         top = TwistedOperator(base=d, twist=tw)
         samples = sector_samples(d, seed=9, count=150)
         for p in (0.25, 0.5, 0.75):
             c = sector_shift_search(top, p, samples)
+            assert 0.0 < c != 2.0**-20
             unit = (1.0 + p) * (1.0 + d.gap) ** (2 * d.m) * tw.lam ** (2 * d.m)
             angle, violations = numerical_range_sector(top, p, c * unit, samples)
             assert violations == []
             assert angle <= math.atan(1.0 / p) + 1e-12
+            assert numerical_range_sector(top, p, c * (1.0 - 1e-6) * unit, samples)[1] != []
 
 
 class TestPerTwistMemo:
