@@ -30,37 +30,49 @@ EXP_UNDERFLOW_CAP = 700.0  # exp(-x) underflows to exact zero well before x = 74
 EVOLVED_FORM_SLACK = 1e-10  # relative round-off allowed above 1 in evolved_form_bound_check
 
 
-def _jacobi_sweeps(A: np.ndarray, V: np.ndarray, tol: float, max_sweeps: int) -> int:
-    """Cyclic Jacobi sweeps with row-vectorized rotations, in place on A and V."""
-    n = A.shape[0]
+def _jacobi_sweeps(W: np.ndarray, tol: float, max_sweeps: int) -> int:
+    """Cyclic Jacobi sweeps in place on W = [A; V], A's n rows over V's in one (2n x n) array.
+
+    One rotation of W's columns p, q turns A's and V's columns at once; A's rows p, q follow.
+    Each entry keeps its two products and one sum, so jacobi_eigh's results stay bit-identical.
+    """
+    n = W.shape[1]
+    A = W[:n]
+    cols = [W[:, k] for k in range(n)]
+    rows = list(A)
+    cx, sy, sx, cy = np.empty((4, 2 * n))  # products of a column rotation
+    rcx, rsy, rsx, rcy = cx[:n], sy[:n], sx[:n], cy[:n]  # and of a row rotation
+    upper = np.triu_indices(n, 1)
     skip = tol / (2.0 * n)
     for sweep in range(max_sweeps):
-        off = math.sqrt(2.0) * np.linalg.norm(A[np.triu_indices(n, 1)])
-        if off <= tol:
+        if math.sqrt(2.0) * np.linalg.norm(A[upper]) <= tol:
             return sweep
         for p in range(n - 1):
+            colp, rowp = cols[p], rows[p]
             for q in range(p + 1, n):
-                apq = A[p, q]
+                apq = A.item(p, q)
                 if abs(apq) <= skip:
                     continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
+                theta = (A.item(q, q) - A.item(p, p)) / (2.0 * apq)
                 t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
                 if theta < 0.0:
                     t = -t
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                colp = A[:, p].copy()
-                colq = A[:, q].copy()
-                A[:, p] = c * colp - s * colq
-                A[:, q] = s * colp + c * colq
-                rowp = A[p, :].copy()
-                rowq = A[q, :].copy()
-                A[p, :] = c * rowp - s * rowq
-                A[q, :] = s * rowp + c * rowq
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
+                colq = cols[q]
+                np.multiply(colp, c, out=cx)
+                np.multiply(colq, s, out=sy)
+                np.multiply(colp, s, out=sx)
+                np.multiply(colq, c, out=cy)
+                np.subtract(cx, sy, out=colp)
+                np.add(sx, cy, out=colq)
+                rowq = rows[q]
+                np.multiply(rowp, c, out=rcx)
+                np.multiply(rowq, s, out=rsy)
+                np.multiply(rowp, s, out=rsx)
+                np.multiply(rowq, c, out=rcy)
+                np.subtract(rcx, rsy, out=rowp)
+                np.add(rsx, rcy, out=rowq)
     return -1
 
 
@@ -72,25 +84,35 @@ def decay_weights(ex: np.ndarray) -> np.ndarray:
 def jacobi_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
-    Rotates until all off-diagonal magnitudes are below 1e-12 * ||M||_F,
-    at most 100 sweeps. Returns ascending eigenvalues and orthonormal columns.
+    Sweeps the pairs p < q in row order, at most 100 times, and stops once
+    sqrt(2) * ||triu(A, 1)||_F <= tol = 1e-12 * ||M||_F; within a sweep a pair
+    with |a_pq| <= tol / (2n) is skipped. The rotation arithmetic is fixed:
+    each new entry is c x - s y or s x + c y, each product and the sum rounded
+    once, so a given M always gives the same eigenvalue and eigenvector bits.
+    Returns ascending eigenvalues and orthonormal columns. A non-finite or
+    non-symmetric M raises ContractError; a 0 x 0 M gives empty arrays.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ContractError(f"expected a square matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ContractError("jacobi_eigh requires a finite matrix")
+    n = M.shape[0]
+    if n == 0:
+        return np.zeros(0), np.zeros((0, 0))
     scale = np.linalg.norm(M)
     if scale > 0 and np.linalg.norm(M - M.T) > 1e-10 * scale:
         raise ContractError("jacobi_eigh requires a symmetric matrix")
-    n = M.shape[0]
-    A = 0.5 * (M + M.T)
-    V = np.eye(n)
+    W = np.empty((2 * n, n))  # A over V
+    W[:n] = 0.5 * (M + M.T)
+    W[n:] = np.eye(n)
     tol = 1e-12 * max(scale, np.finfo(float).tiny)
-    sweeps = _jacobi_sweeps(A, V, tol, JACOBI_MAX_SWEEPS)
+    sweeps = _jacobi_sweeps(W, tol, JACOBI_MAX_SWEEPS)
     if sweeps < 0:
         raise NumericalError(f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps")
-    w = np.diag(A).copy()
+    w = np.diag(W).copy()
     order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
+    return w[order], W[n:, order]
 
 
 @dataclass(frozen=True)

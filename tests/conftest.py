@@ -47,6 +47,48 @@ def evolved_form_ratio_oracle(d, t_grid, f_samples) -> np.ndarray:
     return out
 
 
+def jacobi_oracle(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """jacobi_eigh with one plain rotation loop: each pair turns A's columns, then A's rows,
+    then V's columns, from copies. Same pair order, skip rule and c, s formulas."""
+    n = M.shape[0]
+    scale = np.linalg.norm(M)
+    A = 0.5 * (M + M.T)
+    V = np.eye(n)
+    tol = 1e-12 * max(scale, np.finfo(float).tiny)
+    skip = tol / (2.0 * n)
+    for _ in range(100):
+        if math.sqrt(2.0) * np.linalg.norm(A[np.triu_indices(n, 1)]) <= tol:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                if abs(apq) <= skip:
+                    continue
+                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
+                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                colp = A[:, p].copy()
+                colq = A[:, q].copy()
+                A[:, p] = c * colp - s * colq
+                A[:, q] = s * colp + c * colq
+                rowp = A[p, :].copy()
+                rowq = A[q, :].copy()
+                A[p, :] = c * rowp - s * rowq
+                A[q, :] = s * rowp + c * rowq
+                vp = V[:, p].copy()
+                vq = V[:, q].copy()
+                V[:, p] = c * vp - s * vq
+                V[:, q] = s * vp + c * vq
+    else:
+        raise AssertionError("the oracle did not converge in 100 sweeps")
+    w = np.diag(A).copy()
+    order = np.argsort(w, kind="stable")
+    return w[order], V[:, order]
+
+
 def general_m2_spec() -> OperatorSpec:
     """Non-diagonal m = 2 table: a_12 = a_21 != 0 with |a_12|^2 < a_11 a_22."""
     return OperatorSpec(m=2, coefficients={

@@ -19,10 +19,11 @@ from heatgauss import (
     kernel_eval,
     polyharmonic_spec,
 )
-from conftest import evolved_form_ratio_oracle, general_m2_spec, semigroup_apply
+from conftest import evolved_form_ratio_oracle, general_m2_spec, jacobi_oracle, semigroup_apply
 from heatgauss.cli import sample_functions
 from heatgauss import assembly, spectral
 from heatgauss.core import Grid1D, is_frozen
+from heatgauss.profiles import get_profile
 from heatgauss.spectral import EXP_UNDERFLOW_CAP, decay_weights
 
 
@@ -114,11 +115,41 @@ class TestJacobi:
         assert np.allclose(w, w_ref, atol=1e-9 * np.abs(w_ref).max())
         assert np.max(np.abs(v @ np.diag(w) @ v.T - A)) < 1e-9 * np.abs(w_ref).max()
 
-    def test_rejects_nonsymmetric(self):
+    @pytest.mark.parametrize("source, n", [
+        *((source, n) for source in ("laplace-pi", "beam-1", "m3") for n in (24, 40)),
+        ("random", 30),
+    ])
+    def test_bit_identical_to_the_rotation_loop(self, source, n):
+        if source == "random":
+            M = np.random.default_rng(7).standard_normal((n, n))
+            M = M + M.T
+        elif source == "m3":
+            M = assemble_form(polyharmonic_spec(3), Grid1D(length=1.0, n_interior=n)).operator
+        else:
+            profile = get_profile(source)
+            M = assemble_form(profile.spec, profile.grid(n)).operator
+        w, v = jacobi_eigh(M)
+        w_ref, v_ref = jacobi_oracle(M)
+        assert w.tobytes() == w_ref.tobytes()
+        assert v.tobytes() == v_ref.tobytes()
+
+    def test_rejects_nonsymmetric(self, monkeypatch):
         with pytest.raises(ContractError):
             jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
         with pytest.raises(ContractError):
             jacobi_eigh(np.ones((2, 3)))
+        # a non-finite matrix is rejected before any sweep
+        def no_sweeps(*args):
+            raise AssertionError("a sweep ran")
+        monkeypatch.setattr(spectral, "_jacobi_sweeps", no_sweeps)
+        for bad in (np.full((40, 40), np.nan), np.diag([1.0, np.inf, 2.0])):
+            with pytest.raises(ContractError, match="finite"):
+                jacobi_eigh(bad)
+        # a 0 x 0 matrix has an empty decomposition, with no warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, v = jacobi_eigh(np.zeros((0, 0)))
+        assert w.shape == (0,) and v.shape == (0, 0)
 
 
 class TestDecomposition:
