@@ -226,10 +226,10 @@ def run_verify_twist(cfg: RunConfig, out: str) -> list[ReportRow]:
 
         def sector():
             top = twist_mod.TwistedOperator(base=d, twist=tw)
-            shift = twist_mod.sector_shift_search(top, 0.5, samples)
-            shift_applied = shift * ((1.0 + 0.5) * top.unit)
-            angle, violations = twist_mod.numerical_range_sector(top, 0.5, shift_applied, samples)
-            return ReportRow("sector", dict(params, p=0.5, shift=shift), angle, not violations,
+            c = twist_mod.sector_shift_search(top, 0.5, samples)
+            shift = c * ((1.0 + 0.5) * top.unit)  # the shift applied, c (1+p) u
+            angle, violations = twist_mod.numerical_range_sector(top, 0.5, shift, samples)
+            return ReportRow("sector", dict(params, p=0.5, shift=shift, multiplier=c), angle, not violations,
                              {"violations": len(violations)} if violations else None)
 
         _guarded(rows, "appendix-b", params, appendix_b)

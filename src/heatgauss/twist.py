@@ -19,6 +19,11 @@ Q_{lambda psi}(f), and the Leibniz path contracts one stack of staggered
 images per level with a precomputed matrix, O(n m) per sample. The evolved
 twisted form Q(e^{-H_lambda t} f) is summed over modes, sum_k mu_k
 <g, phi_k>_h^2, a sum of non-negative terms, with no n x n propagator.
+
+The exact identities (twisted kernel, per(lambda), Appendix B) pass two
+routes a, b when |a - b| <= eps S, S the pair's a-priori error scale
+(_error_ratio; Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+ed., 2002, ch. 4 for sums, ch. 7 for linear systems).
 """
 
 from __future__ import annotations
@@ -48,6 +53,15 @@ def _kept(owner, key, make):
     if value is None:
         value = owner.derived[key] = make()
     return value
+
+
+def _error_ratio(err, scale) -> float:
+    """The one forward-error rule: |a - b| / (eps S) for err = |a - b| and the pair's error scale S,
+    the worst over arrays of them (one column norm each for vector routes). Two routes pass when it
+    is at most 1, and never at nan; no difference reads 0, also against a zero scale."""
+    if isinstance(err, np.ndarray):
+        return float(np.max([_error_ratio(*pair) for pair in zip(err.tolist(), scale.tolist())]))
+    return err / (EPS * scale) if err else 0.0
 
 
 @dataclass(frozen=True)
@@ -181,14 +195,14 @@ class PerLambdaTable:
     (l - k) h), and pairing (k, l) with (l, k) gives f^T (E^{-1} Q E) f -
     f^T Q f = sum_b w_b f[:-b] . (Q_b f[b:]) with w_b = 4 sinh^2(lambda a b h
     / 2), free of the cancellation of the difference. With fp[band_index][b,
-    i] = f[i + b], bands @ (fp[band_index] * f).ravel() gives per(lambda) and
-    Q(f): bands[0, b n + i] is w_b Q_b[i] and bands[1, b n + i] is Q_b[i]
-    (2 Q_b[i] for b > 0), the upper diagonals zero-padded to n. Leibniz path:
+    i] = f[i + b], bands[0] . (fp[band_index] * f).ravel() gives per(lambda):
+    bands[0, b n + i] is w_b Q_b[i], the upper diagonals zero-padded to n,
+    and bands[1] = |bands[0]| sums the terms' magnitudes. Leibniz path:
     fp[window_index][j, k] = f[k - j], so taps @ windows stacks the images
     D^d M^{level-d} f of every level (one convolution each, zero past column
     n + level); leibniz[p, q, k] sums a_ij(x_k) C_ij[d, e] over the
     coefficients of a level, p and q its rows d and e in the stack, and
-    h leibniz . (U_p U_q)_k is the Leibniz value.
+    h leibniz[0] . (U_p U_q)_k is the Leibniz value; leibniz[1] = |leibniz[0]|.
     """
 
     bands: np.ndarray
@@ -220,25 +234,26 @@ def per_lambda_table(form: FormMatrix, tw: TwistSpec) -> PerLambdaTable:
         rows = slice(stack.index((level, 0)), stack.index((level, level)) + 1)
         samples = form.spec.sample(i, j, level_positions(grid, level))
         leibniz[rows, rows, : n + level] += _leibniz_matrix(i, j, level, tw.lam, tw.a, h)[:, :, np.newaxis] * samples
-    weights = np.array([4.0 * np.sinh(tw.lam * tw.a * b * h / 2.0) ** 2, np.minimum(b, 1) + 1.0])
+    bands = ((4.0 * np.sinh(tw.lam * tw.a * b * h / 2.0) ** 2)[:, np.newaxis] * bands).ravel()
     return PerLambdaTable(
-        bands=freeze((weights[:, :, np.newaxis] * bands).reshape(2, -1)),
+        bands=freeze(np.stack([bands, np.abs(bands)])),
         band_index=freeze(m + np.add.outer(b, np.arange(n))),
         window_index=freeze(m - np.subtract.outer(b, np.arange(n + m))),
         taps=freeze(taps),
-        leibniz=freeze(leibniz.ravel()),
+        leibniz=freeze(np.stack([leibniz.ravel(), np.abs(leibniz.ravel())])),
     )
 
 
-def per_lambda(form: FormMatrix, tw: TwistSpec, f: np.ndarray, rel_tol: float = 1e-8) -> float:
+def per_lambda(form: FormMatrix, tw: TwistSpec, f: np.ndarray) -> float:
     """Twisted-form perturbation per(lambda) = Q_{lambda psi}(f) - Q(f).
 
     Evaluated two ways from the form's PerLambdaTable for tw: directly over
     the band diagonals of the form matrix, and by the exact discrete Leibniz
     expansion keeping only terms that differ from the untwisted top
-    contribution. Disagreement beyond rel_tol raises. The form keeps its
-    table per twist, so the table is built (and the twist's grid checked)
-    once per (form, tw), and each call is a few array steps of O(n m).
+    contribution. ConsistencyError unless the two sums agree to eps S, S = n
+    (sum |direct terms| + sum |Leibniz terms|). The form keeps its table per
+    twist, so the table is built (and the twist's grid checked) once per
+    (form, tw), and each call is a few array steps of O(n m).
     """
     if not np.count_nonzero(f):
         raise DomainError("per_lambda requires a nonzero sample function")
@@ -247,21 +262,22 @@ def per_lambda(form: FormMatrix, tw: TwistSpec, f: np.ndarray, rel_tol: float = 
     fp = np.zeros(n + 2 * m)
     fp[m : m + n] = f
 
-    # direct path: the band sums f[:-b] . (Q_b f[b:]), weighted for the twist
-    direct, plain_q = (table.bands @ (fp[table.band_index] * f).ravel()).tolist()
+    # direct path: sum_b f[:-b] . (w_b Q_b f[b:]), row 0 of a product whose two rows fix its sum order
+    pairs = (fp[table.band_index] * f).ravel()
+    direct = float((table.bands @ pairs)[0])
 
     # Leibniz path: h sum_k leibniz[p, q, k] U[p, k] U[q, k] over the image stack U
     U = table.taps @ fp[table.window_index]
-    leib = form.grid.h * float(table.leibniz @ (U[:, np.newaxis] * U).ravel())
+    UU = (U[:, np.newaxis] * U).ravel()
+    leib = form.grid.h * float(table.leibniz[0] @ UU)
 
-    # when per(lambda) cancels to round-off, the achievable agreement is set
-    # by the cancellation noise of the terms being subtracted, not by per itself
-    noise_floor = n * EPS * (abs(plain_q + direct) + abs(plain_q))
-    tolerance = max(rel_tol * max(abs(direct), abs(leib)), noise_floor)
-    if abs(direct - leib) > tolerance:
-        raise ConsistencyError(
-            f"per(lambda) paths disagree: direct={direct}, leibniz={leib}"
-        )
+    # S >= n (|direct| + |leib|): the sums of the terms' magnitudes are needed only past that
+    err = abs(direct - leib)
+    if not err <= EPS * n * (abs(direct) + abs(leib)):
+        size = float(table.bands[1] @ np.abs(pairs)) + form.grid.h * float(table.leibniz[1] @ np.abs(UU))
+        ratio = _error_ratio(err, n * size)
+        if not ratio <= 1.0:
+            raise ConsistencyError(f"per(lambda) paths disagree: direct={direct}, leibniz={leib}, ratio={ratio}")
     return direct
 
 
@@ -298,9 +314,8 @@ def _sector_excess(z: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
     return excess, excess > SECTOR_SLACK * np.maximum(np.abs(z), 1.0)
 
 
-def numerical_range_sector(
-    top: TwistedOperator, p: float, shift: float, samples: np.ndarray
-) -> tuple[float, list[dict]]:
+def numerical_range_sector(top: TwistedOperator, p: float, shift: float,
+                           samples: np.ndarray) -> tuple[float, list[dict]]:
     """Numerical-range points of the shifted twisted form against the sector |arg| <= atan(1/p).
 
     Returns the maximum observed angle and the list of violating samples
@@ -341,11 +356,7 @@ def sector_samples(d: SpectralDecomposition, seed: int = 42, count: int = 1000) 
     return freeze(out)
 
 
-def sector_shift_search(
-    top: TwistedOperator,
-    p: float,
-    samples: np.ndarray,
-) -> float:
+def sector_shift_search(top: TwistedOperator, p: float, samples: np.ndarray) -> float:
     """Least shift multiplier c that puts every sample's numerical-range point in the sector.
 
     The shift applied is c (1+p) u, u = (1+s)^{2m} lambda^{2m}, and it lowers p |Im z| - Re z by as
@@ -369,22 +380,17 @@ def sector_shift_search(
 def twisted_kernel(ev, tw: TwistSpec, t: float, i: int, j: int) -> float:
     """Kernel of the twisted semigroup: e^{-lam psi(x)} k(t,x,y) e^{lam psi(y)}.
 
-    Cross-checked against entry (i, j) of the similarity route E^{-1} K(t) E, K(t)
-    the kernel table read by `ev.block`; the two routes must agree to 1e-10 relative.
+    Cross-checked against entry (i, j) of the similarity route E^{-1} K(t) E, K(t) the kernel
+    table read by `ev.block`, to eps n max(k(t,x_i,x_i), k(t,x_j,x_j)) e_j / e_i.
     """
     x, e = ev.grid.points, tw.weights()
     base = kernel_eval(ev, t, i, j)
     value = math.exp(-tw.lam * float(tw.psi(x[i]))) * base * math.exp(tw.lam * float(tw.psi(x[j])))
     via_matrix = ev.block(t, [i], [j])[0, 0] * e[j] / e[i]
-    # the two routes sum the same modal series in different orders; their
-    # agreement floor in the Gaussian tail is set by round-off against the
-    # diagonal kernel scale, on which the twist weights cancel
     diag_scale = max(kernel_eval(ev, t, i, i), kernel_eval(ev, t, j, j))
-    noise = len(ev.decomposition.eigenvalues) * EPS * diag_scale
-    if abs(value - via_matrix) > 1e-10 * max(abs(value), abs(via_matrix)) + noise:
-        raise ConsistencyError(
-            f"twisted kernel mismatch: direct={value}, similarity={via_matrix}"
-        )
+    ratio = _error_ratio(abs(value - via_matrix), len(e) * diag_scale * e[j] / e[i])
+    if not ratio <= 1.0:
+        raise ConsistencyError(f"twisted kernel mismatch: direct={value}, similarity={via_matrix}, ratio={ratio}")
     return value
 
 
@@ -394,12 +400,8 @@ def _twisted_norms(d: SpectralDecomposition, tw: TwistSpec, keys) -> list[float]
     The weights are w = decay_weights(t (mu - s)) for kind "P", the twisted
     semigroup, and (mu - s) w for kind "HP", Hhat_lambda times it. Each norm
     is kept in d.derived under (tw, kind, t); only the missing ones are
-    computed, all from one QR pair. The memo pays only where one decomposition
-    is asked for the same (twist, kind, t) again: the norm fit, the P half of
-    the mixed fit and the default c2 of the evolved-form check share the P
-    norms, and later calls on a kept decomposition read all of them; a run
-    that asks once per twist, as verify-twist does, computes every norm as
-    before.
+    computed, all from one QR pair (the norm fit, the mixed fit and the
+    evolved-form check's default c2 share the P norms).
 
     With O = sqrt(h) Phi orthogonal, the matrix is (E^{-1} O) diag(w) (E O)^T;
     QR of both factors leaves sigma_max(R_- diag(w) R_+^T). The weights of a
@@ -444,14 +446,8 @@ def twisted_semigroup_norm_fit(d: SpectralDecomposition, tw: TwistSpec, t_grid) 
     return {"c": c, "norms": norms}
 
 
-def mixed_norm_bound_fit(
-    d: SpectralDecomposition,
-    tw: TwistSpec,
-    t_grid,
-    alpha: float,
-    beta: float,
-    c_growth: float,
-) -> dict:
+def mixed_norm_bound_fit(d: SpectralDecomposition, tw: TwistSpec, t_grid, alpha: float, beta: float,
+                         c_growth: float) -> dict:
     """Fit c2' in the combined estimate on ||Hhat e^{-Hhat t}|| + beta-weighted norm.
 
     The right-hand envelope is (c2'/(alpha t)) * exp(c_growth (1+alpha) u t)
@@ -522,18 +518,27 @@ def evolved_twisted_form_check(
     return {"c1": fit.fitted, "c2": c2}
 
 
+def _spectrum_residual_ratio(d: SpectralDecomposition, H_lam: np.ndarray, e: np.ndarray) -> float:
+    """Worst _error_ratio of the residual H_lambda V - V Lambda, V = E^{-1} Phi, against
+    E^{-1} (H Phi - Phi Lambda), equal for any Phi and Lambda (so H's own residual cancels),
+    per column k at S = n ||(|H_lambda| |V| + |V| |Lambda|)_k|| (|H_lambda| |V| = E^{-1} |H| |Phi|)."""
+    phi, mu, V = d.eigenvectors, d.eigenvalues, d.eigenvectors / e
+    size = len(mu) * np.linalg.norm(np.abs(H_lam) @ np.abs(V) + np.abs(V * mu), axis=0)
+    return _error_ratio(np.linalg.norm(H_lam @ V - V * mu - (d.operator @ phi - phi * mu) / e, axis=0), size)
+
+
 def appendix_b_identities(d: SpectralDecomposition, tw: TwistSpec, z: complex) -> dict:
     """Exact conjugation identities: resolvent similarity and spectrum equality.
 
-    Verifies (z - H_lam)^{-1} = E^{-1} (z - H)^{-1} E on APPENDIX_B_RHS
-    seeded right-hand sides and that the sorted spectra of H and H_lam agree.
-    z is rejected only when it lies within 1e-6 (|z| + mu_1) of the spectrum,
-    a relative distance that does not grow with mu_n. Neither the right-hand
-    sides nor the spectrum of H_lam depend on z: the decomposition keeps the
-    former once and the latter per twist, so the eigensolve runs once per (d, tw).
+    Verifies (z - H_lam)^{-1} = E^{-1} (z - H)^{-1} E on APPENDIX_B_RHS seeded
+    right-hand sides, each column to eps n cond ||X2||, cond = max|z - mu| / min|z - mu|,
+    and that H_lam has the eigenpairs of H (_spectrum_residual_ratio). z is rejected
+    only within 1e-6 (|z| + mu_1) of the spectrum. Neither the right-hand sides nor the
+    residual depend on z: the decomposition keeps them, the residual once per (d, tw).
     """
     mu = d.eigenvalues
-    if np.min(np.abs(z - mu)) < 1e-6 * (abs(z) + mu[0]):
+    dist = np.abs(z - mu)
+    if np.min(dist) < 1e-6 * (abs(z) + mu[0]):
         raise ConditioningError(f"z={z} within 1e-6*(|z|+mu_1) of the spectrum")
     S = d.operator
     n = S.shape[0]
@@ -542,7 +547,7 @@ def appendix_b_identities(d: SpectralDecomposition, tw: TwistSpec, z: complex) -
     # matrices are built in place, as fresh n x n temporaries page-fault on every call
     A = np.empty((2, n, n), dtype=complex)
     H_lam = conjugate(S, tw, out=A.real[0])
-    spec_tw = _kept(d, (tw, "spectrum"), lambda: freeze(np.sort(np.linalg.eigvals(H_lam).real)))
+    spectrum_ratio = _kept(d, (tw, "spectrum"), lambda: _spectrum_residual_ratio(d, H_lam, e))
     A.real[1] = S
     np.negative(A.real, out=A.real)
     A.imag[...] = 0.0
@@ -554,13 +559,8 @@ def appendix_b_identities(d: SpectralDecomposition, tw: TwistSpec, z: complex) -
     B[1] = e * G
     X1, Y = np.linalg.solve(A, B)
     X2 = Y / e
-    rel = np.linalg.norm(X1 - X2, axis=0) / np.maximum(np.linalg.norm(X2, axis=0), 1e-300)
-    worst_resolvent = float(np.max(rel, initial=0.0))
-    worst_spectrum = float(np.max(np.abs(spec_tw - mu)) / mu[-1])
-    ok = worst_resolvent <= 1e-8 and worst_spectrum <= 1e-8
-    return {
-        "z": complex(z),
-        "resolvent_rel_err": worst_resolvent,
-        "spectrum_rel_err": worst_spectrum,
-        "ok": ok,
-    }
+    err, size = np.linalg.norm(X1 - X2, axis=0), np.linalg.norm(X2, axis=0)
+    resolvent_ratio = _error_ratio(err, n * np.max(dist) / np.min(dist) * size)
+    return {"z": complex(z), "resolvent_rel_err": float(np.max(err / np.maximum(size, 1e-300), initial=0.0)),
+            "resolvent_ratio": resolvent_ratio, "spectrum_ratio": spectrum_ratio,
+            "ok": resolvent_ratio <= 1.0 and spectrum_ratio <= 1.0}

@@ -139,6 +139,30 @@ def beam400():
     return _decomp("beam-1", 400)
 
 
+def _eigh_decomp(spec: OperatorSpec, n: int):
+    """Form and decomposition of spec on [0, 1] from LAPACK eigh, whatever the coefficient table:
+    the m = 3 and beam-1 cells at n >= 400 where cyclic Jacobi's mu_1 is far off or too slow."""
+    form = assemble_form(spec, Grid1D(length=1.0, n_interior=n))
+    w, v = np.linalg.eigh(form.operator)
+    phi = v / math.sqrt(form.grid.h)
+    return form, SpectralDecomposition(eigenvalues=w, eigenvectors=phi, grid=form.grid, m=spec.m)
+
+
+@pytest.fixture(scope="session")
+def poly3_400_eigh():
+    return _eigh_decomp(polyharmonic_spec(3), 400)
+
+
+@pytest.fixture(scope="session")
+def poly3_800_eigh():
+    return _eigh_decomp(polyharmonic_spec(3), 800)
+
+
+@pytest.fixture(scope="session")
+def beam800_eigh():
+    return _eigh_decomp(polyharmonic_spec(2), 800)
+
+
 @pytest.fixture(scope="session")
 def poly3_40():
     form = assemble_form(polyharmonic_spec(3), Grid1D(length=1.0, n_interior=40))

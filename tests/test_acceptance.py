@@ -209,7 +209,7 @@ def test_criterion_5_twist_exactness(laplace400):
         form, d = laplace400
         ev = HeatKernelEvaluator(d)
         tw = TwistSpec(grid=d.grid, x0=d.grid.length / 2.0, a=1.0, lam=1.0)
-        # twisted kernel: raises when its two routes differ beyond 1e-10 relative
+        # twisted kernel: raises when its two routes differ beyond eps n max(k_ii, k_jj) e_j / e_i
         for t, i, j in [(0.05, 30, 300), (0.5, 100, 200), (2.0, 10, 390)]:
             twisted_kernel(ev, tw, t, i, j)
         spec = np.sort(np.linalg.eigvals(conjugate(d.operator_matrix(), tw)).real)
@@ -220,7 +220,7 @@ def test_criterion_5_twist_exactness(laplace400):
         rng = np.random.default_rng(42)
         samples = rng.standard_normal((1000, d.grid.n_interior))
         for f in samples:
-            per_lambda(form, tw, f, rel_tol=1e-8)  # raises on dual-path mismatch
+            per_lambda(form, tw, f)  # raises on dual-path mismatch
     except Exception:
         ok = False
         raise

@@ -276,6 +276,8 @@ class TestCliRuns:
                 codes[sub] = main([sub, "--config", str(cfg), "--out", str(tmp_path / sub)])
                 assert "lam_grid" not in capsys.readouterr().err
         assert codes["spectrum"] == codes["verify-inequalities"] == 0
+        # the twisted kernel's two routes at lam = 1 (weights up to e^15) agree within their error scale
+        assert codes["verify-twist"] == 0
         rows = list(csv.DictReader((tmp_path / "verify-twist" / "verify_twist.csv").open(encoding="utf-8")))
         fits = [r["params"] for r in rows if r["check"] == "twisted-norm-fit"]
         assert fits == ["lam=0;n=40", "lam=0.5;n=40", "lam=1;n=40"]
@@ -423,6 +425,23 @@ class TestCliRuns:
         assert len(failing) == 2  # one per gamma, or one per lambda
         assert set(later) <= {r[0] for r in rows}
         assert all(r[3] == "true" for r in rows if r[0] != check)
+
+    def test_sector_rows_show_the_applied_shift(self, tmp_path):
+        # shift= is the shift c (1+p) u that the verdict applies and multiplier= is c; the m = 3 rows
+        # used to print c alone (2.8e-25 at lam = 1, n = 80, for a shift of 9,377)
+        cfg = tmp_path / "poly3.cfg"
+        cfg.write_text(POLY3_CFG, encoding="utf-8")
+        out = tmp_path / "out"
+        # exits 1: at lam = 2 the sector verdict flags the worst sample at its own least shift,
+        # 3.2e4, where rounding of z + shift exceeds the 1e-12 slack; the params are written all the same
+        assert main(["verify-twist", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+        s = cli_mod._decompose(load_run_config(str(cfg)))[1].gap
+        rows = [r for r in csv.DictReader((out / "verify_twist.csv").open(encoding="utf-8")) if r["check"] == "sector"]
+        assert rows
+        for row in rows:
+            params = dict(kv.split("=") for kv in row["params"].split(";"))
+            lam, p, c = float(params["lam"]), float(params["p"]), float(params["multiplier"])
+            assert float(params["shift"]) == c * ((1.0 + p) * (1.0 + s) ** 6 * lam**6) > 1.0
 
     def test_verify_twist_asks_each_norm_once(self, tmp_path, monkeypatch):
         # one norm fit per lambda and an explicit c2 for the evolved check: the
