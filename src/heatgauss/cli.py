@@ -26,7 +26,7 @@ from .assembly import (
 )
 from .config import N_MAX, RunConfig, load_run_config
 from .core import Grid1D
-from .errors import ConfigurationError, HeatGaussError, UnsupportedError
+from .errors import ConfigurationError, HeatGaussError, PropertyViolation, UnsupportedError
 from .profiles import BUILTIN_PROFILES, get_profile
 from .reporting import (
     KERNEL_HEADER,
@@ -86,12 +86,18 @@ def sample_functions(d: SpectralDecomposition, rng: np.random.Generator, count: 
     return np.vstack([structured, randoms])
 
 
+def _decomposition(cfg: RunConfig, n: int) -> tuple[FormMatrix, SpectralDecomposition]:
+    """Form and decomposition of the configured operator at n; a non-positive one is a config error."""
+    form = _build_form(cfg, n)
+    try:
+        return form, SpectralDecomposition.from_form(form)
+    except PropertyViolation as exc:  # the constructor's mu_1 > 0 check
+        raise ConfigurationError(f"the configured operator is not positive: mu_1 = {exc.witness['mu_1']}") from None
+
+
 def _decompose(cfg: RunConfig) -> tuple[FormMatrix, SpectralDecomposition, HeatKernelEvaluator]:
     """Form, decomposition and kernel evaluator of the configured operator at n = cfg.n."""
-    form = _build_form(cfg, cfg.n)
-    d = SpectralDecomposition.from_form(form)
-    if d.eigenvalues[0] <= 0:
-        raise ConfigurationError(f"the configured operator is not positive: mu_1 = {d.eigenvalues[0]}")
+    form, d = _decomposition(cfg, cfg.n)
     return form, d, HeatKernelEvaluator(d)
 
 
@@ -133,8 +139,7 @@ def run_spectrum(cfg: RunConfig, out: str) -> list[ReportRow]:
         ([k, mu] for k, mu in enumerate(d.eigenvalues)),
     )
     write_csv(os.path.join(out, "gap.csv"), ["gap"], [[d.gap]])
-    return [ReportRow("spectral-gap", {"n": cfg.n, "m": cfg.m}, d.gap, d.gap > 0,
-                      None if d.gap > 0 else {"gap": d.gap})]
+    return [ReportRow("spectral-gap", {"n": cfg.n, "m": cfg.m}, d.gap, True)]
 
 
 def run_kernel(cfg: RunConfig, out: str) -> list[ReportRow]:
@@ -158,8 +163,7 @@ def run_verify_bounds(cfg: RunConfig, out: str, refine: bool) -> list[ReportRow]
     if refine and 2 * cfg.n > N_MAX:
         raise ConfigurationError(f"--refine decomposes at 2n = {2 * cfg.n}, above n = {N_MAX}; use n <= {N_MAX // 2}")
     form, d, ev = _decompose(cfg)
-    refined_ev = HeatKernelEvaluator(SpectralDecomposition.from_form(_build_form(cfg, 2 * cfg.n))) \
-        if refine else None
+    refined_ev = HeatKernelEvaluator(_decomposition(cfg, 2 * cfg.n)[1]) if refine else None
     f_train, f_holdout = _train_holdout(d, cfg.seed, cfg.sample_count)
     x_indices = list(range(2, cfg.n - 2, max(cfg.n // 16, 1)))
     rows = []

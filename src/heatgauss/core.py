@@ -1,4 +1,4 @@
-"""Domain, grid, read-only array helpers, decay schedules, held-out fitting and the spectral-gap reference function."""
+"""Domain, grid, read-only arrays, the round-off rule, decay schedules, held-out fitting and the g~ majorant."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import numpy as np
 from .errors import DomainError, ParameterError
 
 HOLDOUT_SLACK = 1e-9  # relative round-off allowed between a held-out sup and its fitted constant
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,15 @@ def is_frozen(a: np.ndarray) -> bool:
 def read_only(a: np.ndarray) -> np.ndarray:
     """a itself when is_frozen reports it read-only, else a read-only copy of it."""
     return a if is_frozen(a) else freeze(np.array(a))
+
+
+def error_ratio(err, scale) -> float:
+    """The one round-off rule (Higham 2002, ch. 4): |a - b| / (eps S) for err = |a - b| and the pair's
+    a-priori error scale S, the worst over arrays of them (one column norm each for vector routes). Two
+    routes pass when it is at most 1, and never at nan; no difference reads 0, also against a zero scale."""
+    if isinstance(err, np.ndarray):
+        return float(np.max([error_ratio(*pair) for pair in zip(err.tolist(), scale.tolist())]))
+    return err / (EPS * scale) if err else 0.0
 
 
 def holdout_within(held: float, fitted: float) -> bool:

@@ -32,15 +32,16 @@ class SearchGrid:
         self.rng = np.random.default_rng(self.seed)
 
     def perturbations(self, worst: dict[str, float], names: list[str]):
-        """REFINEMENT_SAMPLES uniform draws per axis on worst[name] +- 5 % of the axis's linear range
-        (max - min), clipped to [min, max]. On a geometric axis they are not near a low `worst`:
-        around a = 1e-3 on [1e-3, 1e3] they cover [1e-3, ~50] and about half sit on the edge."""
+        """REFINEMENT_SAMPLES uniform draws per ascending axis within +- 5 % of its index range around
+        worst[name]'s position on it (np.interp), clipped to the axis and mapped back: on a geometric
+        axis the draws stay near the witness in log terms, and no axis has to be positive."""
         out = {}
         for name in names:
             axis = self.axes[name]
-            lo, hi = float(np.min(axis)), float(np.max(axis))
-            center, spread = worst[name], 0.05 * (hi - lo)
-            out[name] = np.clip(self.rng.uniform(center - spread, center + spread, REFINEMENT_SAMPLES), lo, hi)
+            index, top = np.arange(axis.size), axis.size - 1.0
+            center, spread = float(np.interp(worst[name], axis, index)), 0.05 * top
+            draws = self.rng.uniform(center - spread, center + spread, REFINEMENT_SAMPLES)
+            out[name] = np.interp(np.clip(draws, 0.0, top), index, axis)
         return out
 
 

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .assembly import FormMatrix
-from .core import Grid1D, freeze, read_only
+from .core import Grid1D, error_ratio, freeze, read_only
 from .errors import (
     ContractError,
     DomainError,
@@ -27,7 +27,6 @@ from .errors import (
 
 JACOBI_MAX_SWEEPS = 100
 EXP_UNDERFLOW_CAP = 700.0  # exp(-x) underflows to exact zero well before x = 745
-EVOLVED_FORM_SLACK = 1e-10  # relative round-off allowed above 1 in evolved_form_bound_check
 
 
 def _jacobi_sweeps(W: np.ndarray, tol: float, max_sweeps: int) -> int:
@@ -119,9 +118,9 @@ def jacobi_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class SpectralDecomposition:
     """Ascending eigenvalues and h-orthonormal eigenvectors of a form matrix.
 
-    Both arrays are read-only by construction (a writable one is copied), so
-    quantities derived from them are kept on the decomposition (operator,
-    derived).
+    Both arrays are read-only by construction (a writable one is copied), so quantities derived from
+    them are kept on the decomposition (operator, derived). The constructor checks what every reader
+    assumes: shapes (n,) and (n, n), finite non-decreasing values (ContractError), mu_1 > 0 (PropertyViolation).
     """
 
     eigenvalues: np.ndarray
@@ -132,8 +131,15 @@ class SpectralDecomposition:
     derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", read_only(self.eigenvalues))
-        object.__setattr__(self, "eigenvectors", read_only(self.eigenvectors))
+        mu, phi, n = read_only(self.eigenvalues), read_only(self.eigenvectors), self.grid.n_interior
+        object.__setattr__(self, "eigenvalues", mu)
+        object.__setattr__(self, "eigenvectors", phi)
+        if mu.shape != (n,) or phi.shape != (n, n):
+            raise ContractError(f"expected shapes ({n},) and ({n}, {n}), got {mu.shape} and {phi.shape}")
+        if not (np.isfinite(mu).all() and np.isfinite(phi).all() and (mu[1:] >= mu[:-1]).all()):
+            raise ContractError("eigenvalues and eigenvectors must be finite, the eigenvalues non-decreasing")
+        if not mu[0] > 0:
+            raise PropertyViolation(f"Dirichlet positivity violated: mu_1 = {mu[0]}", witness={"mu_1": float(mu[0])})
 
     @classmethod
     def from_form(cls, form: FormMatrix) -> "SpectralDecomposition":
@@ -151,12 +157,8 @@ class SpectralDecomposition:
 
     @property
     def gap(self) -> float:
-        """Least eigenvalue mu_1, the infimum of the discrete Rayleigh quotient; raises
-        PropertyViolation unless it is positive."""
-        s = float(self.eigenvalues[0])
-        if not s > 0:  # also rejects nan
-            raise PropertyViolation(f"Dirichlet positivity violated: mu_1 = {s}")
-        return s
+        """Least eigenvalue mu_1 > 0, the infimum of the discrete Rayleigh quotient."""
+        return float(self.eigenvalues[0])
 
     def coefficients(self, f: np.ndarray) -> np.ndarray:
         """Modal coefficients <f, phi_k>_h."""
@@ -273,22 +275,21 @@ def evolved_form_bound_check(
     """Check Q(e^{-Ht} f) <= g~(t) ||f||^2 for each (t, f); returns report rows.
 
     Both sides are read with e^{-2st} factored out: e^{2st} Q(e^{-Ht} f) = sum_k mu_k e^{-2t(mu_k - s)}
-    c_k^2 from evolved_forms against e^{2st} g~(t) ||f||^2, which is s ||f||^2 for t > 1/s and
-    e^{st-1}/t ||f||^2 before, so neither side flushes. Raises PropertyViolation at the first (f, t),
-    in row order, whose ratio exceeds 1 + EVOLVED_FORM_SLACK.
+    c_k^2 from evolved_forms against e^{2st} g~(t) ||f||^2 (s ||f||^2 for t > 1/s, e^{st-1}/t ||f||^2
+    before), so neither side flushes. Each term is at most the bound's on an ascending positive spectrum:
+    PropertyViolation at the first (f, t), in row order, where Q - bound > eps n (Q + bound) (core.error_ratio).
     """
-    s = d.gap
+    s, n = d.gap, d.eigenvalues.size
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
     # one product per sample: a matrix product would round the coefficients differently
-    c = np.array([d.coefficients(f) for f in np.atleast_2d(f_samples)]).reshape(-1, d.eigenvalues.size)
-    # a mode below the gap (eigenvalues out of order) weighs up to e^700: an inf ratio fails
-    with np.errstate(over="ignore"):
-        q = evolved_forms(d, c, ts)
+    c = np.array([d.coefficients(f) for f in np.atleast_2d(f_samples)]).reshape(-1, n)
+    q = evolved_forms(d, c, ts)
     # e^{2st} g~(t): s past t = 1/s, e^{st-1}/t before (the minimum keeps the unused branch finite)
     bound = np.where(ts > 1.0 / s, s, np.exp(np.minimum(s * ts, 1.0) - 1.0) / ts) * np.sum(c**2, axis=1)[:, np.newaxis]
     ratios = np.divide(q, bound, out=np.zeros_like(q), where=bound > 0)  # f = 0: both sides vanish
-    bad = np.flatnonzero(ratios > 1.0 + EVOLVED_FORM_SLACK)
-    if bad.size:
+    err, scale = np.maximum(q - bound, 0.0).ravel().tolist(), (n * (q + bound)).ravel().tolist()
+    bad = [k for k, pair in enumerate(zip(err, scale)) if not error_ratio(*pair) <= 1.0]
+    if bad:
         fi, ti = np.unravel_index(bad[0], ratios.shape)
         raise PropertyViolation(
             f"evolved form bound violated: ratio {float(ratios[fi, ti])} at t={float(ts[ti])}",

@@ -22,8 +22,8 @@ twisted form Q(e^{-H_lambda t} f) is summed over modes, sum_k mu_k
 
 The exact identities (twisted kernel, per(lambda), Appendix B) pass two
 routes a, b when |a - b| <= eps S, S the pair's a-priori error scale
-(_error_ratio; Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-ed., 2002, ch. 4 for sums, ch. 7 for linear systems).
+(core.error_ratio; Higham, Accuracy and Stability of Numerical Algorithms,
+2nd ed., 2002, ch. 4 for sums, ch. 7 for linear systems).
 """
 
 from __future__ import annotations
@@ -35,16 +35,15 @@ from functools import cached_property
 import numpy as np
 
 from .assembly import FormMatrix, level_positions, staggered_taps
-from .core import Grid1D, fit_holdout, freeze, is_frozen
+from .core import EPS, Grid1D, error_ratio, fit_holdout, freeze, is_frozen
 from .errors import ConditioningError, ConsistencyError, DomainError, PropertyViolation
 from .spectral import SpectralDecomposition, decay_weights, evolved_forms, kernel_eval
 
 TWIST_CAP = 40.0  # |lambda| * L cap keeping diag(exp(lambda psi)) in double range
 RANGE_CHUNK = 64  # samples per matmul in numerical_range_values
-SECTOR_SLACK = 1e-12  # round-off allowed outside the sector, relative to max(|z|, 1)
+SECTOR_SLACK = 1e-12  # round-off allowed outside the sector, relative to max(|z| + |shift|, 1)
 APPENDIX_B_RHS = 10  # seeded right-hand sides of the resolvent identity
 APPENDIX_B_SEED = 42
-EPS = np.finfo(float).eps
 
 
 def _kept(owner, key, make):
@@ -53,15 +52,6 @@ def _kept(owner, key, make):
     if value is None:
         value = owner.derived[key] = make()
     return value
-
-
-def _error_ratio(err, scale) -> float:
-    """The one forward-error rule: |a - b| / (eps S) for err = |a - b| and the pair's error scale S,
-    the worst over arrays of them (one column norm each for vector routes). Two routes pass when it
-    is at most 1, and never at nan; no difference reads 0, also against a zero scale."""
-    if isinstance(err, np.ndarray):
-        return float(np.max([_error_ratio(*pair) for pair in zip(err.tolist(), scale.tolist())]))
-    return err / (EPS * scale) if err else 0.0
 
 
 @dataclass(frozen=True)
@@ -275,7 +265,7 @@ def per_lambda(form: FormMatrix, tw: TwistSpec, f: np.ndarray) -> float:
     err = abs(direct - leib)
     if not err <= EPS * n * (abs(direct) + abs(leib)):
         size = float(table.bands[1] @ np.abs(pairs)) + form.grid.h * float(table.leibniz[1] @ np.abs(UU))
-        ratio = _error_ratio(err, n * size)
+        ratio = error_ratio(err, n * size)
         if not ratio <= 1.0:
             raise ConsistencyError(f"per(lambda) paths disagree: direct={direct}, leibniz={leib}, ratio={ratio}")
     return direct
@@ -305,13 +295,14 @@ def numerical_range_values(Hhat: np.ndarray, samples: np.ndarray) -> np.ndarray:
     return z
 
 
-def _sector_excess(z: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """The one sector rule: p |Im z| - Re z of each point, and where it exceeds the round-off
-    slack SECTOR_SLACK max(|z|, 1), which puts the point outside the sector |arg z| <= atan(1/p)."""
+def _sector_excess(z: np.ndarray, p: float, shift: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one sector rule on the shifted points w = z + shift: each w, its p |Im w| - Re w and its
+    round-off slack SECTOR_SLACK max(|z| + |shift|, 1), which reads the size of the numbers summed. w
+    is outside the sector |arg w| <= atan(1/p) where the excess exceeds the slack."""
     if not (0.0 < p < 1.0):
         raise DomainError(f"sector parameter p must lie in (0,1), got {p}")
-    excess = p * np.abs(z.imag) - z.real
-    return excess, excess > SECTOR_SLACK * np.maximum(np.abs(z), 1.0)
+    w = z + shift
+    return w, p * np.abs(w.imag) - w.real, SECTOR_SLACK * np.maximum(np.abs(z) + abs(shift), 1.0)
 
 
 def numerical_range_sector(top: TwistedOperator, p: float, shift: float,
@@ -319,14 +310,13 @@ def numerical_range_sector(top: TwistedOperator, p: float, shift: float,
     """Numerical-range points of the shifted twisted form against the sector |arg| <= atan(1/p).
 
     Returns the maximum observed angle and the list of violating samples
-    (violations are data, not exceptions). A point within the slack of the
+    (violations are data, not exceptions). A point within its slack of the
     origin is inside and reads angle 0.
     """
-    z = top.numerical_range(samples) + shift
-    _, bad = _sector_excess(z, p)
-    angles = np.where(np.abs(z) <= SECTOR_SLACK, 0.0, np.abs(np.arctan2(z.imag, z.real)))
+    z, excess, slack = _sector_excess(top.numerical_range(samples), p, shift)
+    angles = np.where(np.abs(z) <= slack, 0.0, np.abs(np.arctan2(z.imag, z.real)))
     violations = [
-        {"sample": int(si), "z": complex(z[si]), "angle": float(angles[si])} for si in np.flatnonzero(bad)
+        {"sample": int(si), "z": complex(z[si]), "angle": float(angles[si])} for si in np.flatnonzero(excess > slack)
     ]
     return float(np.max(angles, initial=0.0)), violations
 
@@ -364,8 +354,8 @@ def sector_shift_search(top: TwistedOperator, p: float, samples: np.ndarray) -> 
     u = 0 (lambda = 0) a point outside raises PropertyViolation with its sample as witness.
     """
     z = top.numerical_range(samples)
-    excess, bad = _sector_excess(z, p)
-    if not bad.any():
+    _, excess, slack = _sector_excess(z, p, 0.0)
+    if not (excess > slack).any():
         return 0.0
     unit = (1.0 + p) * top.unit
     worst = int(np.argmax(excess))
@@ -388,7 +378,7 @@ def twisted_kernel(ev, tw: TwistSpec, t: float, i: int, j: int) -> float:
     value = math.exp(-tw.lam * float(tw.psi(x[i]))) * base * math.exp(tw.lam * float(tw.psi(x[j])))
     via_matrix = ev.block(t, [i], [j])[0, 0] * e[j] / e[i]
     diag_scale = max(kernel_eval(ev, t, i, i), kernel_eval(ev, t, j, j))
-    ratio = _error_ratio(abs(value - via_matrix), len(e) * diag_scale * e[j] / e[i])
+    ratio = error_ratio(abs(value - via_matrix), len(e) * diag_scale * e[j] / e[i])
     if not ratio <= 1.0:
         raise ConsistencyError(f"twisted kernel mismatch: direct={value}, similarity={via_matrix}, ratio={ratio}")
     return value
@@ -519,12 +509,12 @@ def evolved_twisted_form_check(
 
 
 def _spectrum_residual_ratio(d: SpectralDecomposition, H_lam: np.ndarray, e: np.ndarray) -> float:
-    """Worst _error_ratio of the residual H_lambda V - V Lambda, V = E^{-1} Phi, against
+    """Worst error_ratio of the residual H_lambda V - V Lambda, V = E^{-1} Phi, against
     E^{-1} (H Phi - Phi Lambda), equal for any Phi and Lambda (so H's own residual cancels),
     per column k at S = n ||(|H_lambda| |V| + |V| |Lambda|)_k|| (|H_lambda| |V| = E^{-1} |H| |Phi|)."""
     phi, mu, V = d.eigenvectors, d.eigenvalues, d.eigenvectors / e
     size = len(mu) * np.linalg.norm(np.abs(H_lam) @ np.abs(V) + np.abs(V * mu), axis=0)
-    return _error_ratio(np.linalg.norm(H_lam @ V - V * mu - (d.operator @ phi - phi * mu) / e, axis=0), size)
+    return error_ratio(np.linalg.norm(H_lam @ V - V * mu - (d.operator @ phi - phi * mu) / e, axis=0), size)
 
 
 def appendix_b_identities(d: SpectralDecomposition, tw: TwistSpec, z: complex) -> dict:
@@ -560,7 +550,7 @@ def appendix_b_identities(d: SpectralDecomposition, tw: TwistSpec, z: complex) -
     X1, Y = np.linalg.solve(A, B)
     X2 = Y / e
     err, size = np.linalg.norm(X1 - X2, axis=0), np.linalg.norm(X2, axis=0)
-    resolvent_ratio = _error_ratio(err, n * np.max(dist) / np.min(dist) * size)
+    resolvent_ratio = error_ratio(err, n * np.max(dist) / np.min(dist) * size)
     return {"z": complex(z), "resolvent_rel_err": float(np.max(err / np.maximum(size, 1e-300), initial=0.0)),
             "resolvent_ratio": resolvent_ratio, "spectrum_ratio": spectrum_ratio,
             "ok": resolvent_ratio <= 1.0 and spectrum_ratio <= 1.0}

@@ -330,6 +330,17 @@ class TestCliRuns:
         assert "past the underflow cap 700.0" in err and "resolvable floor" not in err
         assert not out.exists()
 
+    def test_non_positive_operator_exits_2_without_artifacts(self, tmp_path, capsys):
+        # a_00 = -1000 pulls mu_1 below 0: the decomposition's own check, read as a config error
+        (tmp_path / "neg.csv").write_text("i,j,x,value\n0,0,0.0,-1000\n1,1,0.0,1\n", encoding="utf-8")
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text(f"[operator]\nsource = csv:{tmp_path / 'neg.csv'}\nm = 1\nL = 1\nn = 40\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "config error: the configured operator is not positive: mu_1 = -990.1352235797423\n"
+        assert not out.exists()
+
     def test_infinite_c1_fails_verify_bounds_and_exits_2_elsewhere(self, tmp_path, capsys):
         # c2 = 10 drives every envelope past the float range where the kernel is not 0, so the sup
         # ratio reads inf at the only c2: a failing fit-envelope row, and no envelope for kernel or report
@@ -432,9 +443,7 @@ class TestCliRuns:
         cfg = tmp_path / "poly3.cfg"
         cfg.write_text(POLY3_CFG, encoding="utf-8")
         out = tmp_path / "out"
-        # exits 1: at lam = 2 the sector verdict flags the worst sample at its own least shift,
-        # 3.2e4, where rounding of z + shift exceeds the 1e-12 slack; the params are written all the same
-        assert main(["verify-twist", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+        assert main(["verify-twist", "--config", str(cfg), "--out", str(out)]) == 0
         s = cli_mod._decompose(load_run_config(str(cfg)))[1].gap
         rows = [r for r in csv.DictReader((out / "verify_twist.csv").open(encoding="utf-8")) if r["check"] == "sector"]
         assert rows

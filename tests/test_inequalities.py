@@ -62,6 +62,23 @@ class TestCheckBasic:
         assert one["worst_point"] == two["worst_point"]
         assert one["worst_margin"] == two["worst_margin"]
 
+    def test_cloud_finds_a_dip_between_the_first_geometric_nodes(self, monkeypatch):
+        # the margin lowered by 1e-6 only for a, b in (1.2e-3, 2.5e-3): no grid node (1e-3, 2.9e-3, ...)
+        # sees it, the witness a = b = 1e-3 sits next to it, and the cloud drawn in index range reaches it
+        from heatgauss import inequalities
+
+        margin = inequalities._basic_margin
+
+        def planted(a, b, p, q, eps):
+            inside = (1.2e-3 < a) & (a < 2.5e-3) & (1.2e-3 < b) & (b < 2.5e-3)
+            return margin(a, b, p, q, eps) - 1e-6 * inside
+
+        monkeypatch.setattr(inequalities, "_basic_margin", planted)
+        for seed in range(1, 21):
+            with pytest.raises(PropertyViolation, match="Young inequality violated in refinement cloud") as err:
+                check_basic(basic_grid(seed=seed))
+            assert err.value.witness["a"] == err.value.witness["b"] == 1e-3
+
 
 class TestCheckBond:
     def test_spectral_monotonicity(self, laplace200, rng):
@@ -168,19 +185,20 @@ class TestViolationsRaise:
         with pytest.raises(PropertyViolation, match="Young inequality violated"):
             check_basic(basic_grid())
 
-    def test_bond(self, laplace200, rng):
-        _, d = laplace200
-        reversed_mu = SpectralDecomposition(eigenvalues=d.eigenvalues[::-1], eigenvectors=d.eigenvectors,
-                                            grid=d.grid, m=d.m)  # mu_1 is now the largest
+    def test_bond(self, laplace200, rng, monkeypatch):
+        # the gap read as mu_max: the constant mu_1^{(q-p)/2} is then too small for the low modes
+        monkeypatch.setattr(SpectralDecomposition, "gap", property(lambda d: float(d.eigenvalues[-1])))
         with pytest.raises(PropertyViolation, match="spectral bound violated"):
-            check_bond(reversed_mu, [(1, 2)], rng.standard_normal((2, 200)))
+            check_bond(laplace200[1], [(1, 2)], rng.standard_normal((2, 200)))
 
-    def test_main(self, laplace200, rng):
-        _, d = laplace200
-        negative = SpectralDecomposition(eigenvalues=-d.eigenvalues, eigenvectors=d.eigenvectors, grid=d.grid, m=d.m)
+    def test_main(self, laplace200, rng, monkeypatch):
+        from heatgauss import inequalities
+
+        sides = inequalities._symbol_sides
+        monkeypatch.setattr(inequalities, "_symbol_sides", lambda *a: (sides(*a)[0], sides(*a)[1] - sides(*a)[0]))
         grid = SearchGrid(axes={"lam": np.geomspace(1e-2, 1e2, 5), "eps": np.geomspace(1e-2, 1.0, 5)})
         with pytest.raises(PropertyViolation, match="symbol bound violated"):
-            check_main(negative, grid, rng.standard_normal((2, 200)))
+            check_main(laplace200[1], grid, rng.standard_normal((2, 200)))
 
     def test_epsilon(self, laplace200, rng, monkeypatch):
         from heatgauss import inequalities

@@ -21,7 +21,7 @@ from heatgauss import (
 )
 from conftest import evolved_form_ratio_oracle, general_m2_spec, jacobi_oracle, semigroup_apply
 from heatgauss.cli import sample_functions
-from heatgauss import assembly, spectral
+from heatgauss import assembly, core, spectral
 from heatgauss.core import Grid1D, is_frozen
 from heatgauss.profiles import get_profile
 from heatgauss.spectral import EXP_UNDERFLOW_CAP, decay_weights
@@ -179,6 +179,20 @@ class TestDecomposition:
     def test_operator_matrix_roundtrip(self, laplace200):
         form, d = laplace200
         assert np.max(np.abs(d.operator_matrix() - form.operator)) < 1e-8
+
+    @pytest.mark.parametrize("bad", ["reversed", "shape", "nan"])
+    def test_constructor_rejects_what_readers_assume_away(self, laplace200, bad):
+        # every reader takes the eigenvalues ascending and finite, one per node, with one eigenvector each
+        _, d = laplace200
+        mu, phi = d.eigenvalues.copy(), d.eigenvectors
+        if bad == "reversed":
+            mu = mu[::-1]
+        elif bad == "shape":
+            phi = phi[:, :-1]
+        else:
+            mu[7] = np.nan
+        with pytest.raises(ContractError):
+            SpectralDecomposition(eigenvalues=mu, eigenvectors=phi, grid=d.grid, m=d.m)
 
     def test_operator_is_built_once_and_read_only(self, laplace200, monkeypatch):
         _, d = laplace200
@@ -346,20 +360,21 @@ class TestEvolvedFormBound:
                   for r in evolved_form_bound_check(d, np.array([t]), g[np.newaxis])]
         assert [r["ratio"] for r in rows] == [r["ratio"] for r in single]  # bitwise
 
-    def test_ratio_above_one_raises(self, laplace200):
-        # with the spectrum reversed, g~ is built on the largest eigenvalue and no longer majorizes
+    def test_ratio_above_one_raises(self, laplace200, monkeypatch):
+        # the ground mode past t = 1/s meets the bound with equality: Q read 1e-6 high is
+        # more than 10 times the rule's eps n (Q + bound), and Q read 4 eps high is within it
         _, d = laplace200
-        bad = SpectralDecomposition(eigenvalues=d.eigenvalues[::-1], eigenvectors=d.eigenvectors, grid=d.grid, m=d.m)
+        n, forms, t = d.eigenvalues.size, spectral.evolved_forms, np.array([2.0 / d.gap])
+        assert 1e-6 >= 10.0 * core.EPS * n * 2.0
+        monkeypatch.setattr(spectral, "evolved_forms", lambda *a: (1.0 + 4.0 * core.EPS) * forms(*a))
+        assert evolved_form_bound_check(d, t, d.eigenvectors[:, 0])[0]["ratio"] > 1.0
+        monkeypatch.setattr(spectral, "evolved_forms", lambda *a: (1.0 + 1e-6) * forms(*a))
         with pytest.raises(PropertyViolation, match="evolved form bound violated"):
-            evolved_form_bound_check(bad, np.array([1.0]), d.eigenvectors[:, -1])
+            evolved_form_bound_check(d, t, d.eigenvectors[:, 0])
 
     def test_nonpositive_gap_rejected(self, laplace200):
         _, d = laplace200
-        bad = SpectralDecomposition(
-            eigenvalues=d.eigenvalues - 2.0 * d.eigenvalues[0],
-            eigenvectors=d.eigenvectors,
-            grid=d.grid,
-            m=d.m,
-        )
-        with pytest.raises(PropertyViolation):
-            evolved_form_bound_check(bad, np.array([1.0]), d.eigenvectors[:, 0])
+        with pytest.raises(PropertyViolation, match="Dirichlet positivity violated") as info:
+            SpectralDecomposition(eigenvalues=d.eigenvalues - 2.0 * d.eigenvalues[0], eigenvectors=d.eigenvectors,
+                                  grid=d.grid, m=d.m)
+        assert info.value.witness == {"mu_1": -float(d.eigenvalues[0])}

@@ -306,12 +306,13 @@ class TestSector:
         angle, violations = numerical_range_sector(top, 0.5, -z0 - 2e-12, f)
         assert len(violations) == 1 and angle == math.pi
 
-    def test_untwisted_point_outside_raises(self, laplace200):
-        # with the spectrum reversed, H - mu_1 reads the largest eigenvalue as the gap and is
-        # negative: at lambda = 0 no shift is applied, so the outside sample is the witness
+    def test_untwisted_point_outside_raises(self, laplace200, monkeypatch):
+        # a numerical range moved 1 to the left puts the ground-mode points at -1: at lambda = 0 no
+        # shift is applied, so the outside sample is the witness
         _, d = laplace200
-        bad = SpectralDecomposition(eigenvalues=d.eigenvalues[::-1], eigenvectors=d.eigenvectors, grid=d.grid, m=d.m)
-        top = TwistedOperator(base=bad, twist=make_twist(d.grid, 0.0))
+        values = TwistedOperator.numerical_range
+        monkeypatch.setattr(TwistedOperator, "numerical_range", lambda top, samples: values(top, samples) - 1.0)
+        top = TwistedOperator(base=d, twist=make_twist(d.grid, 0.0))
         samples = sector_samples(d, seed=1, count=20)
         with pytest.raises(PropertyViolation, match="outside the sector at lambda = 0.0") as info:
             sector_shift_search(top, 0.5, samples)
