@@ -225,8 +225,9 @@ def run_verify_twist(cfg: RunConfig, out: str) -> list[ReportRow]:
 
         def appendix_b():
             ident = twist_mod.appendix_b_identities(d, tw, complex(-1.0, 1.0))
-            return ReportRow("appendix-b", params, ident["resolvent_rel_err"], ident["ok"],
-                             None if ident["ok"] else {"z": ident["z"]})
+            witness = {key: ident[key] for key in ("z", "resolvent_ratio", "spectrum_ratio")}
+            return ReportRow("appendix-b", params, ident["resolvent_backward_err"], ident["ok"],
+                             None if ident["ok"] else witness)
 
         def sector():
             top = twist_mod.TwistedOperator(base=d, twist=tw)

@@ -452,6 +452,25 @@ class TestCliRuns:
             lam, p, c = float(params["lam"]), float(params["p"]), float(params["multiplier"])
             assert float(params["shift"]) == c * ((1.0 + p) * (1.0 + s) ** 6 * lam**6) > 1.0
 
+    def test_failing_appendix_b_row_names_the_failing_half(self, laplace_cfg, tmp_path, monkeypatch):
+        # a 1e-6 error in one entry of H_lambda fails both halves; the witness carries both ratios
+        original = twist_mod.conjugate
+
+        def planted(M, tw, out=None):
+            out = original(M, tw, out=out)
+            out[60, 60] *= 1.0 + 1e-6
+            return out
+
+        monkeypatch.setattr(twist_mod, "conjugate", planted)
+        out = tmp_path / "out"
+        assert main(["verify-twist", "--config", laplace_cfg, "--out", str(out)]) == 1
+        rows = [r for r in csv.DictReader((out / "verify_twist.csv").open(encoding="utf-8"))
+                if r["check"] == "appendix-b"]
+        assert len(rows) == 1 and rows[0]["passed"] == "false"
+        witness = split_witness(rows[0]["witness"])
+        assert set(witness) == {"z", "resolvent_ratio", "spectrum_ratio"}
+        assert float(witness["resolvent_ratio"]) >= 10.0 and float(witness["spectrum_ratio"]) >= 10.0
+
     def test_verify_twist_asks_each_norm_once(self, tmp_path, monkeypatch):
         # one norm fit per lambda and an explicit c2 for the evolved check: the
         # norm memo never hits, and each lambda takes its own QR pair
