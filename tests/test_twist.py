@@ -103,7 +103,8 @@ class TestSimilarity:
         tw = make_twist(d.grid, 1.5)
         out = appendix_b_identities(d, tw, complex(-2.0, 3.0))
         assert out["ok"]
-        assert out["resolvent_backward_err"] <= d.grid.n_interior * twist_mod.EPS
+        # the residual stays at rounding level, far inside the n eps that resolvent_ratio reads
+        assert out["resolvent_backward_err"] <= 10 * twist_mod.EPS
         assert out["resolvent_ratio"] <= 1.0 and out["spectrum_ratio"] <= 1.0
 
     def test_appendix_b_near_spectrum_rejected(self, laplace200):
@@ -490,8 +491,8 @@ class TestBatchedAgainstLoops:
                 (np.abs(H_lam) + abs(z) * np.eye(n)) @ np.abs(x) + np.abs(g))))
         original = twist_mod.conjugate
 
-        def planted(M, twist, out=None):
-            out = original(M, twist, out=out)
+        def planted(M, twist):
+            out = original(M, twist)
             out[k, k] *= 1.0 + 1e-3
             return out
 
@@ -812,8 +813,8 @@ class TestPlantedErrors:
         assert appendix_b_identities(dataclasses.replace(d), tw, z)["ok"]
         original, k = twist_mod.conjugate, d.grid.n_interior // 2
 
-        def planted(M, twist, out=None):
-            out = original(M, twist, out=out)
+        def planted(M, twist):
+            out = original(M, twist)
             out[k, k] *= 1.0 + 1e-6  # one entry of H_lambda
             return out
 
