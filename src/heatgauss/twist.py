@@ -13,12 +13,14 @@ second evaluation path rather than an O(h) approximation.
 Everything this module keeps of a decomposition or a form sits in the owner's
 `derived` store, filled through _kept (the twisted norms through their batch
 fill in _twisted_norms). per_lambda reads a PerLambdaTable built once per
-(form, twist): the direct path sums the m band diagonals of the form matrix
-with weights 4 sinh^2(lambda a b h / 2), so it never subtracts Q(f) from
-Q_{lambda psi}(f), and the Leibniz path contracts one stack of staggered
-images per level with a precomputed matrix, O(n m) per sample. The evolved
-twisted form Q(e^{-H_lambda t} f) is summed over modes, sum_k mu_k
-<g, phi_k>_h^2, a sum of non-negative terms, with no n x n propagator.
+(form, twist), both paths as band tables read through one gather of the pairs
+f_i f_{i+b}, O(n m) per sample: the direct path weights the m band diagonals
+of the form matrix by 4 sinh^2(lambda a b h / 2), so it never subtracts Q(f)
+from Q_{lambda psi}(f), and the Leibniz path's table contracts the staggered
+taps of each level with its coefficient samples; the build checks the two
+tables equal entry by entry. The evolved twisted form Q(e^{-H_lambda t} f) is
+summed over modes, sum_k mu_k <g, phi_k>_h^2, a sum of non-negative terms,
+with no n x n propagator.
 
 The exact identities pass when an error is at most eps S, S its a-priori
 error scale (core.error_ratio; Higham, Accuracy and Stability of Numerical
@@ -181,32 +183,34 @@ def _leibniz_matrix(i: int, j: int, level: int, lam: float, a: float, h: float) 
 
 @dataclass(frozen=True)
 class PerLambdaTable:
-    """What per_lambda needs of one (form, twist), all of it O(n m).
+    """What per_lambda needs of one (form, twist): two band tables of O(n m) over one gather.
 
-    Both paths read a sample f zero-padded by m on each side, fp, through
-    index tables. Direct path: E^{-1} Q E - Q has entries Q_kl expm1(lambda a
-    (l - k) h), and pairing (k, l) with (l, k) gives f^T (E^{-1} Q E) f -
-    f^T Q f = sum_b w_b f[:-b] . (Q_b f[b:]) with w_b = 4 sinh^2(lambda a b h
-    / 2), free of the cancellation of the difference. With fp[band_index][b,
-    i] = f[i + b], bands[0] . (fp[band_index] * f).ravel() gives per(lambda):
-    bands[0, b n + i] is w_b Q_b[i], the upper diagonals zero-padded to n,
-    and bands[1] = |bands[0]| sums the terms' magnitudes. Leibniz path:
-    fp[window_index][j, k] = f[k - j], so taps @ windows stacks the images
-    D^d M^{level-d} f of every level (one convolution each, zero past column
-    n + level); leibniz[p, q, k] sums a_ij(x_k) C_ij[d, e] over the
-    coefficients of a level, p and q its rows d and e in the stack, and
-    h leibniz[0] . (U_p U_q)_k is the Leibniz value; leibniz[1] = |leibniz[0]|.
+    Both routes are quadratic forms in f of bandwidth m, read through the pairs
+    f[i] f[i + b] = (concatenate(f, zeros(m))[band_index] * f)[b, i], zero past n,
+    raveled to b n + i. Row 0 of values is the direct route: E^{-1} Q E - Q has
+    entries Q_kl expm1(lambda a (l - k) h), and pairing (k, l) with (l, k) gives
+    the weights W_b = 4 sinh^2(lambda a b h / 2) Q_b of band b, the upper
+    diagonals zero-padded to n, free of the cancellation of the difference. Row 1
+    is the Leibniz route, Lambda_b[i] = c_b h sum_{r=b..m} sum_{p,q} L[p, q, i + r]
+    taps[p, r] taps[q, r - b] with c_0 = 1 and c_b = 2 past it: taps[p] are the
+    taps of D^d M^{level-d}, stack row p of its (level, d), and L[p, q, k] sums
+    a_ij(x_k) C_ij[d, e] over the coefficients of a level, p and q its rows d and
+    e. magnitudes holds |W| and the same sum over |L|, |taps| and |taps|.
     """
 
-    bands: np.ndarray
     band_index: np.ndarray
-    window_index: np.ndarray
-    taps: np.ndarray
-    leibniz: np.ndarray
+    values: np.ndarray
+    magnitudes: np.ndarray
 
 
 def per_lambda_table(form: FormMatrix, tw: TwistSpec) -> PerLambdaTable:
-    """Build the PerLambdaTable of (form, tw); per_lambda keeps it on the form."""
+    """Build the PerLambdaTable of (form, tw); per_lambda keeps it on the form.
+
+    The two routes are one symmetric matrix, so W_b[i] = Lambda_b[i] wherever
+    i + b < n (past n the pairs are 0 and the tables differ): ConsistencyError,
+    naming the band and the node, unless each pair agrees to eps n (|W_b[i]| +
+    |Lambda|_b[i]), the build-time rounding of both entries.
+    """
     if tw.grid != form.grid:
         raise DomainError(f"twist grid {tw.grid} differs from the form grid {form.grid}")
     grid, h, m = form.grid, form.grid.h, form.m
@@ -216,7 +220,7 @@ def per_lambda_table(form: FormMatrix, tw: TwistSpec) -> PerLambdaTable:
     for k in b:
         q_k = np.diagonal(form.matrix, k)
         bands[k, : len(q_k)] = q_k
-    # one image-stack row per (level, d), each level's d = 0..level in turn
+    # one stack row per (level, d), each level's d = 0..level in turn
     stack = [(level, d) for level in sorted({max(ij) for ij in form.spec.coefficients}) for d in range(level + 1)]
     taps = np.zeros((len(stack), m + 1))
     for row, (level, d) in enumerate(stack):
@@ -227,48 +231,50 @@ def per_lambda_table(form: FormMatrix, tw: TwistSpec) -> PerLambdaTable:
         rows = slice(stack.index((level, 0)), stack.index((level, level)) + 1)
         samples = form.spec.sample(i, j, level_positions(grid, level))
         leibniz[rows, rows, : n + level] += _leibniz_matrix(i, j, level, tw.lam, tw.a, h)[:, :, np.newaxis] * samples
+    # the value and magnitude rows of Lambda: weight[r, s, k] multiplies f[k - r] f[k - s], band r - s
+    leib = np.zeros((2, m + 1, n))
+    for kind, (L, T) in enumerate(((leibniz, taps), (np.abs(leibniz), np.abs(taps)))):
+        weight = np.einsum("pqk,pr,qs->rsk", L, T, T)
+        for r in b:
+            for s in range(r + 1):
+                leib[kind, r - s] += weight[r, s, r : r + n]
+    leib *= h * np.where(b > 0, 2.0, 1.0)[:, np.newaxis]
     bands = ((4.0 * np.sinh(tw.lam * tw.a * b * h / 2.0) ** 2)[:, np.newaxis] * bands).ravel()
-    return PerLambdaTable(
-        bands=freeze(np.stack([bands, np.abs(bands)])),
-        band_index=freeze(m + np.add.outer(b, np.arange(n))),
-        window_index=freeze(m - np.subtract.outer(b, np.arange(n + m))),
-        taps=freeze(taps),
-        leibniz=freeze(np.stack([leibniz.ravel(), np.abs(leibniz.ravel())])),
-    )
+    band_index = np.add.outer(b, np.arange(n))
+    values, magnitudes = np.stack([bands, leib[0].ravel()]), np.stack([np.abs(bands), leib[1].ravel()])
+    ratios = [error_ratio(err, n * size) if k < n else 0.0 for err, size, k in zip(
+        np.abs(values[0] - values[1]).tolist(), magnitudes.sum(axis=0).tolist(), band_index.ravel().tolist())]
+    worst = int(np.argmax(ratios))
+    if not ratios[worst] <= 1.0:
+        raise ConsistencyError(f"per(lambda) band tables disagree at band {worst // n}, node {worst % n}: "
+                               f"direct={values[0, worst]}, leibniz={values[1, worst]}, ratio={ratios[worst]}")
+    return PerLambdaTable(band_index=freeze(band_index), values=freeze(values), magnitudes=freeze(magnitudes))
 
 
 def per_lambda(form: FormMatrix, tw: TwistSpec, f: np.ndarray) -> float:
     """Twisted-form perturbation per(lambda) = Q_{lambda psi}(f) - Q(f).
 
-    Evaluated two ways from the form's PerLambdaTable for tw: directly over
-    the band diagonals of the form matrix, and by the exact discrete Leibniz
-    expansion keeping only terms that differ from the untwisted top
+    Evaluated two ways from the form's PerLambdaTable for tw, one gather of
+    the pairs f[i] f[i + b] and one product with both band tables: directly
+    over the band diagonals of the form matrix, and by the exact discrete
+    Leibniz expansion keeping only terms that differ from the untwisted top
     contribution. ConsistencyError unless the two sums agree to eps S, S = n
-    (sum |direct terms| + sum |Leibniz terms|). The form keeps its table per
-    twist, so the table is built (and the twist's grid checked) once per
-    (form, tw), and each call is a few array steps of O(n m).
+    (|W| . |pairs| + |Lambda| . |pairs|). The form keeps its table per twist,
+    so the table is built (and the twist's grid checked) once per (form, tw),
+    and each call is a few array steps of O(n m).
     """
     if not np.count_nonzero(f):
         raise DomainError("per_lambda requires a nonzero sample function")
     table = _kept(form, tw, lambda: per_lambda_table(form, tw))
-    n, m = len(f), form.m
-    fp = np.zeros(n + 2 * m)
-    fp[m : m + n] = f
-
-    # direct path: sum_b f[:-b] . (w_b Q_b f[b:]), row 0 of a product whose two rows fix its sum order
-    pairs = (fp[table.band_index] * f).ravel()
-    direct = float((table.bands @ pairs)[0])
-
-    # Leibniz path: h sum_k leibniz[p, q, k] U[p, k] U[q, k] over the image stack U
-    U = table.taps @ fp[table.window_index]
-    UU = (U[:, np.newaxis] * U).ravel()
-    leib = form.grid.h * float(table.leibniz[0] @ UU)
+    n = len(f)
+    # row 0 of a product whose two rows fix its sum order: the direct path sum_b f[:-b] . (W_b f[b:])
+    pairs = (np.concatenate((f, np.zeros(form.m)))[table.band_index] * f).ravel()
+    direct, leib = (table.values @ pairs).tolist()
 
     # S >= n (|direct| + |leib|): the sums of the terms' magnitudes are needed only past that
     err = abs(direct - leib)
     if not err <= EPS * n * (abs(direct) + abs(leib)):
-        size = float(table.bands[1] @ np.abs(pairs)) + form.grid.h * float(table.leibniz[1] @ np.abs(UU))
-        ratio = error_ratio(err, n * size)
+        ratio = error_ratio(err, n * float(np.sum(table.magnitudes @ np.abs(pairs))))
         if not ratio <= 1.0:
             raise ConsistencyError(f"per(lambda) paths disagree: direct={direct}, leibniz={leib}, ratio={ratio}")
     return direct

@@ -219,11 +219,13 @@ class TestLeibniz:
             (1, 0): constant_coefficient(0.2),
             (0, 0): constant_coefficient(1.0),
         }),
+        "m3": polyharmonic_spec(3),
     }
 
     @pytest.mark.parametrize("case", sorted(SPECS))
-    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    @pytest.mark.parametrize("lam", [0.5, 2.0, twist_mod.TWIST_CAP])  # L = 1: the last is the twist cap
     def test_matches_dense_conjugation(self, case, lam):
+        # both routes read one band_index, so a wrong index table shows here
         form = assemble_form(self.SPECS[case], Grid1D(length=1.0, n_interior=20))
         f = np.random.default_rng(5).standard_normal(20)
         tw = make_twist(form.grid, lam, a=-1.0 if lam > 1.0 else 1.0)
@@ -715,6 +717,16 @@ class TestPerTwistMemo:
         assert len(calls) == 1 and again == first
         assert set(cold.derived) == {make_twist(d.grid, 1.0)}
 
+    @pytest.mark.parametrize("case", ["laplace200", "beam100", "poly3_100"])
+    def test_per_lambda_table_keeps_band_rows_only(self, case, request):
+        # the band index, [W; Lambda] and their magnitudes: no (stack, stack, n + m) Leibniz array
+        form, d = request.getfixturevalue(case)
+        n, m = d.grid.n_interior, form.m
+        table = twist_mod.per_lambda_table(form, make_twist(d.grid, 1.0))
+        arrays = [getattr(table, field.name) for field in dataclasses.fields(table)]
+        assert [a.shape for a in arrays] == [(m + 1, n), (2, (m + 1) * n), (2, (m + 1) * n)]
+        assert all(is_frozen(a) for a in arrays)
+
     def test_writable_arrays_are_copied_read_only(self, laplace200, monkeypatch):
         # an owner built from writable arrays keeps read-only copies of them,
         # so later writes to the caller's arrays cannot reach its stored tables
@@ -772,7 +784,8 @@ class TestPlantedErrors:
         form, d = request.getfixturevalue(case)
         tw = make_twist(d.grid, 1.0)
         fs = self.rough_samples(d)
-        clean = [per_lambda(dataclasses.replace(form), tw, f) for f in fs]  # a fresh table passes
+        for f in fs:
+            per_lambda(dataclasses.replace(form), tw, f)  # a fresh table passes
         original = twist_mod._leibniz_matrix
 
         def planted(i, j, level, lam, a, h):
@@ -781,8 +794,8 @@ class TestPlantedErrors:
             return C
 
         monkeypatch.setattr(twist_mod, "_leibniz_matrix", planted)
-        for f, value in zip(fs, clean):
-            with pytest.raises(ConsistencyError, match=f"direct={value!r}") as excinfo:
+        for f in fs:  # the entrywise check of the table build meets it before any sample is read
+            with pytest.raises(ConsistencyError, match=r"band tables disagree at band \d+, node \d+: ") as excinfo:
                 per_lambda(dataclasses.replace(form), tw, f)
             assert self.ratio(excinfo) >= 10.0
 
@@ -796,15 +809,29 @@ class TestPlantedErrors:
         fs = [d.eigenvectors[:, 0], d.eigenvectors[:, 1], *self.rough_samples(d)]
         for f in fs:
             per_lambda(dataclasses.replace(form), tw, f)  # a fresh table passes
-        for b in range(1, m + 1):  # w_0 = 0
-            bands = table.bands.reshape(2, m + 1, n).copy()
-            bands[0, b] *= 1.0 + 1e-6  # the weight w_b of band b
+        for b in range(1, m + 1):  # W_0 = 0
+            values = table.values.reshape(2, m + 1, n).copy()
+            values[0, b] *= 1.0 + 1e-6  # band b of the direct route's row W
             cold = dataclasses.replace(form)
-            cold.derived[tw] = dataclasses.replace(table, bands=bands.reshape(2, -1))
+            cold.derived[tw] = dataclasses.replace(table, values=values.reshape(2, -1))
             for f in fs:
                 with pytest.raises(ConsistencyError) as excinfo:
                     per_lambda(cold, tw, f)
                 assert self.ratio(excinfo) >= 10.0
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_form_entry_error_raises_at_build(self, case, request):
+        # one off-diagonal pair of Q at the centre node: on the second eigenmode, whose node sits
+        # there, the per-sample check passes it at m = 2 and 3, n = 800; W = Lambda entry by entry does not
+        form, d = request.getfixturevalue(case)
+        tw, k = make_twist(d.grid, 1.0), d.grid.n_interior // 2
+        matrix = form.matrix.copy()
+        matrix[k, k + 1] *= 1.0 + 1e-6
+        matrix[k + 1, k] = matrix[k, k + 1]
+        planted = FormMatrix(matrix=matrix, grid=form.grid, m=form.m, spec=form.spec)
+        with pytest.raises(ConsistencyError, match=f"band tables disagree at band 1, node {k}: ") as excinfo:
+            twist_mod.per_lambda_table(planted, tw)
+        assert self.ratio(excinfo) >= 10.0
 
     @pytest.mark.parametrize("case", CASES)
     def test_twisted_operator_entry_error_fails_appendix_b(self, case, request, monkeypatch):
