@@ -471,6 +471,21 @@ class TestCliRuns:
         assert set(witness) == {"z", "resolvent_ratio", "spectrum_ratio"}
         assert float(witness["resolvent_ratio"]) >= 10.0 and float(witness["spectrum_ratio"]) >= 10.0
 
+    def test_failing_evolved_twisted_form_row_shows_its_numbers(self, tmp_path):
+        # near the twist cap (lambda L = 39.3) the held-out sample beats the training sup; the
+        # row's statistic is nan, so the witness carries the held-out sup, c1 and where it sits
+        cfg = tmp_path / "cap.cfg"
+        cfg.write_text("[operator]\nsource = laplace-pi\nn = 40\n[sweep]\nlam_grid = 12.5\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["verify-twist", "--config", str(cfg), "--out", str(out)]) == 1
+        rows = [r for r in csv.DictReader((out / "verify_twist.csv").open(encoding="utf-8"))
+                if r["passed"] == "false"]
+        assert [r["check"] for r in rows] == ["evolved-twisted-form"] and rows[0]["statistic"] == "nan"
+        witness = split_witness(rows[0]["witness"])
+        assert set(witness) == {"alpha", "c1", "c2", "held", "held_at", "lam"}
+        assert float(witness["held"]) > float(witness["c1"]) > 0.0
+        assert re.fullmatch(r"\(\d+, \d+\)", witness["held_at"])
+
     def test_verify_twist_asks_each_norm_once(self, tmp_path, monkeypatch):
         # one norm fit per lambda and an explicit c2 for the evolved check: the
         # norm memo never hits, and each lambda takes its own QR pair

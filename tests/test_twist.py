@@ -415,6 +415,24 @@ class TestSemigroupFits:
         with pytest.raises(PropertyViolation, match="held-out evolved-form ratio"):
             evolved_twisted_form_check(d, form, tw, 0.5, ts, lo, hi)
 
+    def test_evolved_twisted_form_witness_carries_the_fit(self, laplace200):
+        # the held-out sup, the fitted c1 and where the held-out sup sits (sample, t index)
+        form, d = laplace200
+        tw = make_twist(d.grid, 1.0)
+        ts = np.geomspace(0.05, 2.0, 6)
+        modes = [d.eigenvectors[:, [k]].T for k in (0, 199)]
+        lo, hi = sorted(modes, key=lambda f: evolved_twisted_form_check(d, form, tw, 0.5, ts, f, f)["c1"])
+        fit_lo = evolved_twisted_form_check(d, form, tw, 0.5, ts, lo, lo)
+        fit_hi = evolved_twisted_form_check(d, form, tw, 0.5, ts, hi, hi)
+        with pytest.raises(PropertyViolation) as info:
+            evolved_twisted_form_check(d, form, tw, 0.5, ts, lo, np.vstack([lo, hi]))
+        witness = info.value.witness
+        assert set(witness) == {"c2", "alpha", "lam", "held", "c1", "held_at"}
+        # one batched evaluation against two: equal up to the rounding of their sums
+        assert witness["c1"] == pytest.approx(fit_lo["c1"], rel=1e-12)
+        assert witness["held"] == pytest.approx(fit_hi["c1"], rel=1e-12) and witness["held"] > witness["c1"]
+        assert witness["held_at"][0] == 1 and 0 <= witness["held_at"][1] < len(ts)
+
 
 class TestBatchedAgainstLoops:
     """Each batched path against the one-sample-at-a-time loop it replaced."""
@@ -486,8 +504,9 @@ class TestBatchedAgainstLoops:
         rng = np.random.default_rng(twist_mod.APPENDIX_B_SEED)
         worst = 0.0
         for _ in range(twist_mod.APPENDIX_B_RHS):
-            g = rng.standard_normal(n)
-            x = np.linalg.solve(z * np.eye(n) - S, (e * g).astype(complex)) / e
+            g0 = rng.standard_normal(n)
+            # the twist-free solve (z - H) y = g0, read by the twist as g = g0 / e and x = y / e
+            g, x = g0 / e, np.linalg.solve(z * np.eye(n) - S, g0.astype(complex)) / e
             r = g - (z * np.eye(n) - H_lam) @ x
             worst = max(worst, float(np.linalg.norm(r) / np.linalg.norm(
                 (np.abs(H_lam) + abs(z) * np.eye(n)) @ np.abs(x) + np.abs(g))))
@@ -645,14 +664,42 @@ class TestPerTwistMemo:
         assert spectra == {(make_twist(d.grid, 0.5), "spectrum"), (make_twist(d.grid, 1.0), "spectrum")}
 
     def test_appendix_b_runs_one_lu_per_call(self, laplace200, monkeypatch):
+        # the solve is twist-free: one LU per distinct z of a decomposition, none for a seen z
         _, d = laplace200
+        cold = dataclasses.replace(d)  # same frozen arrays, nothing stored yet
         n, shapes = d.grid.n_interior, []
         original = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda A, B: shapes.append(A.shape) or original(A, B))
         for lam in (0.5, 1.0):
             for z in (complex(-1.0, 1.0), complex(-2.0, 3.0)):
-                appendix_b_identities(d, make_twist(d.grid, lam), z)
-        assert shapes == [(n, n)] * 4
+                appendix_b_identities(cold, make_twist(d.grid, lam), z)
+        assert shapes == [(n, n)] * 2
+        appendix_b_identities(cold, make_twist(d.grid, 2.0), complex(-2.0, 3.0))
+        assert shapes == [(n, n)] * 2
+
+    def test_appendix_b_three_twists_one_solve(self, laplace200, monkeypatch):
+        _, d = laplace200
+        cold = dataclasses.replace(d)  # same frozen arrays, nothing stored yet
+        z = complex(-1.0, 1.0)
+        calls = self.counting(monkeypatch, np.linalg, "solve")
+        results = [appendix_b_identities(cold, make_twist(d.grid, lam), z) for lam in (0.5, 1.0, 2.0)]
+        assert len(calls) == 1 and all(r["ok"] for r in results)
+        Y = cold.derived[("appendix-b", z)]
+        assert is_frozen(Y) and Y.shape == (d.grid.n_interior, twist_mod.APPENDIX_B_RHS)
+        with pytest.raises(ValueError):
+            Y[0, 0] = 0.0
+        # a copy of the decomposition keeps its own store, so it solves again, to the same results
+        copy = dataclasses.replace(cold)
+        assert [appendix_b_identities(copy, make_twist(d.grid, lam), z) for lam in (0.5, 1.0, 2.0)] == results
+        assert len(calls) == 2 and copy.derived[("appendix-b", z)] is not Y
+
+    def test_appendix_b_guard_stores_nothing(self, laplace200, monkeypatch):
+        _, d = laplace200
+        cold = dataclasses.replace(d)  # same frozen arrays, nothing stored yet
+        calls = self.counting(monkeypatch, np.linalg, "solve")
+        with pytest.raises(ConditioningError):
+            appendix_b_identities(cold, make_twist(d.grid, 1.0), complex(d.eigenvalues[1], 1e-9))
+        assert not calls and not cold.derived
 
     @staticmethod
     def factored_norms(d, tw, weights):
@@ -835,9 +882,10 @@ class TestPlantedErrors:
 
     @pytest.mark.parametrize("case", CASES)
     def test_twisted_operator_entry_error_fails_appendix_b(self, case, request, monkeypatch):
+        # lambda = 1 and lambda L = 10: the residual reads the twist-free solve through E^{-1}
         _, d = request.getfixturevalue(case)
-        tw, z = make_twist(d.grid, 1.0), complex(-1.0, 1.0)
-        assert appendix_b_identities(dataclasses.replace(d), tw, z)["ok"]
+        twists, z = [make_twist(d.grid, lam) for lam in (1.0, 10.0 / d.grid.length)], complex(-1.0, 1.0)
+        assert all(appendix_b_identities(dataclasses.replace(d), tw, z)["ok"] for tw in twists)
         original, k = twist_mod.conjugate, d.grid.n_interior // 2
 
         def planted(M, twist):
@@ -846,12 +894,13 @@ class TestPlantedErrors:
             return out
 
         monkeypatch.setattr(twist_mod, "conjugate", planted)
-        out = appendix_b_identities(dataclasses.replace(d), tw, z)
-        assert not out["ok"] and out["spectrum_ratio"] >= 10.0 and out["resolvent_ratio"] >= 10.0
+        for tw in twists:
+            out = appendix_b_identities(dataclasses.replace(d), tw, z)
+            assert not out["ok"] and out["spectrum_ratio"] >= 10.0 and out["resolvent_ratio"] >= 10.0
 
     @pytest.mark.parametrize("case", CASES)
     def test_solve_output_error_fails_appendix_b(self, case, request, monkeypatch):
-        # the H route: one entry of Y in (z - H) Y = E G, which the spectrum residual never reads
+        # the H route: one entry of Y in (z - H) Y = G_0, which the spectrum residual never reads
         _, d = request.getfixturevalue(case)
         tw, z, k = make_twist(d.grid, 1.0), complex(-1.0, 1.0), d.grid.n_interior // 2
         clean = appendix_b_identities(dataclasses.replace(d), tw, z)
