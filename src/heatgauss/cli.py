@@ -16,18 +16,10 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import inequalities as ineq
 from . import twist as twist_mod
-from .assembly import (
-    FormMatrix,
-    OperatorSpec,
-    assemble_form,
-    load_coefficients_csv,
-    measure_ellipticity,
-    polyharmonic_spec,
-)
+from .assembly import FormMatrix, assemble_form, measure_ellipticity
 from .config import N_MAX, RunConfig, load_run_config
 from .core import Grid1D
 from .errors import ConfigurationError, HeatGaussError, PropertyViolation, UnsupportedError
-from .profiles import BUILTIN_PROFILES, get_profile
 from .reporting import (
     KERNEL_HEADER,
     ReportRow,
@@ -56,17 +48,8 @@ SUBCOMMANDS = (
 
 
 def _build_form(cfg: RunConfig, n: int) -> FormMatrix:
-    grid = Grid1D(length=cfg.length, n_interior=n)
-    if cfg.source in BUILTIN_PROFILES:
-        spec = get_profile(cfg.source).spec
-    elif cfg.source == "polyharmonic":
-        spec = polyharmonic_spec(cfg.m)
-    elif cfg.source.startswith("csv:"):
-        spec = OperatorSpec(m=cfg.m, coefficients=load_coefficients_csv(cfg.source[4:]))
-    else:
-        raise ConfigurationError(f"unknown coefficient source {cfg.source!r}")
     try:
-        return assemble_form(spec, grid)
+        return assemble_form(cfg.spec, Grid1D(length=cfg.length, n_interior=n))
     except UnsupportedError as exc:  # a non-Hermitian coefficient table
         raise ConfigurationError(str(exc)) from None
 

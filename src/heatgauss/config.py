@@ -8,23 +8,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from .assembly import OperatorSpec, load_coefficients_csv, polyharmonic_spec
 from .core import GammaSchedule, schedule_from_gamma
-from .errors import ConfigurationError, ParameterError
-from .profiles import BUILTIN_PROFILES, get_profile
+from .errors import ConfigurationError, ParameterError, UnsupportedError
+from .profiles import BUILTIN_PROFILES
 from .twist import TWIST_CAP
 
 
 N_MAX = 800  # largest grid a run decomposes, --refine's 2n included
 SCALE_DIGITS = 200  # log10 cap on the spectrum's top (2/h)^2m to the power 2m the twisted estimates take
-# the sections load_run_config reads and the keys it reads in each
-KNOWN_KEYS = {
-    "operator": ("source", "m", "L", "n"),
-    "schedule": ("gamma", "eps"),
-    "sweep": ("t_grid", "lam_grid", "c2_grid", "samples", "seed"),
-}
 
 
 def _strip_comment(line: str) -> str:
@@ -86,25 +82,39 @@ def _parse_number(raw: str, where: str, kind: type[int] | type[float]) -> int | 
         raise ConfigurationError(f"{where}: expected one {kind.__name__} value, got {raw!r}") from None
 
 
+# the sections load_run_config reads and the keys it reads in each; a [sweep] key names its RunConfig field and parser
+KNOWN_KEYS = {
+    "operator": ("source", "m", "L", "n"),
+    "schedule": ("gamma", "eps"),
+    "sweep": {
+        "t_grid": ("t_grid", _parse_floats),
+        "lam_grid": ("lam_grid", _parse_floats),
+        "c2_grid": ("c2_grid", _parse_floats),
+        "samples": ("sample_count", partial(_parse_number, kind=int)),
+        "seed": ("seed", partial(_parse_number, kind=int)),
+    },
+}
+
+
 @dataclass
 class RunConfig:
-    """Validated run parameters for the experiment runner."""
+    """Validated run parameters: the operator, its interval and grid, its decay schedules, the sweeps."""
 
-    m: int
+    spec: OperatorSpec
     length: float
     n: int
-    source: str  # `polyharmonic`, `csv:<path>` or a built-in profile name
-    gamma_list: list[float]
+    schedules: list[GammaSchedule]
     t_grid: list[float] = field(default_factory=lambda: list(np.geomspace(0.01, 5.0, 25)))
     lam_grid: list[float] | None = None  # None: the twists 0 0.5 1 2 that L admits
     c2_grid: list[float] = field(default_factory=lambda: list(np.geomspace(1e-3, 1.0, 7)))
     sample_count: int = 24
     seed: int = 42
-    schedules: list[GammaSchedule] = field(init=False, repr=False)
+
+    @property
+    def m(self) -> int:
+        return self.spec.m
 
     def __post_init__(self):
-        if not (1 <= self.m <= 3):
-            raise ConfigurationError(f"m must be 1..3, got {self.m}")
         if not (16 <= self.n <= N_MAX):
             raise ConfigurationError(f"n must be 16..{N_MAX}, got {self.n}")
         if not (0 < self.length < math.inf):
@@ -115,7 +125,7 @@ class RunConfig:
                                      f"(2/h)^(4 m^2) = 10^{digits:.1f} is past 10^{SCALE_DIGITS}")
         if self.lam_grid is None:
             self.lam_grid = [lam for lam in (0.0, 0.5, 1.0, 2.0) if lam * self.length <= TWIST_CAP]
-        for name in ("gamma_list", "t_grid", "lam_grid", "c2_grid"):
+        for name in ("schedules", "t_grid", "lam_grid", "c2_grid"):
             if not getattr(self, name):
                 raise ConfigurationError(f"{name} must be non-empty")
             if name in ("t_grid", "c2_grid") and not all(0 < v < math.inf for v in getattr(self, name)):
@@ -126,19 +136,16 @@ class RunConfig:
             raise ConfigurationError("seed must be a non-negative integer")
         if self.sample_count < 1:
             raise ConfigurationError(f"samples must be at least 1, got {self.sample_count}")
-        self.schedules = []
-        for g in self.gamma_list:
-            try:
-                self.schedules.append(schedule_from_gamma(self.m, 1, g))
-            except ParameterError:
-                raise ConfigurationError(
-                    f"[schedule] gamma = {g} outside the admissible interval [0, {self.m - 0.5}) for m = {self.m}"
-                ) from None
+        for schedule in self.schedules:
+            if (schedule.m, schedule.N) != (self.m, 1):
+                raise ConfigurationError(f"a schedule for m = {schedule.m}, N = {schedule.N} does not fit "
+                                         f"the operator of order m = {self.m} on an interval")
 
 
 def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
-    """Build a RunConfig from a parsed file, applying profile defaults; a section or key outside
-    KNOWN_KEYS, or both gamma and eps, raises ConfigurationError naming it."""
+    """Build a RunConfig from a parsed file, applying profile defaults; the one place a `source` becomes an
+    operator, a csv: table read once. An unknown source, a table that does not read, an order outside 1..3,
+    a section or key outside KNOWN_KEYS, or both gamma and eps, raises ConfigurationError naming it."""
     sections = parse_config_file(path)
     for name, body in sections.items():
         if name not in KNOWN_KEYS:
@@ -146,56 +153,49 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
         for key in body:
             if key not in KNOWN_KEYS[name]:
                 raise ConfigurationError(f"[{name}] unknown key `{key}`; known keys: {', '.join(KNOWN_KEYS[name])}")
-    op = sections.get("operator", {})
-    sched = sections.get("schedule", {})
-    sweep = sections.get("sweep", {})
+    op, sched, sweep = (sections.get(name, {}) for name in KNOWN_KEYS)
 
     source = op.get("source", "polyharmonic")
-    if source in BUILTIN_PROFILES:
-        profile = get_profile(source)
-        m = _parse_number(op["m"], "[operator] m", int) if "m" in op else profile.m
-        if m != profile.m:
-            raise ConfigurationError(f"[operator] m = {m} differs from the order m = {profile.m} of {source}")
-        length = _parse_number(op["L"], "[operator] L", float) if "L" in op else profile.length
-    else:
-        if "m" not in op:
-            raise ConfigurationError("[operator] section is missing the required key `m`")
-        m = _parse_number(op["m"], "[operator] m", int)
-        if "L" not in op:
-            raise ConfigurationError("[operator] section is missing the required key `L`")
-        length = _parse_number(op["L"], "[operator] L", float)
+    profile = BUILTIN_PROFILES.get(source)
+    for key in ("m", "L") if profile is None else ():
+        if key not in op:
+            raise ConfigurationError(f"[operator] section is missing the required key `{key}`")
+    m = _parse_number(op["m"], "[operator] m", int) if "m" in op else profile.m
+    length = _parse_number(op["L"], "[operator] L", float) if "L" in op else profile.length
     n = _parse_number(op.get("n", "200"), "[operator] n", int)
+    try:
+        if profile is not None:
+            if m != profile.m:
+                raise ConfigurationError(f"[operator] m = {m} differs from the order m = {profile.m} of {source}")
+            spec = profile.spec
+        elif source == "polyharmonic":
+            spec = polyharmonic_spec(m)
+        elif source.startswith("csv:"):
+            spec = OperatorSpec(m=m, coefficients=load_coefficients_csv(source[4:]))
+        else:
+            raise ConfigurationError(f"unknown coefficient source {source!r}")
+    except UnsupportedError as exc:  # an order outside 1..MAX_ORDER
+        raise ConfigurationError(str(exc)) from None
 
-    eps_schedules = None
     if "gamma" in sched and "eps" in sched:
         raise ConfigurationError("[schedule] gives both `gamma` and `eps`; give one of them")
-    if "gamma" in sched:
-        gamma_list = _parse_floats(sched["gamma"], "[schedule] gamma")
-    elif "eps" in sched:
-        eps_list = _parse_floats(sched["eps"], "[schedule] eps")
+    if "eps" in sched:
         try:
-            eps_schedules = [GammaSchedule(m=m, N=1, eps=e) for e in eps_list]
+            schedules = [GammaSchedule(m=m, N=1, eps=e) for e in _parse_floats(sched["eps"], "[schedule] eps")]
         except ParameterError as exc:
             raise ConfigurationError(f"[schedule] eps: {exc}") from None
-        gamma_list = [schedule.gamma for schedule in eps_schedules]
     else:
-        gamma_list = [0.0]
+        schedules = []
+        for g in _parse_floats(sched["gamma"], "[schedule] gamma") if "gamma" in sched else [0.0]:
+            try:
+                schedules.append(schedule_from_gamma(m, 1, g))
+            except ParameterError:
+                raise ConfigurationError(
+                    f"[schedule] gamma = {g} outside the admissible interval [0, {m - 0.5}) for m = {m}"
+                ) from None
 
-    kwargs = {}
-    if "t_grid" in sweep:
-        kwargs["t_grid"] = _parse_floats(sweep["t_grid"], "[sweep] t_grid")
-    if "lam_grid" in sweep:
-        kwargs["lam_grid"] = _parse_floats(sweep["lam_grid"], "[sweep] lam_grid")
-    if "c2_grid" in sweep:
-        kwargs["c2_grid"] = _parse_floats(sweep["c2_grid"], "[sweep] c2_grid")
-    if "samples" in sweep:
-        kwargs["sample_count"] = _parse_number(sweep["samples"], "[sweep] samples", int)
-    seed = _parse_number(sweep.get("seed", "42"), "[sweep] seed", int)
+    kwargs = {name: parse(sweep[key], f"[sweep] {key}") for key, (name, parse) in KNOWN_KEYS["sweep"].items()
+              if key in sweep}
     if seed_override is not None:
-        seed = seed_override
-
-    cfg = RunConfig(m=m, length=length, n=n, source=source,
-                    gamma_list=gamma_list, seed=seed, **kwargs)
-    if eps_schedules is not None:  # eps as given: its round trip through gamma can move it by an ulp
-        cfg.schedules = eps_schedules
-    return cfg
+        kwargs["seed"] = seed_override
+    return RunConfig(spec=spec, length=length, n=n, schedules=schedules, **kwargs)

@@ -65,13 +65,15 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a if is_frozen(a) else freeze(np.array(a))
 
 
-def error_ratio(err, scale) -> float:
+def error_ratio(err, scale) -> float | np.ndarray:
     """The one round-off rule (Higham 2002, ch. 4): |a - b| / (eps S) for err = |a - b| and the pair's
-    a-priori error scale S, the worst over arrays of them (one column norm each for vector routes). Two
-    routes pass when it is at most 1, and never at nan; no difference reads 0, also against a zero scale."""
-    if isinstance(err, np.ndarray):
-        return float(np.max([error_ratio(*pair) for pair in zip(err.tolist(), scale.tolist())]))
-    return err / (EPS * scale) if err else 0.0
+    a-priori error scale S, a float, or entry by entry an array for arrays of them (one column norm each
+    for vector routes). Two routes pass when it is at most 1, and never at nan; no difference reads 0,
+    also against a zero scale, where nothing is divided."""
+    if not isinstance(err, np.ndarray):
+        return err / (EPS * scale) if err else 0.0
+    with np.errstate(invalid="ignore"):  # an infinite pair reads nan, which fails
+        return np.divide(err, EPS * scale, out=np.zeros_like(err, dtype=float), where=err != 0)
 
 
 def holdout_within(held: float, fitted: float) -> bool:

@@ -12,36 +12,31 @@ from .errors import ConfigurationError
 
 @dataclass(frozen=True)
 class Profile:
-    """Named operator profile: order parameter, domain length, coefficients."""
+    """Named operator profile: domain length and coefficients, of order parameter spec.m."""
 
     name: str
-    m: int
     length: float
     spec: OperatorSpec
+
+    @property
+    def m(self) -> int:
+        return self.spec.m
 
     def grid(self, n_interior: int) -> Grid1D:
         return Grid1D(length=self.length, n_interior=n_interior)
 
 
-def laplace_pi() -> Profile:
-    """Dirichlet Laplacian on (0, pi): analytic spectrum k^2, gap 1."""
-    return Profile(name="laplace-pi", m=1, length=math.pi, spec=polyharmonic_spec(1))
-
-
-def beam_1() -> Profile:
-    """Clamped biharmonic beam on (0, 1): mu_1 = beta_1^4, cos(b)cosh(b) = 1."""
-    return Profile(name="beam-1", m=2, length=1.0, spec=polyharmonic_spec(2))
-
-
 BUILTIN_PROFILES = {
-    "laplace-pi": laplace_pi,
-    "beam-1": beam_1,
+    # the Dirichlet Laplacian on (0, pi): analytic spectrum k^2, gap 1
+    "laplace-pi": Profile(name="laplace-pi", length=math.pi, spec=polyharmonic_spec(1)),
+    # the clamped biharmonic beam on (0, 1): mu_1 = beta_1^4, cos(b)cosh(b) = 1
+    "beam-1": Profile(name="beam-1", length=1.0, spec=polyharmonic_spec(2)),
 }
 
 
 def get_profile(name: str) -> Profile:
     try:
-        return BUILTIN_PROFILES[name]()
+        return BUILTIN_PROFILES[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown profile {name!r}; built-ins: {sorted(BUILTIN_PROFILES)}"

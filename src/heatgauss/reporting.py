@@ -106,12 +106,10 @@ def _svg_header(width: int, height: int) -> list[str]:
     ]
 
 
-def _scale(vals, lo_px, hi_px):
-    vals = np.asarray(vals, dtype=float)
+def _scale(vals) -> tuple[float, float]:
+    """Axis range (min, max) of vals, widened to (v, v + 1) when every value is v."""
     vmin, vmax = float(np.min(vals)), float(np.max(vals))
-    if vmax == vmin:
-        vmax = vmin + 1.0
-    return lo_px + (vals - vmin) / (vmax - vmin) * (hi_px - lo_px), vmin, vmax
+    return vmin, vmax if vmax != vmin else vmin + 1.0
 
 
 def line_plot_svg(path, series, title: str, xlabel: str, ylabel: str) -> None:
@@ -126,8 +124,8 @@ def line_plot_svg(path, series, title: str, xlabel: str, ylabel: str) -> None:
     all_y = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
     if all_x.size == 0:
         all_x = all_y = np.array([0.0, 1.0])
-    _, xmin, xmax = _scale(all_x, margin, width - margin)
-    _, ymin, ymax = _scale(all_y, height - margin, margin)
+    xmin, xmax = _scale(all_x)
+    ymin, ymax = _scale(all_y)
     colors = ["#1f4e9c", "#b03a2e", "#1e8449", "#8e44ad", "#b7950b", "#117a8b"]
     parts.append(
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '

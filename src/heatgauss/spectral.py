@@ -287,9 +287,8 @@ def evolved_form_bound_check(
     # e^{2st} g~(t): s past t = 1/s, e^{st-1}/t before (the minimum keeps the unused branch finite)
     bound = np.where(ts > 1.0 / s, s, np.exp(np.minimum(s * ts, 1.0) - 1.0) / ts) * np.sum(c**2, axis=1)[:, np.newaxis]
     ratios = np.divide(q, bound, out=np.zeros_like(q), where=bound > 0)  # f = 0: both sides vanish
-    err, scale = np.maximum(q - bound, 0.0).ravel().tolist(), (n * (q + bound)).ravel().tolist()
-    bad = [k for k, pair in enumerate(zip(err, scale)) if not error_ratio(*pair) <= 1.0]
-    if bad:
+    bad = np.flatnonzero(~(error_ratio(np.maximum(q - bound, 0.0), n * (q + bound)) <= 1.0))
+    if bad.size:
         fi, ti = np.unravel_index(bad[0], ratios.shape)
         raise PropertyViolation(
             f"evolved form bound violated: ratio {float(ratios[fi, ti])} at t={float(ts[ti])}",

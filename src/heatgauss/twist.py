@@ -244,8 +244,8 @@ def per_lambda_table(form: FormMatrix, tw: TwistSpec) -> PerLambdaTable:
     bands = ((4.0 * np.sinh(tw.lam * tw.a * b * h / 2.0) ** 2)[:, np.newaxis] * bands).ravel()
     band_index = np.add.outer(b, np.arange(n))
     values, magnitudes = np.stack([bands, leib[0].ravel()]), np.stack([np.abs(bands), leib[1].ravel()])
-    ratios = [error_ratio(err, n * size) if k < n else 0.0 for err, size, k in zip(
-        np.abs(values[0] - values[1]).tolist(), magnitudes.sum(axis=0).tolist(), band_index.ravel().tolist())]
+    ratios = np.where(band_index.ravel() < n,
+                      error_ratio(np.abs(values[0] - values[1]), n * magnitudes.sum(axis=0)), 0.0)
     worst = int(np.argmax(ratios))
     if not ratios[worst] <= 1.0:
         raise ConsistencyError(f"per(lambda) band tables disagree at band {worst // n}, node {worst % n}: "
@@ -526,7 +526,8 @@ def _spectrum_residual_ratio(d: SpectralDecomposition, H_lam: np.ndarray, e: np.
     per column k at S = n ||(|H_lambda| |V| + |V| |Lambda|)_k|| (|H_lambda| |V| = E^{-1} |H| |Phi|)."""
     phi, mu, V = d.eigenvectors, d.eigenvalues, d.eigenvectors / e
     size = len(mu) * np.linalg.norm(np.abs(H_lam) @ np.abs(V) + np.abs(V * mu), axis=0)
-    return error_ratio(np.linalg.norm(H_lam @ V - V * mu - (d.operator @ phi - phi * mu) / e, axis=0), size)
+    err = np.linalg.norm(H_lam @ V - V * mu - (d.operator @ phi - phi * mu) / e, axis=0)
+    return float(np.max(error_ratio(err, size)))
 
 
 def appendix_b_identities(d: SpectralDecomposition, tw: TwistSpec, z: complex) -> dict:
@@ -569,7 +570,7 @@ def appendix_b_identities(d: SpectralDecomposition, tw: TwistSpec, z: complex) -
     aX = np.abs(X)
     size = np.linalg.norm(np.abs(H_lam, out=H_lam) @ aX + abs(z) * aX + np.abs(G), axis=0)
     err = np.linalg.norm(R, axis=0)
-    resolvent_ratio = error_ratio(err, n * size)
+    resolvent_ratio = float(np.max(error_ratio(err, n * size)))
     return {"z": complex(z), "resolvent_backward_err": float(np.max(err / size)),
             "resolvent_ratio": resolvent_ratio, "spectrum_ratio": spectrum_ratio,
             "ok": resolvent_ratio <= 1.0 and spectrum_ratio <= 1.0}

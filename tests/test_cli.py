@@ -10,11 +10,18 @@ from hypothesis import given, settings, strategies as st
 from heatgauss import bounds as bounds_mod
 from heatgauss import cli as cli_mod
 from heatgauss import twist as twist_mod
-from heatgauss.assembly import OperatorSpec, assemble_form, load_coefficients_csv
+from heatgauss import config as config_mod
+from heatgauss.assembly import OperatorSpec, assemble_form, load_coefficients_csv, polyharmonic_spec
 from heatgauss.cli import main
 from heatgauss.config import RunConfig, load_run_config, parse_config_text
-from heatgauss.core import Grid1D
-from heatgauss.errors import ConfigurationError, EllipticityError, PropertyViolation, ResolutionWarning
+from heatgauss.core import Grid1D, schedule_from_gamma
+from heatgauss.errors import (
+    ConfigurationError,
+    EllipticityError,
+    PropertyViolation,
+    ResolutionWarning,
+    UnsupportedError,
+)
 from heatgauss.reporting import format_value, line_plot_svg, ratio_table_svg, witness_text, write_csv
 
 LAPLACE_CFG = """
@@ -67,6 +74,11 @@ def general_csv_config(tmp_path, n: int):
     return cfg
 
 
+def poly_run_config(m: int, length: float, n: int) -> RunConfig:
+    """RunConfig of the polyharmonic operator of order m with the one schedule gamma = 0."""
+    return RunConfig(spec=polyharmonic_spec(m), length=length, n=n, schedules=[schedule_from_gamma(m, 1, 0.0)])
+
+
 @pytest.fixture()
 def laplace_cfg(tmp_path):
     path = tmp_path / "laplace.cfg"
@@ -90,20 +102,38 @@ class TestConfigParser:
             parse_config_text("[a\nx = 1\n")
 
     def test_run_config_bounds(self):
+        with pytest.raises(UnsupportedError):  # no operator of order m = 4 exists for a RunConfig to hold
+            RunConfig(spec=polyharmonic_spec(4), length=1.0, n=100, schedules=[schedule_from_gamma(4, 1, 0.0)])
         with pytest.raises(ConfigurationError):
-            RunConfig(m=4, length=1.0, n=100, source="polyharmonic", gamma_list=[0.0])
-        with pytest.raises(ConfigurationError):
-            RunConfig(m=1, length=1.0, n=1000, source="polyharmonic", gamma_list=[0.0])
+            poly_run_config(1, length=1.0, n=1000)
         with pytest.raises(ConfigurationError, match="n must be 16..800, got 15"):
-            RunConfig(m=1, length=1.0, n=15, source="polyharmonic", gamma_list=[0.0])
-        assert RunConfig(m=1, length=1.0, n=16, source="polyharmonic", gamma_list=[0.0]).n == 16
+            poly_run_config(1, length=1.0, n=15)
+        assert poly_run_config(1, length=1.0, n=16).n == 16
+
+    def test_run_config_rejects_a_schedule_of_another_order(self):
+        # an m = 2 schedule fitted to an m = 1 operator
+        with pytest.raises(ConfigurationError, match="a schedule for m = 2, N = 1 does not fit"):
+            RunConfig(spec=polyharmonic_spec(1), length=1.0, n=40, schedules=[schedule_from_gamma(2, 1, 0.0)])
 
     def test_profile_defaults(self, laplace_cfg):
         cfg = load_run_config(laplace_cfg)
         assert cfg.m == 1
         assert cfg.length == pytest.approx(math.pi)
         assert cfg.seed == 42
-        assert cfg.gamma_list == [0.0, 0.4]
+        assert [schedule.gamma for schedule in cfg.schedules] == [0.0, 0.4]
+
+    @pytest.mark.parametrize("source", ["laplace-pi", "polyharmonic", "csv"])
+    def test_schedules_take_the_order_of_the_operator(self, tmp_path, source):
+        if source == "csv":
+            path = general_csv_config(tmp_path, 40)
+            path.write_text(path.read_text(encoding="utf-8") + "[schedule]\ngamma = 0.0 0.4 1.2\n", encoding="utf-8")
+        else:
+            path = tmp_path / "run.cfg"
+            path.write_text(f"[operator]\nsource = {source}\nm = 1\nL = 1.0\nn = 40\n[schedule]\neps = 0.3 0.5\n",
+                            encoding="utf-8")
+        cfg = load_run_config(str(path))
+        assert cfg.m == cfg.spec.m == (2 if source == "csv" else 1)
+        assert [schedule.m for schedule in cfg.schedules] == [cfg.m] * len(cfg.schedules)
 
     def test_eps_schedule(self, tmp_path):
         path = tmp_path / "eps.cfg"
@@ -178,6 +208,7 @@ class TestCliRuns:
         pytest.param("[operator]\nsource = laplace-pi\n[sweep]\nsamples = 8.5\n", None, id="samples-not-integer"),
         pytest.param("[operator]\nsource = laplace-pi\n[sweep]\nseed = x\n", None, id="seed-not-numeric"),
         pytest.param("[operator]\nsource = laplace-pi\nm = 2\n", None, id="profile-m-mismatch"),
+        pytest.param("[operator]\nsource = polyharmonic\nm = 4\nL = 1\n", None, id="m-past-3"),
         pytest.param("[operator]\nsource = csv:{csv}\nm = 1\nL = 1\nn = 20\n",
                      "i,j,x,value\n1.5,1,0.0,1.0\n", id="csv-i-not-integer"),
         pytest.param("[operator]\nsource = csv:{csv}\nm = 1\nL = 1\nn = 20\n",
@@ -253,6 +284,28 @@ class TestCliRuns:
         assert built == [400] and "stopped before" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_source_exits_2_before_any_decomposition(self, tmp_path, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli_mod, "_build_form", lambda cfg, n: built.append(n))
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        cfg.write_text("[operator]\nsource = nosuch\nm = 1\nL = 1.0\nn = 40\n", encoding="utf-8")
+        assert main(["verify-bounds", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: unknown coefficient source 'nosuch'\n"
+        assert built == [] and not out.exists()
+
+    def test_csv_table_is_read_once_per_run(self, tmp_path, monkeypatch):
+        # verify-bounds --refine assembles the operator at n and at 2n from the one table read at load
+        reads = []
+
+        def counted(path):
+            reads.append(path)
+            return load_coefficients_csv(path)
+
+        monkeypatch.setattr(config_mod, "load_coefficients_csv", counted)
+        cfg = general_csv_config(tmp_path, 40)
+        assert main(["verify-bounds", "--config", str(cfg), "--out", str(tmp_path / "out"), "--refine"]) == 0
+        assert reads == [str(tmp_path / "general.csv")]
+
     def test_verify_bounds_refine_passes(self, tmp_path):
         # the default grids, on which the refined mesh admits t slices below the ones the fit reads
         cfg, out = tmp_path / "run.cfg", tmp_path / "out"
@@ -267,7 +320,7 @@ class TestCliRuns:
         cfg = tmp_path / "long.cfg"
         cfg.write_text("[operator]\nsource = polyharmonic\nm = 1\nL = 30\nn = 40\n", encoding="utf-8")
         assert load_run_config(str(cfg)).lam_grid == [0.0, 0.5, 1.0]
-        at_20 = RunConfig(m=1, length=20.0, n=40, source="polyharmonic", gamma_list=[0.0])
+        at_20 = poly_run_config(1, length=20.0, n=40)
         assert at_20.lam_grid == [0.0, 0.5, 1.0, 2.0]
         codes = {}
         with warnings.catch_warnings():
@@ -485,6 +538,15 @@ class TestCliRuns:
         assert set(witness) == {"alpha", "c1", "c2", "held", "held_at", "lam"}
         assert float(witness["held"]) > float(witness["c1"]) > 0.0
         assert re.fullmatch(r"\(\d+, \d+\)", witness["held_at"])
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect of the fit protocol: near the twist cap (lambda L = 39.3) the evolved-twisted-form "
+        "held-out sup 0.1326 beats the fitted c1 0.0835 at held_at=(1, 0), fitted on the at most 12 training "
+        "samples that _train_holdout draws for verify-twist"))
+    def test_verify_twist_passes_near_the_twist_cap(self, tmp_path):
+        cfg = tmp_path / "cap.cfg"
+        cfg.write_text("[operator]\nsource = laplace-pi\nn = 40\n[sweep]\nlam_grid = 0 0.5 12.5\n", encoding="utf-8")
+        assert main(["verify-twist", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
     def test_verify_twist_asks_each_norm_once(self, tmp_path, monkeypatch):
         # one norm fit per lambda and an explicit c2 for the evolved check: the

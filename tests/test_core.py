@@ -15,7 +15,7 @@ from heatgauss import (
     gtilde,
     schedule_from_gamma,
 )
-from heatgauss.core import HOLDOUT_SLACK, fit_holdout, holdout_within
+from heatgauss.core import EPS, HOLDOUT_SLACK, error_ratio, fit_holdout, holdout_within
 
 
 class TestGrid:
@@ -65,6 +65,21 @@ class TestFitHoldout:
         assert (fit.fitted, fit.fitted_at, fit.held, fit.held_at, fit.passed) == (0.0, None, 0.0, None, True)
         fit = fit_holdout(np.array([[1.0, np.nan, 3.0], [5.0, 0.0, 0.0]]), np.zeros((1, 3)))
         assert math.isnan(fit.fitted) and fit.fitted_at == (0, 1) and not fit.passed
+
+
+class TestErrorRatio:
+    def test_arrays_read_entry_by_entry_as_the_scalar_rule(self):
+        # the scalar rule |a - b| / (eps S), 0 where a = b, applied entry by entry, bit for bit
+        rng = np.random.default_rng(11)
+        err = np.concatenate([rng.uniform(0.0, 1e-13, 40), [0.0, 0.0, 3e-16, math.nan]])
+        scale = np.concatenate([rng.uniform(1.0, 10.0, 40), [0.0, 2.0, 1.0, 1.0]])
+        want = [e / (EPS * s) if e else 0.0 for e, s in zip(err.tolist(), scale.tolist())]
+        with np.errstate(all="raise"):  # no difference against a zero scale divides; an infinite pair reads nan
+            got = error_ratio(err, scale)
+            assert math.isnan(error_ratio(np.array([math.inf]), np.array([math.inf]))[0])
+        assert got.tobytes() == np.array(want).tobytes()
+        assert [error_ratio(e, s) for e, s in zip(err.tolist(), scale.tolist())][:-1] == want[:-1]
+        assert math.isnan(error_ratio(math.nan, 1.0)) and not error_ratio(err, scale).max() <= 1.0
 
 
 class TestGammaSchedule:
