@@ -30,10 +30,10 @@ EXP_UNDERFLOW_CAP = 700.0  # exp(-x) underflows to exact zero well before x = 74
 
 
 def _jacobi_sweeps(W: np.ndarray, tol: float, max_sweeps: int) -> int:
-    """Cyclic Jacobi sweeps in place on W = [A; V], A's n rows over V's in one (2n x n) array.
+    """Cyclic Jacobi sweeps in place on W = [A; V], A's n rows over V's in one column-major (2n x n) array.
 
-    One rotation of W's columns p, q turns A's and V's columns at once; A's rows p, q follow.
-    Each entry keeps its two products and one sum, so jacobi_eigh's results stay bit-identical.
+    One rotation turns W's columns p, q, A's and V's at once over 2n contiguous entries, then A's
+    strided rows p, q. Each entry keeps its two products and one sum, so jacobi_eigh's results stay bit-identical.
     """
     n = W.shape[1]
     A = W[:n]
@@ -102,7 +102,7 @@ def jacobi_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scale = np.linalg.norm(M)
     if scale > 0 and np.linalg.norm(M - M.T) > 1e-10 * scale:
         raise ContractError("jacobi_eigh requires a symmetric matrix")
-    W = np.empty((2 * n, n))  # A over V
+    W = np.empty((2 * n, n), order="F")  # A over V, each column contiguous
     W[:n] = 0.5 * (M + M.T)
     W[n:] = np.eye(n)
     tol = 1e-12 * max(scale, np.finfo(float).tiny)
@@ -221,9 +221,9 @@ class HeatKernelEvaluator:
         return decay_weights(t * self.decomposition.eigenvalues)
 
     def matrix(self, t: float) -> np.ndarray:
-        """Full kernel table k(t, x_i, x_j) over the grid: the block over every node."""
-        nodes = np.arange(self.grid.n_interior)
-        return self.block(t, nodes, nodes)
+        """Full kernel table k(t, x_i, x_j) over the grid: block's product over every node, (Phi w) Phi^T."""
+        w, phi = self._weights(t), self.decomposition.eigenvectors
+        return (phi * w) @ phi.T
 
     def diagonal(self, t: float) -> np.ndarray:
         """Diagonal k(t, x_i, x_i) of the kernel table, in O(n^2) against matrix(t)'s O(n^3)."""

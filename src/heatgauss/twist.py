@@ -84,8 +84,12 @@ class TwistSpec:
         return self.a * (np.asarray(x, dtype=float) - self.x0)
 
     def weights(self) -> np.ndarray:
-        """Diagonal of E = exp(lambda psi) at the interior nodes."""
-        return np.exp(self.lam * self.psi(self.grid.points))
+        """Diagonal of E = exp(lambda psi) at the interior nodes: one read-only array per twist."""
+        return self._weights
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        return freeze(np.exp(self.lam * self.psi(self.grid.points)))
 
 
 @dataclass(frozen=True)
@@ -188,16 +192,16 @@ class PerLambdaTable:
     """What per_lambda needs of one (form, twist): two band tables of O(n m) over one gather.
 
     Both routes are quadratic forms in f of bandwidth m, read through the pairs
-    f[i] f[i + b] = (concatenate(f, zeros(m))[band_index] * f)[b, i], zero past n,
-    raveled to b n + i. Row 0 of values is the direct route: E^{-1} Q E - Q has
-    entries Q_kl expm1(lambda a (l - k) h), and pairing (k, l) with (l, k) gives
-    the weights W_b = 4 sinh^2(lambda a b h / 2) Q_b of band b, the upper
-    diagonals zero-padded to n, free of the cancellation of the difference. Row 1
-    is the Leibniz route, Lambda_b[i] = c_b h sum_{r=b..m} sum_{p,q} L[p, q, i + r]
-    taps[p, r] taps[q, r - b] with c_0 = 1 and c_b = 2 past it: taps[p] are the
-    taps of D^d M^{level-d}, stack row p of its (level, d), and L[p, q, k] sums
-    a_ij(x_k) C_ij[d, e] over the coefficients of a level, p and q its rows d and
-    e. magnitudes holds |W| and the same sum over |L|, |taps| and |taps|.
+    f[i] f[i + b] = (f.take(band_index) * f)[b, i], raveled to b n + i, with
+    band_index[b, i] = min(i + b, n - 1); past n, where no pair exists, values and
+    magnitudes hold 0. Row 0 of values is the direct route: E^{-1} Q E - Q has entries
+    Q_kl expm1(lambda a (l - k) h), and pairing (k, l) with (l, k) gives the weights
+    W_b = 4 sinh^2(lambda a b h / 2) Q_b of band b, the upper diagonals zero-padded to n,
+    free of the cancellation of the difference. Row 1 is the Leibniz route, Lambda_b[i]
+    = c_b h sum_{r=b..m} sum_{p,q} L[p, q, i + r] taps[p, r] taps[q, r - b] with c_0 = 1
+    and c_b = 2 past it: taps[p] are the taps of D^d M^{level-d}, stack row p of its
+    (level, d), and L[p, q, k] sums a_ij(x_k) C_ij[d, e] over the coefficients of a level,
+    p and q its rows d and e. magnitudes holds |W| and the same sum over |L|, |taps| and |taps|.
     """
 
     band_index: np.ndarray
@@ -209,7 +213,7 @@ def per_lambda_table(form: FormMatrix, tw: TwistSpec) -> PerLambdaTable:
     """Build the PerLambdaTable of (form, tw); per_lambda keeps it on the form.
 
     The two routes are one symmetric matrix, so W_b[i] = Lambda_b[i] wherever
-    i + b < n (past n the pairs are 0 and the tables differ): ConsistencyError,
+    i + b < n (past n both are set to 0, as their magnitudes): ConsistencyError,
     naming the band and the node, unless each pair agrees to eps n (|W_b[i]| +
     |Lambda|_b[i]), the build-time rounding of both entries.
     """
@@ -240,17 +244,18 @@ def per_lambda_table(form: FormMatrix, tw: TwistSpec) -> PerLambdaTable:
         for r in b:
             for s in range(r + 1):
                 leib[kind, r - s] += weight[r, s, r : r + n]
+    band_index = np.add.outer(b, np.arange(n))
+    leib[:, band_index >= n] = 0.0  # Q's upper diagonals end there, so bands holds 0 too
+    band_index = freeze(np.minimum(band_index, n - 1))
     leib *= h * np.where(b > 0, 2.0, 1.0)[:, np.newaxis]
     bands = ((4.0 * np.sinh(tw.lam * tw.a * b * h / 2.0) ** 2)[:, np.newaxis] * bands).ravel()
-    band_index = np.add.outer(b, np.arange(n))
     values, magnitudes = np.stack([bands, leib[0].ravel()]), np.stack([np.abs(bands), leib[1].ravel()])
-    ratios = np.where(band_index.ravel() < n,
-                      error_ratio(np.abs(values[0] - values[1]), n * magnitudes.sum(axis=0)), 0.0)
+    ratios = error_ratio(np.abs(values[0] - values[1]), n * magnitudes.sum(axis=0))
     worst = int(np.argmax(ratios))
     if not ratios[worst] <= 1.0:
         raise ConsistencyError(f"per(lambda) band tables disagree at band {worst // n}, node {worst % n}: "
                                f"direct={values[0, worst]}, leibniz={values[1, worst]}, ratio={ratios[worst]}")
-    return PerLambdaTable(band_index=freeze(band_index), values=freeze(values), magnitudes=freeze(magnitudes))
+    return PerLambdaTable(band_index=band_index, values=freeze(values), magnitudes=freeze(magnitudes))
 
 
 def per_lambda(form: FormMatrix, tw: TwistSpec, f: np.ndarray) -> float:
@@ -270,7 +275,7 @@ def per_lambda(form: FormMatrix, tw: TwistSpec, f: np.ndarray) -> float:
     table = _kept(form, tw, lambda: per_lambda_table(form, tw))
     n = len(f)
     # row 0 of a product whose two rows fix its sum order: the direct path sum_b f[:-b] . (W_b f[b:])
-    pairs = (np.concatenate((f, np.zeros(form.m)))[table.band_index] * f).ravel()
+    pairs = (f.take(table.band_index) * f).ravel()
     direct, leib = (table.values @ pairs).tolist()
 
     # S >= n (|direct| + |leib|): the sums of the terms' magnitudes are needed only past that

@@ -255,6 +255,18 @@ class TestHeatKernel:
         K = HeatKernelEvaluator(d).matrix(0.1)
         assert np.max(np.abs(K - K.T)) < 1e-12 * np.max(np.abs(K))
 
+    @pytest.mark.parametrize("source", ["laplace-pi", "beam-1", "m3"])
+    def test_matrix_is_the_all_nodes_block_byte_for_byte(self, source):
+        # matrix(t) forms (Phi w) Phi^T from Phi itself, block from two gathered copies of it
+        if source == "m3":
+            form = assemble_form(polyharmonic_spec(3), Grid1D(length=1.0, n_interior=50))
+        else:
+            form = assemble_form(get_profile(source).spec, get_profile(source).grid(50))
+        ev = HeatKernelEvaluator(SpectralDecomposition.from_form(form))
+        nodes = np.arange(50)
+        for t in (ev.t_floor, 1e-2, 0.1, 1.0):
+            assert ev.matrix(t).tobytes() == ev.block(t, nodes, nodes).tobytes()
+
     def test_kernel_eval_matches_matrix(self, laplace200):
         _, d = laplace200
         ev = HeatKernelEvaluator(d)

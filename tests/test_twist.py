@@ -54,6 +54,13 @@ class TestTwistSpec:
         with pytest.raises(DomainError):
             TwistSpec(grid=g, x0=math.nan, a=1.0, lam=1.0)
 
+    def test_weights_are_one_read_only_array_per_twist(self):
+        g = Grid1D(length=2.0, n_interior=7)
+        tw = make_twist(g, 1.5, a=-1.0)
+        e = tw.weights()
+        assert tw.weights() is e and is_frozen(e)
+        assert e.tobytes() == np.exp(tw.lam * tw.psi(g.points)).tobytes()
+
     def test_cap_on_lambda(self):
         g = Grid1D(length=4.0, n_interior=4)
         for lam in (11.0, math.nan):  # |lam| L = 44 > 40
@@ -825,6 +832,23 @@ class TestPlantedErrors:
     def ratio(excinfo):
         """The |a - b| / (eps S) a ConsistencyError reports."""
         return float(re.search(r"ratio=(\S+)$", str(excinfo.value)).group(1))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_pairs_gather_matches_the_zero_padded_gather(self, case, request):
+        # the clipped band index reads f[n - 1] past n, where both rows and the magnitudes hold 0:
+        # the product equals the one over zero-padded pairs f[i] f[i + b] byte for byte
+        form, d = request.getfixturevalue(case)
+        tw, n, m = make_twist(d.grid, 1.0), d.grid.n_interior, form.m
+        table = twist_mod.per_lambda_table(form, tw)
+        past = np.add.outer(np.arange(m + 1), np.arange(n)).ravel() >= n
+        assert not table.values[:, past].any() and not table.magnitudes[:, past].any()
+        for f in self.rough_samples(d):
+            padded = (np.concatenate((f, np.zeros(m)))[np.add.outer(np.arange(m + 1), np.arange(n))] * f).ravel()
+            want = table.values @ padded
+            assert per_lambda(dataclasses.replace(form), tw, f) == want[0]
+            pairs = (f.take(table.band_index) * f).ravel()
+            assert (table.values @ pairs).tobytes() == want.tobytes()
+            assert (table.magnitudes @ np.abs(pairs)).tobytes() == (table.magnitudes @ np.abs(padded)).tobytes()
 
     @pytest.mark.parametrize("case", CASES)
     def test_leibniz_entry_error_raises(self, case, request, monkeypatch):
